@@ -75,7 +75,7 @@ EXIT_DOMAIN = 4
 EXIT_NUMERIC = 5
 
 # Auxiliary randomness (e.g. the p0 estimate) lives on stream indices far
-# above the per-hypothesis lanes r*m + i used by experiments.
+# above the per-replication lanes r used by experiments.
 _AUX_STREAM_BASE = 2**48
 
 
@@ -86,22 +86,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed_value(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
+def _int_at_least(value, minimum: int, where: str) -> int:
+    """``value`` as an int >= ``minimum``, from an int or its decimal text.
+
+    ``--seed``, config keys and TWOSTAGE_SEED share this check, so a seed is
+    accepted or refused alike wherever it comes from; JSON floats and
+    booleans are refused rather than truncated.
+    """
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
-def _resolve_seed(seed: int | None) -> int:
+def _seed_value(text: str) -> int:
+    try:
+        return _int_at_least(text, 0, "seed")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _resolve_seed(seed) -> int:
     if seed is not None:
-        return seed
+        return _int_at_least(seed, 0, "seed")
     env = os.environ.get("TWOSTAGE_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"TWOSTAGE_SEED must be an integer, got {env!r}") from exc
+        return _int_at_least(env, 0, "TWOSTAGE_SEED")
     drawn = secrets.randbits(63)
     print(f"seed: {drawn} (drawn; pass --seed {drawn} to reproduce)")
     return drawn
@@ -320,7 +334,7 @@ def _cmd_simulate(args) -> int:
 
     methods = _parse_methods(args.methods if args.methods is not None else cfg.get("methods"), "methods")
     seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 0)) or (os.cpu_count() or 1)
+    threads = args.threads if args.threads is not None else _int_at_least(cfg.get("threads", 1), 1, "threads")
     fmt = args.format or cfg.get("format", "csv")
     out = args.out or cfg.get("out") or f"simulate-{scenario.name}.{fmt}"
 
@@ -555,7 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed_value, help="master seed (default: TWOSTAGE_SEED or drawn)")
         p.add_argument("--out", help="output path")
         if with_threads:
-            p.add_argument("--threads", type=_positive_int, help="worker threads (default: machine parallelism)")
+            p.add_argument(
+                "--threads",
+                type=_positive_int,
+                help="accepted and checked, but the engine runs in one thread; "
+                "reports are identical for any value (default 1)",
+            )
 
     p_sim = sub.add_parser("simulate", help="run a multiple-testing scenario")
     p_sim.add_argument("--config", help="JSON config file")

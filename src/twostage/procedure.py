@@ -30,6 +30,7 @@ __all__ = [
     "BonferroniOverUnfiltered",
     "FiltrationAware",
     "Adjustment",
+    "adjusted_threshold",
     "HypothesisOutcome",
     "TwoStageOutcome",
     "evaluate_filter",
@@ -138,6 +139,18 @@ class FiltrationAware:
 Adjustment = Union[BonferroniOverUnfiltered, FiltrationAware]
 
 
+def adjusted_threshold(adjustment: Adjustment, alpha: float, f_count):
+    """The stage-2 rejection threshold for F survivors.
+
+    ``alpha/F``, or ``alpha*p0/F`` under :class:`FiltrationAware`, and 0 where
+    F = 0.  Accepts a scalar F or an array of counts and returns a float array
+    of the same shape.
+    """
+    level = alpha * adjustment.p0 if isinstance(adjustment, FiltrationAware) else alpha
+    f = np.asarray(f_count, dtype=float)
+    return np.divide(level, f, out=np.zeros_like(f), where=f > 0)
+
+
 def filter_mask(rule: FiltrationRule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
     """Vectorized filtration: boolean array, True where the hypothesis is filtered."""
     gamma_hat = np.asarray(gamma_hat, dtype=float)
@@ -204,13 +217,7 @@ def run_two_stage(
     filtered = filter_mask(rule, gamma, beta, sig_g, sig_b, ns)
     pjoint = _joint_pvalues(gamma, beta, sig_g, sig_b, ns)
     f_count = int((~filtered).sum())
-
-    if f_count == 0:
-        threshold = 0.0
-    elif isinstance(adjustment, FiltrationAware):
-        threshold = alpha * adjustment.p0 / f_count
-    else:
-        threshold = alpha / f_count
+    threshold = float(adjusted_threshold(adjustment, alpha, f_count))
     rejected = (~filtered) & (pjoint <= threshold)
 
     per_hyp = tuple(

@@ -57,7 +57,12 @@ def _parse_meta(lines: Sequence[str]) -> dict[str, str]:
 
 def write_simulation_report(report: SimulationReport, path: str, fmt: str = "csv") -> None:
     if fmt == "json":
-        payload = {"meta": asdict(report.meta), "methods": [asdict(m) for m in report.methods]}
+        # Strict JSON has no NaN or infinity: such fields go through nan_to_none.
+        methods = [
+            {**asdict(m), **{k: nan_to_none(getattr(m, k)) for k in _SIM_COLUMNS[1:]}}
+            for m in report.methods
+        ]
+        payload = {"meta": asdict(report.meta), "methods": methods}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -107,7 +112,10 @@ def read_simulation_report(path: str) -> SimulationReport:
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         meta = ReportMeta(**payload["meta"])
-        methods = tuple(MethodResult(**m) for m in payload["methods"])
+        methods = tuple(
+            MethodResult(**{**m, **{k: _float_from_json(m[k]) for k in _SIM_COLUMNS[1:]}})
+            for m in payload["methods"]
+        )
         return SimulationReport(meta, methods)
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -189,6 +197,11 @@ def read_mse_ratio_report(path: str) -> tuple[list[MseRatioPoint], dict[str, str
             )
         )
     return points, meta
+
+
+def _float_from_json(x) -> float:
+    """Inverse of :func:`nan_to_none`: None is NaN, "inf"/"-inf" are infinities."""
+    return math.nan if x is None else float(x)
 
 
 def nan_to_none(x: float):

@@ -7,16 +7,16 @@ replication draws one estimate pair per hypothesis and then applies every
 method (filtration rule + adjustment) to the *same* draws, so method
 comparisons use common random numbers.
 
-Randomness is allocated as one stream per (replication, hypothesis):
-hypothesis i of replication r draws from stream index ``r*m + i`` under the
-experiment's master seed.  Results are therefore bit-identical for any
-thread count or execution order.
+Randomness is allocated as one stream per replication: replication r draws
+all m hypotheses from stream index ``r`` under the experiment's master seed.
+One vectorized kernel runs every method over blocks of replications, and
+results are identical for any block size or thread count on one numpy
+version (NEP 19 promises no stable ``Generator`` streams across releases).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -35,6 +35,7 @@ from .procedure import (
     MinPValue,
     NoFilter,
     ProductThreshold,
+    adjusted_threshold,
     filter_mask,
 )
 
@@ -279,49 +280,73 @@ def _deterministic_counts(proportions: Sequence[float], m: int) -> np.ndarray:
     return counts
 
 
+def _coordinate_params(coord: CoordinateModel, n: int) -> tuple[float, float]:
+    """(mean, prior sd) of one coordinate at sample size n; sd 0 for a fixed mean."""
+    if isinstance(coord, NormalMeanPrior):
+        return coord.mean.at(n), math.sqrt(max(coord.variance.at(n), 0.0))
+    return coord.at(n), 0.0
+
+
 def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomStream):
-    """Per-hypothesis draws for one replication.
+    """All m hypotheses of replication ``rep_index``, from ``stream.offset(rep_index)``.
 
-    Hypothesis i uses the sub-stream at offset ``rep_index*m + i``.  Draw
-    order within a hypothesis is fixed: row selection (multinomial only),
-    gamma mean, beta mean (hyperprior rows only), then the two estimates.
+    Fixed draw order on that generator: for multinomial scenarios only,
+    ``u = random(m)`` gives hypothesis i the first row whose cumulative
+    proportion is >= ``u[i]``; then ``z = standard_normal((4, m))`` gives
+    ``gamma_hat = gamma_mean + gamma_prior_sd*z[0] + sigma/sqrt(n)*z[2]`` and
+    ``beta_hat`` likewise from ``z[1]`` and ``z[3]`` (prior sd 0 without a
+    hyperprior).  Returns ``(gamma_hat, beta_hat, row_idx, truth_null)``.
     """
-    m, n, sigma = scenario.m, scenario.n, scenario.sigma
-    props = [row.proportion for row in scenario.rows]
-    if scenario.assignment is Assignment.DETERMINISTIC:
-        row_idx = np.repeat(np.arange(len(scenario.rows)), _deterministic_counts(props, m))
+    m, n, rows = scenario.m, scenario.n, scenario.rows
+    props = [row.proportion for row in rows]
+    gen = stream.offset(rep_index).generator
+    if scenario.assignment is Assignment.MULTINOMIAL:
+        # Searching the first len(rows)-1 cumulative proportions maps u past
+        # a last one rounded below 1 to the last row, not past the end.
+        row_idx = np.searchsorted(np.cumsum(props)[:-1], gen.random(m), side="left")
     else:
-        row_idx = np.empty(m, dtype=int)
-    cum = np.cumsum(props)
-
-    means = []
-    for row in scenario.rows:
-        pair = []
-        for coord in (row.gamma, row.beta):
-            if isinstance(coord, NormalMeanPrior):
-                pair.append((coord.mean.at(n), math.sqrt(max(coord.variance.at(n), 0.0))))
-            else:
-                pair.append((coord.at(n), 0.0))
-        means.append(pair)
-
-    sd = sigma / math.sqrt(n)
-    gamma_hat = np.empty(m)
-    beta_hat = np.empty(m)
-    base = rep_index * m
-    for i in range(m):
-        gen = stream.offset(base + i).generator
-        if scenario.assignment is Assignment.MULTINOMIAL:
-            row_idx[i] = int(np.searchsorted(cum, gen.random(), side="left"))
-        (g_mean, g_sd), (b_mean, b_sd) = means[row_idx[i]]
-        if g_sd > 0.0:
-            g_mean = gen.normal(g_mean, g_sd)
-        if b_sd > 0.0:
-            b_mean = gen.normal(b_mean, b_sd)
-        gamma_hat[i] = gen.normal(g_mean, sd)
-        beta_hat[i] = gen.normal(b_mean, sd)
-
-    truth_null = np.array([scenario.rows[k].truth.is_null for k in row_idx])
+        row_idx = np.repeat(np.arange(len(rows)), _deterministic_counts(props, m))
+    params = np.array([[*_coordinate_params(r.gamma, n), *_coordinate_params(r.beta, n)] for r in rows])
+    g_mean, g_sd, b_mean, b_sd = params[row_idx].T
+    z = gen.standard_normal((4, m))
+    sd = scenario.sigma / math.sqrt(n)
+    gamma_hat = g_mean + g_sd * z[0] + sd * z[2]
+    beta_hat = b_mean + b_sd * z[1] + sd * z[3]
+    truth_null = np.array([row.truth.is_null for row in rows])[row_idx]
     return gamma_hat, beta_hat, row_idx, truth_null
+
+
+# Replications per kernel pass.  At the CLI defaults, one pass over all 500
+# replications raised peak RSS by about 6%; blocks of 64 leave it flat.
+# Streams are keyed per replication, so no output depends on the block size.
+_BLOCK_REPS = 64
+
+
+def _replication_blocks(scenario, methods, stream, reps: range):
+    """The two-stage kernel over the replications in ``reps``, block by block.
+
+    Yields ``(row_idx, truth_null, outcomes)`` per block of at most
+    ``_BLOCK_REPS`` replications: ``(block, m)`` arrays, and one
+    ``(survivors, rejected)`` pair of ``(block, m)`` masks per method.
+    """
+    sigma, n = scenario.sigma, scenario.n
+    for start in range(reps.start, reps.stop, _BLOCK_REPS):
+        block = range(start, min(start + _BLOCK_REPS, reps.stop))
+        draws = [_draw_hypotheses(scenario, r, stream) for r in block]
+        gamma_hat, beta_hat, row_idx, truth_null = (np.stack(col) for col in zip(*draws))
+        pjoint = _joint_pvalues(gamma_hat, beta_hat, sigma, sigma, n)
+        outcomes = []
+        for method in methods:
+            survivors = ~filter_mask(method.rule, gamma_hat, beta_hat, sigma, sigma, n)
+            threshold = adjusted_threshold(method.adjustment, scenario.alpha, survivors.sum(axis=1))
+            outcomes.append((survivors, survivors & (pjoint <= threshold[:, None])))
+        yield row_idx, truth_null, outcomes
+
+
+def _tally(truth_null, survivors, rejected):
+    """Per-replication (V, S, n_alt, F) arrays from one block of kernel output."""
+    alt = ~truth_null
+    return (rejected & truth_null).sum(1), (rejected & alt).sum(1), alt.sum(1), survivors.sum(1)
 
 
 @dataclass(frozen=True)
@@ -334,19 +359,6 @@ class MethodCounts:
     F: int
 
 
-def _apply_method(method, gamma_hat, beta_hat, sigma, n, alpha, pjoint, truth_null):
-    filtered = filter_mask(method.rule, gamma_hat, beta_hat, sigma, sigma, n)
-    f_count = int((~filtered).sum())
-    if f_count == 0:
-        threshold = 0.0
-    elif isinstance(method.adjustment, FiltrationAware):
-        threshold = alpha * method.adjustment.p0 / f_count
-    else:
-        threshold = alpha / f_count
-    rejected = (~filtered) & (pjoint <= threshold)
-    return filtered, rejected, f_count
-
-
 def run_replication(
     scenario: ScenarioMixture,
     methods: Sequence[Method],
@@ -356,23 +368,8 @@ def run_replication(
     """Draw one replication and apply every method to the same draws."""
     if not methods:
         raise ValueError("methods must be nonempty")
-    gamma_hat, beta_hat, _, truth_null = _draw_hypotheses(scenario, rep_index, stream)
-    pjoint = _joint_pvalues(gamma_hat, beta_hat, scenario.sigma, scenario.sigma, scenario.n)
-    n_alt = int((~truth_null).sum())
-    out = []
-    for method in methods:
-        _, rejected, f_count = _apply_method(
-            method, gamma_hat, beta_hat, scenario.sigma, scenario.n, scenario.alpha, pjoint, truth_null
-        )
-        out.append(
-            MethodCounts(
-                V=int((rejected & truth_null).sum()),
-                S=int((rejected & ~truth_null).sum()),
-                n_alt=n_alt,
-                F=f_count,
-            )
-        )
-    return out
+    [(_, truth_null, outcomes)] = _replication_blocks(scenario, methods, stream, range(rep_index, rep_index + 1))
+    return [MethodCounts(*(int(c[0]) for c in _tally(truth_null, *o))) for o in outcomes]
 
 
 @dataclass(frozen=True)
@@ -415,31 +412,27 @@ def run_experiment(
     The empirical FWER is the fraction of replications with any false
     rejection; power averages (true rejections / alternatives) over the
     replications that drew at least one alternative.  The report is a pure
-    function of ``master_seed``: thread count only changes scheduling.
+    function of ``master_seed``.  ``threads`` is validated and otherwise
+    unused: the vectorized kernel runs in one thread.
     """
     if not methods:
         raise ValueError("methods must be nonempty")
     ids = [mth.method_id for mth in methods]
     if len(set(ids)) != len(ids):
         raise ValueError(f"method ids must be unique, got {ids}")
-    root = RandomStream(master_seed, 0)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     reps = scenario.reps
-
-    def one_rep(r: int) -> list[MethodCounts]:
-        return run_replication(scenario, methods, r, root)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(one_rep, range(reps)))
-    else:
-        per_rep = [one_rep(r) for r in range(reps)]
+    tallies = [[] for _ in methods]
+    for _, truth_null, outcomes in _replication_blocks(
+        scenario, methods, RandomStream(master_seed, 0), range(reps)
+    ):
+        for acc, outcome in zip(tallies, outcomes):
+            acc.append(_tally(truth_null, *outcome))
 
     results = []
-    for j, method in enumerate(methods):
-        v = np.array([per_rep[r][j].V for r in range(reps)])
-        s = np.array([per_rep[r][j].S for r in range(reps)])
-        n_alt = np.array([per_rep[r][j].n_alt for r in range(reps)])
-        f = np.array([per_rep[r][j].F for r in range(reps)])
+    for method, acc in zip(methods, tallies):
+        v, s, n_alt, f = (np.concatenate(col) for col in zip(*acc))
         fwer = float((v >= 1).mean())
         fwer_se = math.sqrt(fwer * (1.0 - fwer) / reps)
         has_alt = n_alt > 0
@@ -510,17 +503,14 @@ def conditional_rejection_stats(
     rejected = np.zeros(n_rows, dtype=int)
     f_samples = []
     any_false = 0
-    root = RandomStream(master_seed, 0)
-    for r in range(scenario.reps):
-        gamma_hat, beta_hat, row_idx, truth_null = _draw_hypotheses(scenario, r, root)
-        pjoint = _joint_pvalues(gamma_hat, beta_hat, scenario.sigma, scenario.sigma, scenario.n)
-        filt, rej, f_count = _apply_method(
-            method, gamma_hat, beta_hat, scenario.sigma, scenario.n, scenario.alpha, pjoint, truth_null
-        )
-        f_samples.append(f_count)
-        any_false += int((rej & truth_null).any())
-        np.add.at(unfiltered, row_idx, ~filt)
-        np.add.at(rejected, row_idx, rej)
+    for row_idx, truth_null, [(survivors, rej)] in _replication_blocks(
+        scenario, [method], RandomStream(master_seed, 0), range(scenario.reps)
+    ):
+        v, _, _, f = _tally(truth_null, survivors, rej)
+        f_samples.extend(f.tolist())
+        any_false += int((v >= 1).sum())
+        unfiltered += np.bincount(row_idx[survivors], minlength=n_rows)
+        rejected += np.bincount(row_idx[rej], minlength=n_rows)
 
     per_row = tuple(
         RowConditional(k, scenario.rows[k].truth, int(unfiltered[k]), int(rejected[k]))

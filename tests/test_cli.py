@@ -229,6 +229,35 @@ class TestSeedHandling:
         assert run_cli("simulate", "--scenario", "config1", "--reps", "8", "--seed", "321", "--out", b) == 0
         assert open(a).read() == open(b).read()
 
+    @pytest.mark.parametrize("seed", ["abc", -5, 1.5, True])
+    @pytest.mark.parametrize("command", ["simulate", "fwer-bound"])
+    def test_bad_config_seed_exit_2(self, tmp_path, capsys, command, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "config1", "reps": 2, "seed": seed}))
+        extra = ["--rule", "nofilter", "--p0-reps", "10"] if command == "fwer-bound" else []
+        assert run_cli(command, "--config", str(cfg), *extra, "--out", str(tmp_path / "r.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be")
+
+    @pytest.mark.parametrize("env", ["abc", "-3", "1.5"])
+    def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("TWOSTAGE_SEED", env)
+        assert run_cli("simulate", "--scenario", "config1", "--reps", "2", "--out", str(tmp_path / "r.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: TWOSTAGE_SEED must be")
+
+    def test_config_seed_matches_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "config1", "reps": 3, "seed": 321}))
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert run_cli("simulate", "--config", str(cfg), "--out", a) == 0
+        assert run_cli("simulate", "--scenario", "config1", "--reps", "3", "--seed", "321", "--out", b) == 0
+        assert open(a).read() == open(b).read()
+
+    @pytest.mark.parametrize("threads", [0, "many", 2.5])
+    def test_bad_config_threads_exit_2(self, tmp_path, threads):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "config1", "reps": 2, "seed": 1, "threads": threads}))
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 2
+
     def test_drawn_seed_announced(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("TWOSTAGE_SEED", raising=False)
         out = str(tmp_path / "r.csv")

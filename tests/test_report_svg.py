@@ -1,9 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from twostage import Method, MseRatioPoint, NoFilter, builtin_scenario, run_experiment
+from twostage import (
+    Method,
+    MethodResult,
+    MseRatioPoint,
+    NoFilter,
+    SimulationReport,
+    builtin_scenario,
+    run_experiment,
+)
 from twostage.report import (
     format_float,
     read_mse_ratio_report,
@@ -12,6 +21,10 @@ from twostage.report import (
     write_simulation_report,
 )
 from twostage.svgplot import Series, line_plot
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +67,28 @@ class TestSimulationReportIO:
         write_simulation_report(report, path, "csv")
         again = read_simulation_report(path)
         assert math.isnan(again.methods[0].power)
+
+    def test_nan_power_strict_json(self, tmp_path):
+        sc = builtin_scenario("hierarchical", m=30, reps=4, pi=(0.7, 0.3, 0.0))
+        report = run_experiment(sc, [Method(NoFilter())], master_seed=3)
+        path = str(tmp_path / "r.json")
+        write_simulation_report(report, path, "json")
+        payload = json.loads(open(path).read(), parse_constant=_reject_constant)
+        assert payload["methods"][0]["power"] is None
+        again = read_simulation_report(path)
+        assert math.isnan(again.methods[0].power) and math.isnan(again.methods[0].power_se)
+        assert again.methods[0].empirical_fwer == report.methods[0].empirical_fwer
+
+    def test_json_infinities_round_trip(self, small_report, tmp_path):
+        res = small_report.methods[0]
+        report = SimulationReport(
+            small_report.meta,
+            (MethodResult(res.method_id, res.empirical_fwer, math.inf, res.power, -math.inf, res.mean_F),),
+        )
+        path = str(tmp_path / "r.json")
+        write_simulation_report(report, path, "json")
+        json.loads(open(path).read(), parse_constant=_reject_constant)
+        assert read_simulation_report(path) == report
 
 
 class TestMseRatioReportIO:

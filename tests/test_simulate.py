@@ -5,6 +5,7 @@ import pytest
 
 from twostage import (
     Assignment,
+    FiltrationAware,
     Method,
     MixtureRow,
     NoFilter,
@@ -15,11 +16,12 @@ from twostage import (
     ScenarioMixture,
     Truth,
     builtin_scenario,
+    conditional_rejection_stats,
     run_experiment,
     run_replication,
     standard_methods,
 )
-from twostage.simulate import _deterministic_counts, _draw_hypotheses
+from twostage.simulate import _BLOCK_REPS, _deterministic_counts, _draw_hypotheses
 
 
 class TestBuiltinScenarios:
@@ -124,6 +126,8 @@ class TestExperiment:
         r1 = run_experiment(sc, list(standard_methods()), master_seed=31, threads=1)
         r4 = run_experiment(sc, list(standard_methods()), master_seed=31, threads=4)
         assert r1 == r4
+        with pytest.raises(ValueError):
+            run_experiment(sc, list(standard_methods()), master_seed=31, threads=0)
 
     def test_bonferroni_guarantee_all_null(self):
         rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0, Truth.NULL00),)
@@ -158,6 +162,64 @@ class TestExperiment:
         sc = builtin_scenario("config1", reps=1)
         with pytest.raises(ValueError):
             run_experiment(sc, [Method(NoFilter()), Method(NoFilter())], master_seed=1)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("name", ["config1", "hierarchical"])
+    def test_draw_layout(self, name):
+        # The documented draw order, reproduced by hand on stream (seed, r).
+        sc = builtin_scenario(name, m=50)
+        seed, r, n = 19, 7, sc.n
+        gen = RandomStream(seed, r).generator
+        if sc.assignment is Assignment.MULTINOMIAL:
+            cum = np.cumsum([row.proportion for row in sc.rows])
+            row_idx = np.array([min(int(np.searchsorted(cum, u)), len(sc.rows) - 1) for u in gen.random(sc.m)])
+        else:
+            counts = _deterministic_counts([row.proportion for row in sc.rows], sc.m)
+            row_idx = np.repeat(np.arange(len(sc.rows)), counts)
+        z = gen.standard_normal((4, sc.m))
+        sd = sc.sigma / math.sqrt(n)
+        gamma_hat, beta_hat = np.empty(sc.m), np.empty(sc.m)
+        for i, k in enumerate(row_idx):
+            row = sc.rows[k]
+            means = []
+            for coord, prior_z in ((row.gamma, z[0, i]), (row.beta, z[1, i])):
+                if isinstance(coord, NormalMeanPrior):
+                    means.append(coord.mean.at(n) + math.sqrt(coord.variance.at(n)) * prior_z)
+                else:
+                    means.append(coord.at(n))
+            gamma_hat[i] = means[0] + sd * z[2, i]
+            beta_hat[i] = means[1] + sd * z[3, i]
+        got = _draw_hypotheses(sc, r, RandomStream(seed, 0))
+        np.testing.assert_array_equal(got[0], gamma_hat)
+        np.testing.assert_array_equal(got[1], beta_hat)
+        np.testing.assert_array_equal(got[2], row_idx)
+        np.testing.assert_array_equal(got[3], [sc.rows[k].truth.is_null for k in row_idx])
+
+    @pytest.mark.parametrize("reps", [1, _BLOCK_REPS - 1, 2 * _BLOCK_REPS + 2])
+    @pytest.mark.parametrize("name", ["config2", "hierarchical"])
+    def test_block_size_independence(self, name, reps):
+        # run_experiment works in blocks; run_replication runs one replication.
+        sc = builtin_scenario(name, m=40, reps=reps)
+        methods = list(standard_methods()) + [Method(ProductThreshold(2.0, 0.9), FiltrationAware(0.5), id="aware")]
+        report = run_experiment(sc, methods, master_seed=29)
+        per_rep = [run_replication(sc, methods, r, RandomStream(29, 0)) for r in range(reps)]
+        for j, res in enumerate(report.methods):
+            counts = [rep[j] for rep in per_rep]
+            assert res.empirical_fwer == np.mean([c.V >= 1 for c in counts])
+            assert res.mean_F == np.mean([c.F for c in counts])
+            ratios = [c.S / c.n_alt for c in counts if c.n_alt]
+            assert res.power == (np.mean(ratios) if ratios else pytest.approx(math.nan, nan_ok=True))
+
+    @pytest.mark.parametrize("name", ["config2", "hierarchical"])
+    def test_callers_agree(self, name):
+        sc = builtin_scenario(name, m=40, reps=_BLOCK_REPS + 6)
+        method = Method(ProductThreshold(2.0, 0.9), id="prod")
+        stats = conditional_rejection_stats(sc, method, 37)
+        per_rep = [run_replication(sc, [method], r, RandomStream(37, 0))[0] for r in range(sc.reps)]
+        assert stats.F_samples == tuple(c.F for c in per_rep)
+        assert stats.fwer == run_experiment(sc, [method], master_seed=37).methods[0].empirical_fwer
+        assert sum(rc.unfiltered for rc in stats.per_row) == sum(stats.F_samples)
 
 
 class TestScenarioValidation:
