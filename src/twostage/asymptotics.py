@@ -32,7 +32,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .dist import RandomStream
 from .estimators import _sobel
@@ -409,6 +408,12 @@ class MseRatioPoint:
     filter_freq: float
 
 
+def _unit_draws(stream: RandomStream, theta: ParamPoint, sd: float, reps: int):
+    """``reps`` draws of (gamma_hat, beta_hat) around ``theta`` with common sd, gamma first."""
+    gen = stream.generator
+    return gen.normal(theta.gamma, sd, reps), gen.normal(theta.beta, sd, reps)
+
+
 def mse_ratio_experiment(
     seq: ParamSequence,
     c: float,
@@ -433,10 +438,7 @@ def mse_ratio_experiment(
         n = int(n_float)
         point = seq.at(n)
         psi = point.gamma * point.beta
-        gen = stream.offset(i).generator
-        sd = 1.0 / math.sqrt(n)
-        g = gen.normal(point.gamma, sd, reps)
-        b = gen.normal(point.beta, sd, reps)
+        g, b = _unit_draws(stream.offset(i), point, 1.0 / math.sqrt(n), reps)
         t = g * b
         filtered = np.abs(t) < c * float(n) ** (-delta)
         shrunk = np.where(filtered, 0.0, t)
@@ -485,11 +487,7 @@ def rate_probe(
 
     sds = []
     for i, n_float in enumerate(grid):
-        n = int(n_float)
-        gen = stream.offset(i).generator
-        sd = 1.0 / math.sqrt(n)
-        g = gen.normal(theta.gamma, sd, reps)
-        b = gen.normal(theta.beta, sd, reps)
+        g, b = _unit_draws(stream.offset(i), theta, 1.0 / math.sqrt(int(n_float)), reps)
         if stat_kind == "product":
             err = g * b - theta.gamma * theta.beta
         else:
@@ -519,11 +517,13 @@ def irregularity_probe(
     root_n = math.sqrt(n)
     samples = []
     for i, h in enumerate((h_a, h_b)):
-        gen = stream.offset(i).generator
-        g = gen.normal(h.gamma / root_n, 1.0 / root_n, reps)
-        b = gen.normal(h.beta / root_n, 1.0 / root_n, reps)
-        samples.append(_sobel(g, b, 1.0, 1.0))
-    return float(ks_2samp(samples[0], samples[1]).statistic)
+        theta = ParamPoint(h.gamma / root_n, h.beta / root_n)
+        g, b = _unit_draws(stream.offset(i), theta, 1.0 / root_n, reps)
+        samples.append(np.sort(_sobel(g, b, 1.0, 1.0)))
+    # KS statistic: the largest gap between the two empirical CDFs, exactly h/reps.
+    pooled = np.concatenate(samples)
+    below_a, below_b = (np.searchsorted(x, pooled, side="right") for x in samples)
+    return float(np.abs(below_a - below_b).max() / reps)
 
 
 def ks_critical_value(n_a: int, n_b: int, level: float = 0.01) -> float:

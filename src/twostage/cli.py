@@ -35,7 +35,6 @@ from .dist import RandomStream
 from .estimators import joint_pvalue, product_stat, sobel_stat
 from .exceptions import (
     ConfigError,
-    DataFormatError,
     DegenerateInputError,
     InconsistentRegimeError,
     SingularDesignError,
@@ -101,6 +100,24 @@ def _int_at_least(value, minimum: int, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _finite(value, where: str):
+    """``value`` unchanged if it is a JSON number within float range; else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
+def _setting(args, cfg: dict, key: str, default=None):
+    """The flag's value, else the config's, else ``default``: a count >= 1 or a finite number."""
+    value = getattr(args, key, None)
+    value = cfg.get(key, default) if value is None else value
+    if value is None:
+        return None
+    if key in ("m", "reps", "n", "threads", "p0_reps"):
+        return _int_at_least(value, 1, key)
+    return _finite(value, key)
 
 
 def _seed_value(text: str) -> int:
@@ -169,15 +186,17 @@ def _parse_sequence(spec, where: str, allow_prior: bool = False):
     raise ConfigError(f"{where}: expected a sequence string or object, got {type(spec).__name__}")
 
 
+def _standard_method(method_id: str, where: str, what: str) -> Method:
+    for method in standard_methods():
+        if method.method_id == method_id:
+            return method
+    ids = [m.method_id for m in standard_methods()]
+    raise ConfigError(f"{where}: unknown {what} id {method_id!r}; standard ids: {ids}")
+
+
 def _parse_rule(spec, where: str) -> FiltrationRule:
     if isinstance(spec, str):
-        for method in standard_methods():
-            if method.method_id == spec:
-                return method.rule
-        raise ConfigError(
-            f"{where}: unknown rule id {spec!r}; standard ids: "
-            f"{[m.method_id for m in standard_methods()]}"
-        )
+        return _standard_method(spec, where, "rule").rule
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: rule must be a standard id or an object with a 'kind'")
     kind = spec["kind"]
@@ -185,12 +204,9 @@ def _parse_rule(spec, where: str) -> FiltrationRule:
         if kind == "nofilter":
             _check_keys(spec, {"kind"}, where)
             return NoFilter()
-        if kind == "minp":
+        if kind in ("minp", "chisq2"):
             _check_keys(spec, {"kind", "threshold"}, where)
-            return MinPValue(float(spec["threshold"]))
-        if kind == "chisq2":
-            _check_keys(spec, {"kind", "threshold"}, where)
-            return ChiSquarePValue(float(spec["threshold"]))
+            return (MinPValue if kind == "minp" else ChiSquarePValue)(float(spec["threshold"]))
         if kind == "product":
             _check_keys(spec, {"kind", "c", "delta"}, where)
             return ProductThreshold(float(spec["c"]), float(spec["delta"]))
@@ -200,9 +216,7 @@ def _parse_rule(spec, where: str) -> FiltrationRule:
 
 
 def _parse_adjustment(spec, where: str):
-    if spec is None:
-        return BonferroniOverUnfiltered()
-    if isinstance(spec, dict) and spec.get("kind") == "bonferroni":
+    if spec is None or isinstance(spec, dict) and spec.get("kind") == "bonferroni":
         return BonferroniOverUnfiltered()
     if isinstance(spec, dict) and spec.get("kind") == "filtration_aware":
         _check_keys(spec, {"kind", "p0"}, where)
@@ -224,13 +238,7 @@ def _parse_methods(spec, where: str) -> tuple[Method, ...]:
     for i, item in enumerate(spec):
         item_where = f"{where}[{i}]"
         if isinstance(item, str):
-            matches = [m for m in standard_methods() if m.method_id == item]
-            if not matches:
-                raise ConfigError(
-                    f"{item_where}: unknown method id {item!r}; standard ids: "
-                    f"{[m.method_id for m in standard_methods()]}"
-                )
-            methods.append(matches[0])
+            methods.append(_standard_method(item, item_where, "method"))
         elif isinstance(item, dict):
             _check_keys(item, {"rule", "adjustment", "id"}, item_where)
             rule = _parse_rule(item.get("rule"), f"{item_where}.rule")
@@ -242,18 +250,14 @@ def _parse_methods(spec, where: str) -> tuple[Method, ...]:
 
 
 def _parse_scenario(spec, overrides: dict, where: str) -> ScenarioMixture:
-    builtin_kwargs = {
-        k: v for k, v in overrides.items() if k in ("m", "reps", "n", "sigma", "alpha", "pi") and v is not None
-    }
     if isinstance(spec, str):
         try:
-            return builtin_scenario(spec, **builtin_kwargs)
+            return builtin_scenario(spec, **{k: v for k, v in overrides.items() if v is not None})
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: scenario must be a builtin name or an object")
-    allowed = {"name", "rows", "m", "reps", "n", "sigma", "alpha", "assignment"}
-    _check_keys(spec, allowed, where)
+    _check_keys(spec, {"name", "rows", "m", "reps", "n", "sigma", "alpha", "assignment"}, where)
     if "rows" not in spec:
         raise ConfigError(f"{where}: inline scenario needs 'rows'")
     rows = []
@@ -263,37 +267,34 @@ def _parse_scenario(spec, overrides: dict, where: str) -> ScenarioMixture:
         try:
             truth = Truth(row["truth"])
         except (KeyError, ValueError) as exc:
-            raise ConfigError(
-                f"{row_where}: truth must be one of {[t.value for t in Truth]}"
-            ) from exc
+            raise ConfigError(f"{row_where}: truth must be one of {[t.value for t in Truth]}") from exc
         rows.append(
             MixtureRow(
                 gamma=_parse_sequence(row.get("gamma", "0"), f"{row_where}.gamma", allow_prior=True),
                 beta=_parse_sequence(row.get("beta", "0"), f"{row_where}.beta", allow_prior=True),
-                proportion=float(row.get("proportion", 0.0)),
+                proportion=float(_finite(row.get("proportion", 0.0), f"{row_where}.proportion")),
                 truth=truth,
             )
         )
-    params = {
-        "m": int(spec.get("m", 200)),
-        "reps": int(spec.get("reps", 500)),
-        "n": int(spec.get("n", 200)),
-        "sigma": float(spec.get("sigma", 1.0)),
-        "alpha": float(spec.get("alpha", 0.05)),
-    }
-    for key in ("m", "reps", "n", "sigma", "alpha"):
-        if overrides.get(key) is not None:
-            params[key] = overrides[key]
+    defaults = {"m": 200, "reps": 500, "n": 200, "sigma": 1.0, "alpha": 0.05}
+    params = {key: _setting(None, spec, key, default) for key, default in defaults.items()}
+    params["sigma"], params["alpha"] = float(params["sigma"]), float(params["alpha"])
+    params.update((key, value) for key, value in overrides.items() if key in defaults and value is not None)
     try:
         assignment = Assignment(spec.get("assignment", "deterministic"))
-        return ScenarioMixture(
-            name=str(spec.get("name", "inline")),
-            rows=tuple(rows),
-            assignment=assignment,
-            **params,
-        )
+        return ScenarioMixture(str(spec.get("name", "inline")), tuple(rows), assignment=assignment, **params)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _scenario_overrides(args, cfg: dict) -> dict:
+    """m, reps, n, sigma, alpha and pi from the flags, else the config; None where neither sets one."""
+    overrides = {key: _setting(args, cfg, key) for key in ("m", "reps", "n", "sigma", "alpha")}
+    pi = cfg.get("pi")
+    if pi is not None and not isinstance(pi, list):
+        raise ConfigError(f"pi must be a list of numbers, got {pi!r}")
+    overrides["pi"] = None if pi is None else tuple(_finite(p, "pi") for p in pi)
+    return overrides
 
 
 def _parse_n_grid(text: str) -> list[int]:
@@ -319,14 +320,7 @@ def _cmd_simulate(args) -> int:
         {"scenario", "methods", "seed", "reps", "m", "n", "sigma", "alpha", "pi", "threads", "out", "format", "svg"},
         "simulate config",
     )
-    overrides = {
-        "m": args.m if args.m is not None else cfg.get("m"),
-        "reps": args.reps if args.reps is not None else cfg.get("reps"),
-        "n": args.n if args.n is not None else cfg.get("n"),
-        "sigma": args.sigma if args.sigma is not None else cfg.get("sigma"),
-        "alpha": args.alpha if args.alpha is not None else cfg.get("alpha"),
-        "pi": tuple(cfg["pi"]) if "pi" in cfg else None,
-    }
+    overrides = _scenario_overrides(args, cfg)
     scenario_spec = args.scenario if args.scenario is not None else cfg.get("scenario")
     if scenario_spec is None:
         raise ConfigError("simulate needs --scenario or a config file naming one")
@@ -334,7 +328,7 @@ def _cmd_simulate(args) -> int:
 
     methods = _parse_methods(args.methods if args.methods is not None else cfg.get("methods"), "methods")
     seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    threads = args.threads if args.threads is not None else _int_at_least(cfg.get("threads", 1), 1, "threads")
+    threads = _setting(args, cfg, "threads", 1)
     fmt = args.format or cfg.get("format", "csv")
     out = args.out or cfg.get("out") or f"simulate-{scenario.name}.{fmt}"
 
@@ -386,8 +380,7 @@ def _cmd_mse_ratio(args) -> int:
     else:
         gamma = args.gamma or cfg.get("gamma")
         beta = args.beta or cfg.get("beta")
-        c = args.c if args.c is not None else cfg.get("c")
-        delta = args.delta if args.delta is not None else cfg.get("delta")
+        c, delta = _setting(args, cfg, "c"), _setting(args, cfg, "delta")
         if gamma is None or beta is None or c is None or delta is None:
             raise ConfigError("mse-ratio needs --preset or all of --gamma/--beta/--c/--delta")
         seq = ParamSequence(_parse_sequence(gamma, "gamma"), _parse_sequence(beta, "beta"))
@@ -398,7 +391,7 @@ def _cmd_mse_ratio(args) -> int:
         if args.n_grid is not None
         else cfg.get("n_grid", [10**2, 10**3, 10**4, 10**5, 10**6])
     )
-    reps = args.reps if args.reps is not None else int(cfg.get("reps", 10_000))
+    reps = _setting(args, cfg, "reps", 10_000)
     seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
     fmt = args.format or cfg.get("format", "csv")
     out = args.out or cfg.get("out") or f"mse-ratio-{preset_name or 'custom'}.{fmt}"
@@ -446,17 +439,14 @@ def _cmd_classify(args) -> int:
     seq = ParamSequence(_parse_sequence(args.gamma, "--gamma"), _parse_sequence(args.beta, "--beta"))
     n_grid = _parse_n_grid(args.n_grid) if args.n_grid else list(DEFAULT_N_GRID)
     result = classify_product_regime(seq, args.c, args.delta, n_grid)
+    diagnostics = {"A": result.a_value, "mean_term": result.a_mean_term, "sd_term": result.a_sd_term}
     print(
         _json_line(
             {
                 "L_region": result.L_region.value,
-                "K": nan_to_none(result.K_value) if result.K_value is not None else None,
+                "K": nan_to_none(result.K_value),
                 "efficiency_class": result.efficiency_class.value,
-                "A_diagnostics": {
-                    "A": nan_to_none(result.a_value) if result.a_value is not None else None,
-                    "mean_term": nan_to_none(result.a_mean_term) if result.a_mean_term is not None else None,
-                    "sd_term": nan_to_none(result.a_sd_term) if result.a_sd_term is not None else None,
-                },
+                "A_diagnostics": {key: nan_to_none(value) for key, value in diagnostics.items()},
             }
         )
     )
@@ -505,21 +495,14 @@ def _cmd_fwer_bound(args) -> int:
     scenario_spec = args.scenario if args.scenario is not None else cfg.get("scenario")
     if scenario_spec is None:
         raise ConfigError("fwer-bound needs --scenario or a config file naming one")
-    overrides = {
-        "m": args.m,
-        "reps": args.reps if args.reps is not None else cfg.get("reps"),
-        "n": args.n,
-        "sigma": None,
-        "alpha": None,
-    }
-    scenario = _parse_scenario(scenario_spec, overrides, "scenario")
+    scenario = _parse_scenario(scenario_spec, _scenario_overrides(args, cfg), "scenario")
     rule_spec = args.rule if args.rule is not None else cfg.get("rule")
     if rule_spec is None:
         raise ConfigError("fwer-bound needs --rule or a config file naming one")
     if isinstance(rule_spec, str) and rule_spec.lstrip().startswith("{"):
         rule_spec = json.loads(rule_spec)
     rule = _parse_rule(rule_spec, "rule")
-    p0_reps = args.p0_reps if args.p0_reps is not None else int(cfg.get("p0_reps", 100_000))
+    p0_reps = _setting(args, cfg, "p0_reps", 100_000)
     seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
 
     p0, p0_se = filtration_prob_at_theta0(
@@ -636,16 +619,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InconsistentRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (SingularDesignError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and DataFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import special
 
 __all__ = [
     "RandomStream",
@@ -79,8 +78,9 @@ def _scalar_or_array(result, *inputs):
 
 def std_normal_cdf(x):
     """Standard normal CDF, accurate to better than 1e-12 in both tails."""
+    from scipy.special import ndtr  # deferred: importing scipy dominates CLI start-up
     arr = _as_float(x, "x")
-    return _scalar_or_array(special.ndtr(arr), x)
+    return _scalar_or_array(ndtr(arr), x)
 
 
 def std_normal_quantile(p):
@@ -88,7 +88,8 @@ def std_normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
-    return _scalar_or_array(special.ndtri(arr), p)
+    from scipy.special import ndtri
+    return _scalar_or_array(ndtri(arr), p)
 
 
 def chisq2_cdf(x):

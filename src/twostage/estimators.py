@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .exceptions import DegenerateInputError
 
@@ -106,6 +105,7 @@ def coord_pvalue(estimate, sigma, n):
     Computes ``2 * (1 - Phi(sqrt(n) * |estimate| / sigma))``; uniform on
     (0, 1) when the true coordinate is zero.  Accepts arrays and broadcasts.
     """
+    from scipy.special import erfc  # deferred: importing scipy dominates CLI start-up
     sigma_arr = np.asarray(sigma, dtype=float)
     if not np.all(sigma_arr > 0.0):
         raise ValueError("sigma must be positive")

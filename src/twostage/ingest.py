@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .estimators import EstimatePair
 from .exceptions import DataFormatError, SingularDesignError
@@ -133,6 +132,7 @@ def _ols(design: np.ndarray, response: np.ndarray):
     (zero residual) report standard errors clamped to the smallest positive
     float, so downstream scale invariants (sigma > 0) still hold.
     """
+    from scipy.linalg import solve_triangular  # deferred: importing scipy dominates CLI start-up
     n, p = design.shape
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diag(r))

@@ -287,7 +287,26 @@ def _coordinate_params(coord: CoordinateModel, n: int) -> tuple[float, float]:
     return coord.at(n), 0.0
 
 
-def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomStream):
+def _scenario_layout(scenario: ScenarioMixture):
+    """The draw's constants, shared by all replications: ``(params, row_null, rows_of)``.
+
+    ``params`` is the (rows, 4) table of gamma mean, gamma prior sd, beta mean
+    and beta prior sd at n, and ``row_null`` each row's null label.
+    ``rows_of`` is the fixed row of every hypothesis, or for multinomial
+    scenarios the cumulative proportions that ``u`` is searched in.
+    """
+    m, n, rows = scenario.m, scenario.n, scenario.rows
+    props = [row.proportion for row in rows]
+    params = np.array([[*_coordinate_params(r.gamma, n), *_coordinate_params(r.beta, n)] for r in rows])
+    row_null = np.array([row.truth.is_null for row in rows])
+    if scenario.assignment is Assignment.MULTINOMIAL:
+        # Searching only the first len(rows)-1 cumulative proportions maps u
+        # past a last one rounded below 1 to the last row, not past the end.
+        return params, row_null, np.cumsum(props)[:-1]
+    return params, row_null, np.repeat(np.arange(len(rows)), _deterministic_counts(props, m))
+
+
+def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomStream, layout=None):
     """All m hypotheses of replication ``rep_index``, from ``stream.offset(rep_index)``.
 
     Fixed draw order on that generator: for multinomial scenarios only,
@@ -295,25 +314,19 @@ def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomSt
     proportion is >= ``u[i]``; then ``z = standard_normal((4, m))`` gives
     ``gamma_hat = gamma_mean + gamma_prior_sd*z[0] + sigma/sqrt(n)*z[2]`` and
     ``beta_hat`` likewise from ``z[1]`` and ``z[3]`` (prior sd 0 without a
-    hyperprior).  Returns ``(gamma_hat, beta_hat, row_idx, truth_null)``.
+    hyperprior).  ``layout`` is ``_scenario_layout(scenario)``, computed here
+    when not given.  Returns ``(gamma_hat, beta_hat, row_idx, truth_null)``.
     """
-    m, n, rows = scenario.m, scenario.n, scenario.rows
-    props = [row.proportion for row in rows]
-    gen = stream.offset(rep_index).generator
-    if scenario.assignment is Assignment.MULTINOMIAL:
-        # Searching the first len(rows)-1 cumulative proportions maps u past
-        # a last one rounded below 1 to the last row, not past the end.
-        row_idx = np.searchsorted(np.cumsum(props)[:-1], gen.random(m), side="left")
-    else:
-        row_idx = np.repeat(np.arange(len(rows)), _deterministic_counts(props, m))
-    params = np.array([[*_coordinate_params(r.gamma, n), *_coordinate_params(r.beta, n)] for r in rows])
+    params, row_null, rows_of = _scenario_layout(scenario) if layout is None else layout
+    m, gen = scenario.m, stream.offset(rep_index).generator
+    multinomial = scenario.assignment is Assignment.MULTINOMIAL
+    row_idx = np.searchsorted(rows_of, gen.random(m), side="left") if multinomial else rows_of
     g_mean, g_sd, b_mean, b_sd = params[row_idx].T
     z = gen.standard_normal((4, m))
-    sd = scenario.sigma / math.sqrt(n)
+    sd = scenario.sigma / math.sqrt(scenario.n)
     gamma_hat = g_mean + g_sd * z[0] + sd * z[2]
     beta_hat = b_mean + b_sd * z[1] + sd * z[3]
-    truth_null = np.array([row.truth.is_null for row in rows])[row_idx]
-    return gamma_hat, beta_hat, row_idx, truth_null
+    return gamma_hat, beta_hat, row_idx, row_null[row_idx]
 
 
 # Replications per kernel pass.  At the CLI defaults, one pass over all 500
@@ -330,9 +343,10 @@ def _replication_blocks(scenario, methods, stream, reps: range):
     ``(survivors, rejected)`` pair of ``(block, m)`` masks per method.
     """
     sigma, n = scenario.sigma, scenario.n
+    layout = _scenario_layout(scenario)
     for start in range(reps.start, reps.stop, _BLOCK_REPS):
         block = range(start, min(start + _BLOCK_REPS, reps.stop))
-        draws = [_draw_hypotheses(scenario, r, stream) for r in block]
+        draws = [_draw_hypotheses(scenario, r, stream, layout) for r in block]
         gamma_hat, beta_hat, row_idx, truth_null = (np.stack(col) for col in zip(*draws))
         pjoint = _joint_pvalues(gamma_hat, beta_hat, sigma, sigma, n)
         outcomes = []

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from twostage import (
     DEFAULT_N_GRID,
@@ -24,6 +25,7 @@ from twostage import (
     mse_ratio_experiment,
     rate_probe,
 )
+from twostage.estimators import _sobel
 
 
 def seq(gamma: str, beta: str) -> ParamSequence:
@@ -309,6 +311,27 @@ class TestIrregularityProbe:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             irregularity_probe(ParamPoint(0, 0), ParamPoint(0, 0), 100, 100, RandomStream(1, 0))
+
+    @staticmethod
+    def _probe_samples(h_a, h_b, n, reps, stream):
+        """The two Sobel samples the probe draws, in its documented order."""
+        root_n = math.sqrt(n)
+        samples = []
+        for i, h in enumerate((h_a, h_b)):
+            gen = stream.offset(i).generator
+            g = gen.normal(h.gamma / root_n, 1.0 / root_n, reps)
+            b = gen.normal(h.beta / root_n, 1.0 / root_n, reps)
+            samples.append(_sobel(g, b, 1.0, 1.0))
+        return samples
+
+    @pytest.mark.parametrize("reps, tol", [(10_000, 0.0), (20_000, 1e-12)])
+    @pytest.mark.parametrize("h_b", [ParamPoint(0, 0), ParamPoint(3, 0)])
+    def test_statistic_matches_scipy(self, reps, tol, h_b):
+        args = (ParamPoint(0, 0), h_b, 10_000, reps, RandomStream(34, 0))
+        d = irregularity_probe(*args)
+        k = round(d * reps)
+        assert d == k / reps and 0 < k <= reps
+        assert abs(d - ks_2samp(*self._probe_samples(*args)).statistic) <= tol
 
 
 class TestPresets:

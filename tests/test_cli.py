@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import twostage
 from twostage.cli import main
 from twostage.report import read_simulation_report
 
@@ -258,8 +263,63 @@ class TestSeedHandling:
         cfg.write_text(json.dumps({"scenario": "config1", "reps": 2, "seed": 1, "threads": threads}))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 2
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("simulate", "pi", 5), ("simulate", "pi", ["a", 0.5, 0.5])]
+        + [
+            (command, key, value)
+            for command in ("simulate", "fwer-bound")
+            for key, value in [("reps", "abc"), ("m", 2.5), ("n", [200]), ("alpha", "x"),
+                               ("sigma", [1.0]), ("sigma", float("nan"))]
+        ],
+    )
+    def test_bad_config_type_exit_2(self, tmp_path, capsys, command, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "hierarchical", "reps": 2, "seed": 1, key: value}))
+        extra = ["--rule", "nofilter", "--p0-reps", "10"] if command == "fwer-bound" else []
+        assert run_cli(command, "--config", str(path), *extra, "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be") and "Traceback" not in err
+
+    def test_bad_inline_scenario_types_exit_2(self, tmp_path, capsys):
+        row = {"truth": "null00", "proportion": 1.0}
+        for scenario in ({"rows": [row], "m": [3]}, {"rows": [dict(row, proportion="1")]}):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scenario": scenario, "reps": 2, "seed": 1}))
+            assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_fwer_bound_config_dimensions_match_flags(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "config1", "reps": 4, "m": 30, "n": 50, "seed": 2}))
+        flags = ["--rule", "prod-0.9", "--p0-reps", "100"]
+        assert run_cli("fwer-bound", "--config", str(path), *flags) == 0
+        from_config = capsys.readouterr().out
+        argv = ["--scenario", "config1", "--reps", "4", "--m", "30", "--n", "50", "--seed", "2"]
+        assert run_cli("fwer-bound", *argv, *flags) == 0
+        assert from_config == capsys.readouterr().out
+        assert json.loads(from_config)["mean_F"] <= 30
+
     def test_drawn_seed_announced(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("TWOSTAGE_SEED", raising=False)
         out = str(tmp_path / "r.csv")
         assert run_cli("simulate", "--scenario", "config1", "--reps", "2", "--out", out) == 0
         assert "drawn; pass --seed" in capsys.readouterr().out
+
+
+def test_classify_and_mse_ratio_load_no_scipy(tmp_path):
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from twostage.cli import main
+        assert main(["classify", "--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "0.8"]) == 0
+        assert main(["mse-ratio", "--preset", "k-4over3", "--n-grid", "100,1000,10000", "--reps", "200",
+                     "--seed", "1", "--out", {str(tmp_path / "r.csv")!r}]) == 0
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+        """
+    )
+    src = os.path.dirname(os.path.dirname(twostage.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
