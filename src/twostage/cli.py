@@ -19,7 +19,7 @@ import math
 import os
 import secrets
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,18 +78,11 @@ EXIT_NUMERIC = 5
 _AUX_STREAM_BASE = 2**48
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
 def _int_at_least(value, minimum: int, where: str) -> int:
     """``value`` as an int >= ``minimum``, from an int or its decimal text.
 
-    ``--seed``, config keys and TWOSTAGE_SEED share this check, so a seed is
-    accepted or refused alike wherever it comes from; JSON floats and
+    Flags, config keys and TWOSTAGE_SEED share this check, so a count or a
+    seed is accepted or refused alike wherever it comes from; JSON floats and
     booleans are refused rather than truncated.
     """
     if isinstance(value, str):
@@ -109,42 +102,71 @@ def _finite(value, where: str):
     return value
 
 
-def _setting(args, cfg: dict, key: str, default=None):
-    """The flag's value, else the config's, else ``default``: a count >= 1 or a finite number."""
-    value = getattr(args, key, None)
-    value = cfg.get(key, default) if value is None else value
-    if value is None:
-        return None
-    if key in ("m", "reps", "n", "threads", "p0_reps"):
-        return _int_at_least(value, 1, key)
-    return _finite(value, key)
+def _string(value, where: str, choices: tuple[str, ...] = ()) -> str:
+    if not isinstance(value, str) or choices and value not in choices:
+        raise ConfigError(f"{where} must be {' or '.join(choices) or 'a string'}, got {value!r}")
+    return value
 
 
-def _seed_value(text: str) -> int:
-    try:
-        return _int_at_least(text, 0, "seed")
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+class _Kind(NamedTuple):
+    """``check(value, where)`` returns the value or raises ConfigError; flags go via ``flag``."""
+
+    check: Callable[[object, str], object]
+    flag: Callable[[str], object] = str
 
 
-def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return _int_at_least(seed, 0, "seed")
-    env = os.environ.get("TWOSTAGE_SEED")
-    if env is not None:
-        return _int_at_least(env, 0, "TWOSTAGE_SEED")
-    drawn = secrets.randbits(63)
-    print(f"seed: {drawn} (drawn; pass --seed {drawn} to reproduce)")
-    return drawn
+def _list_of(item: _Kind, what: str) -> _Kind:
+    """Comma text, or a JSON list, of ``item`` values."""
+    def check(value, where: str) -> tuple:
+        items = value
+        try:
+            if isinstance(value, str):
+                items = [item.flag(v) for v in value.replace(" ", "").split(",") if v]
+            if isinstance(items, list):
+                return tuple(item.check(v, where) for v in items)
+        except ValueError:
+            pass
+        raise ConfigError(f"{where} must be comma text or a list of {what}, got {value!r}")
+    return _Kind(check)
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+_COUNT = _Kind(lambda value, where: _int_at_least(value, 1, where))
+_SEED = _Kind(lambda value, where: _int_at_least(value, 0, where))
+_NUMBER = _Kind(_finite, float)
+_STRING = _Kind(_string)
+_FORMAT = _Kind(lambda value, where: _string(value, where, ("csv", "json")))
+_COUNTS = _list_of(_COUNT, "integers >= 1")
+_NUMBERS = _list_of(_NUMBER, "finite numbers")
+# Any JSON value, for the _parse_* function that knows its shape (scenario, methods, ...).
+_SPEC = _Kind(lambda value, where: value)
+
+
+class _Field(NamedTuple):
+    """One setting: the config key ``name`` and the flag ``--name`` (or a positional argument)."""
+
+    name: str
+    kind: _Kind
+    help: str
+    default: object = None
+    required: bool = False
+    positional: bool = False
+
+    def parse_flag(self, text: str):
+        try:
+            return self.kind.check(self.kind.flag(text), self.name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _check_keys(obj, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
-def _load_config(path: str | None, allowed: set[str], where: str) -> dict:
+def _load_config(path: str | None, table: Sequence[_Field], where: str) -> dict:
     if path is None:
         return {}
     try:
@@ -152,10 +174,35 @@ def _load_config(path: str | None, allowed: set[str], where: str) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    _check_keys(cfg, allowed, where)
+    _check_keys(cfg, {field.name for field in table} - {"config"}, where)
     return cfg
+
+
+def _resolve(args: argparse.Namespace, cfg: dict, table: Sequence[_Field]) -> dict:
+    """Flag, else config (null is absent), else default (called if callable); config is checked."""
+    settings = {}
+    for field in table:
+        value = cfg.get(field.name)
+        if value is not None:
+            value = field.kind.check(value, field.name)
+        if getattr(args, field.name) is not None:
+            value = getattr(args, field.name)
+        if value is None and field.required:
+            raise ConfigError(f"{args.command} needs a {field.name} setting")
+        if value is None:
+            value = field.default() if callable(field.default) else field.default
+        settings[field.name] = value
+    return settings
+
+
+def _default_seed() -> int:
+    """The seed when no flag or config sets one: TWOSTAGE_SEED, else a drawn seed, printed."""
+    env = os.environ.get("TWOSTAGE_SEED")
+    if env is not None:
+        return _int_at_least(env, 0, "TWOSTAGE_SEED")
+    drawn = secrets.randbits(63)
+    print(f"seed: {drawn} (drawn; pass --seed {drawn} to reproduce)")
+    return drawn
 
 
 def _parse_sequence(spec, where: str, allow_prior: bool = False):
@@ -172,8 +219,8 @@ def _parse_sequence(spec, where: str, allow_prior: bool = False):
             body = spec["normal"]
             _check_keys(body, {"mean", "variance"}, f"{where}.normal")
             return NormalMeanPrior(
-                mean=_parse_sequence(body["mean"], f"{where}.normal.mean"),
-                variance=_parse_sequence(body["variance"], f"{where}.normal.variance"),
+                mean=_parse_sequence(body.get("mean"), f"{where}.normal.mean"),
+                variance=_parse_sequence(body.get("variance"), f"{where}.normal.variance"),
             )
         _check_keys(spec, {"offset", "terms"}, where)
         try:
@@ -187,11 +234,12 @@ def _parse_sequence(spec, where: str, allow_prior: bool = False):
 
 
 def _standard_method(method_id: str, where: str, what: str) -> Method:
-    for method in standard_methods():
-        if method.method_id == method_id:
-            return method
-    ids = [m.method_id for m in standard_methods()]
-    raise ConfigError(f"{where}: unknown {what} id {method_id!r}; standard ids: {ids}")
+    methods = {method.method_id: method for method in standard_methods()}
+    if method_id not in methods:
+        raise ConfigError(
+            f"{where}: unknown {what} id {method_id!r}; standard ids: {list(methods)}"
+        )
+    return methods[method_id]
 
 
 def _parse_rule(spec, where: str) -> FiltrationRule:
@@ -199,7 +247,7 @@ def _parse_rule(spec, where: str) -> FiltrationRule:
         return _standard_method(spec, where, "rule").rule
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: rule must be a standard id or an object with a 'kind'")
-    kind = spec["kind"]
+    kind = _string(spec["kind"], f"{where}.kind")
     try:
         if kind == "nofilter":
             _check_keys(spec, {"kind"}, where)
@@ -243,23 +291,30 @@ def _parse_methods(spec, where: str) -> tuple[Method, ...]:
             _check_keys(item, {"rule", "adjustment", "id"}, item_where)
             rule = _parse_rule(item.get("rule"), f"{item_where}.rule")
             adjustment = _parse_adjustment(item.get("adjustment"), f"{item_where}.adjustment")
-            methods.append(Method(rule, adjustment, id=item.get("id")))
+            method_id = item.get("id")
+            if method_id is not None:
+                _string(method_id, f"{item_where}.id")
+            methods.append(Method(rule, adjustment, id=method_id))
         else:
             raise ConfigError(f"{item_where}: expected method id or object")
     return tuple(methods)
 
 
-def _parse_scenario(spec, overrides: dict, where: str) -> ScenarioMixture:
+def _parse_scenario(spec, settings: dict, where: str) -> ScenarioMixture:
+    """A builtin scenario by name, or an inline one; the size (and simulate's pi) settings win."""
+    overrides = {f.name: settings[f.name] for f in _SIZES if settings[f.name] is not None}
+    if settings.get("pi") is not None:
+        if spec != "hierarchical":
+            raise ConfigError("pi applies only to the hierarchical scenario")
+        overrides["pi"] = settings["pi"]
     if isinstance(spec, str):
         try:
-            return builtin_scenario(spec, **{k: v for k, v in overrides.items() if v is not None})
+            return builtin_scenario(spec, **overrides)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where}: scenario must be a builtin name or an object")
-    _check_keys(spec, {"name", "rows", "m", "reps", "n", "sigma", "alpha", "assignment"}, where)
-    if "rows" not in spec:
-        raise ConfigError(f"{where}: inline scenario needs 'rows'")
+    _check_keys(spec, {"name", "rows", "assignment", *(f.name for f in _SIZES)}, where)
+    if not isinstance(spec.get("rows"), list):
+        raise ConfigError(f"{where}.rows must be a list of row objects, got {spec.get('rows')!r}")
     rows = []
     for i, row in enumerate(spec["rows"]):
         row_where = f"{where}.rows[{i}]"
@@ -276,65 +331,98 @@ def _parse_scenario(spec, overrides: dict, where: str) -> ScenarioMixture:
                 truth=truth,
             )
         )
-    defaults = {"m": 200, "reps": 500, "n": 200, "sigma": 1.0, "alpha": 0.05}
-    params = {key: _setting(None, spec, key, default) for key, default in defaults.items()}
-    params["sigma"], params["alpha"] = float(params["sigma"]), float(params["alpha"])
-    params.update((key, value) for key, value in overrides.items() if key in defaults and value is not None)
+    sizes = [f for f in _SIZES if f.name in spec]
+    params = {f.name: f.kind.check(spec[f.name], f"{where}.{f.name}") for f in sizes}
+    params.update((key, float(params[key])) for key in ("sigma", "alpha") if key in params)
+    params.update(overrides)
+    name = _string(spec.get("name", "inline"), f"{where}.name")
     try:
         assignment = Assignment(spec.get("assignment", "deterministic"))
-        return ScenarioMixture(str(spec.get("name", "inline")), tuple(rows), assignment=assignment, **params)
+        return ScenarioMixture(name, tuple(rows), assignment=assignment, **params)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _scenario_overrides(args, cfg: dict) -> dict:
-    """m, reps, n, sigma, alpha and pi from the flags, else the config; None where neither sets one."""
-    overrides = {key: _setting(args, cfg, key) for key in ("m", "reps", "n", "sigma", "alpha")}
-    pi = cfg.get("pi")
-    if pi is not None and not isinstance(pi, list):
-        raise ConfigError(f"pi must be a list of numbers, got {pi!r}")
-    overrides["pi"] = None if pi is None else tuple(_finite(p, "pi") for p in pi)
-    return overrides
-
-
-def _parse_n_grid(text: str) -> list[int]:
-    try:
-        grid = [int(v) for v in text.replace(" ", "").split(",") if v]
-    except ValueError as exc:
-        raise ConfigError(f"--n-grid: {exc}") from exc
-    if not grid:
-        raise ConfigError("--n-grid must list at least one sample size")
-    return grid
 
 
 def _json_line(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "))
 
 
+# ---------------------------------------------------------------- settings
+
+_CONFIG = _Field("config", _STRING, "JSON config file; flags override its keys")
+_SIZES = (
+    _Field("reps", _COUNT, "replications"),
+    _Field("m", _COUNT, "hypotheses per replication"),
+    _Field("n", _COUNT, "sample size the sequences are evaluated at"),
+    _Field("sigma", _NUMBER, "per-observation scale"),
+    _Field("alpha", _NUMBER, "FWER level"),
+)
+_FORMAT_FIELD = _Field("format", _FORMAT, "report format: csv or json (default csv)", "csv")
+_SEED_FIELD = _Field("seed", _SEED, "master seed (default: TWOSTAGE_SEED or drawn)", _default_seed)
+_OUT = _Field("out", _STRING, "output path")
+_SCENARIO_RUN = (
+    _CONFIG,
+    _Field("scenario", _SPEC, f"builtin scenario: {', '.join(BUILTIN_SCENARIOS)}", required=True),
+    *_SIZES,
+    _SEED_FIELD,
+    _OUT,
+)
+
+_SIMULATE = (
+    *_SCENARIO_RUN,
+    _Field("pi", _NUMBERS, "hierarchical scenario's row weights, e.g. 0.65,0.30,0.05"),
+    _Field("methods", _SPEC, "'all' (default) or comma-separated method ids"),
+    _FORMAT_FIELD,
+    _Field("svg", _STRING, "also write an SVG chart to this path"),
+    _Field("threads", _COUNT, "checked, but the engine runs in one thread (default 1)", 1),
+)
+
+_FWER_BOUND = (
+    *_SCENARIO_RUN,
+    _Field("rule", _SPEC, "method id (e.g. prod-0.9) or inline JSON rule", required=True),
+    _Field("p0_reps", _COUNT, "draws for the p0 estimate", 100_000),
+)
+
+_MSE_RATIO = (
+    _CONFIG,
+    _Field("preset", _STRING, f"named preset: {', '.join(sorted(MSE_RATIO_PRESETS))}"),
+    _Field("gamma", _SPEC, "gamma sequence, e.g. '2n^-0.5'"),
+    _Field("beta", _SPEC, "beta sequence"),
+    _Field("c", _NUMBER, "filtration constant c"),
+    _Field("delta", _NUMBER, "filtration exponent delta"),
+    _Field("n_grid", _COUNTS, "comma-separated sample sizes", (10**2, 10**3, 10**4, 10**5, 10**6)),
+    _Field("reps", _COUNT, "replications per sample size", 10_000),
+    _FORMAT_FIELD,
+    _Field("svg", _STRING, "write a log-x ratio plot with error band"),
+    _SEED_FIELD,
+    _OUT,
+)
+
+_CLASSIFY = (
+    _Field("gamma", _SPEC, "gamma sequence, e.g. 'n^-0.6'", required=True),
+    _Field("beta", _SPEC, "beta sequence", required=True),
+    _Field("c", _NUMBER, "filtration constant c", required=True),
+    _Field("delta", _NUMBER, "filtration exponent delta", required=True),
+    _Field("n_grid", _COUNTS, "comma-separated sample sizes", DEFAULT_N_GRID),
+)
+
+_FIT = (
+    _Field("data", _STRING, "delimited file: columns a, m, y, optional x1..xd", positional=True),
+    _Field("delimiter", _STRING, "field delimiter (default: sniffed)"),
+)
+
+
 # ---------------------------------------------------------------- simulate
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"scenario", "methods", "seed", "reps", "m", "n", "sigma", "alpha", "pi", "threads", "out", "format", "svg"},
-        "simulate config",
-    )
-    overrides = _scenario_overrides(args, cfg)
-    scenario_spec = args.scenario if args.scenario is not None else cfg.get("scenario")
-    if scenario_spec is None:
-        raise ConfigError("simulate needs --scenario or a config file naming one")
-    scenario = _parse_scenario(scenario_spec, overrides, "scenario")
+def _cmd_simulate(s: dict) -> int:
+    scenario = _parse_scenario(s["scenario"], s, "scenario")
+    methods = _parse_methods(s["methods"], "methods")
+    out = s["out"] or f"simulate-{scenario.name}.{s['format']}"
 
-    methods = _parse_methods(args.methods if args.methods is not None else cfg.get("methods"), "methods")
-    seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    threads = _setting(args, cfg, "threads", 1)
-    fmt = args.format or cfg.get("format", "csv")
-    out = args.out or cfg.get("out") or f"simulate-{scenario.name}.{fmt}"
-
-    report = run_experiment(scenario, methods, seed, threads=threads)
-    write_simulation_report(report, out, fmt)
-    print(f"wrote {out} ({len(report.methods)} methods, seed {seed}, reps {scenario.reps})")
+    report = run_experiment(scenario, methods, s["seed"], threads=s["threads"])
+    write_simulation_report(report, out, s["format"])
+    print(f"wrote {out} ({len(report.methods)} methods, seed {s['seed']}, reps {scenario.reps})")
     for res in report.methods:
         power = "n/a" if math.isnan(res.power) else f"{res.power:.4f}"
         print(
@@ -342,11 +430,10 @@ def _cmd_simulate(args) -> int:
             f"power={power}  mean_F={res.mean_F:.1f}"
         )
 
-    svg = args.svg or cfg.get("svg")
-    if svg:
+    if s["svg"]:
         idx = list(range(1, len(report.methods) + 1))
         line_plot(
-            svg,
+            s["svg"],
             [
                 Series("FWER", idx, [m.empirical_fwer for m in report.methods], [m.fwer_se for m in report.methods]),
                 Series("power", idx, [np.nan_to_num(m.power) for m in report.methods], [np.nan_to_num(m.power_se) for m in report.methods]),
@@ -355,49 +442,37 @@ def _cmd_simulate(args) -> int:
             y_label="probability",
             title=f"{scenario.name}: empirical FWER and power",
         )
-        print(f"wrote {svg}")
+        print(f"wrote {s['svg']}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- mse-ratio
 
 
-def _cmd_mse_ratio(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"preset", "gamma", "beta", "c", "delta", "n_grid", "reps", "seed", "out", "format", "svg"},
-        "mse-ratio config",
-    )
-    preset_name = args.preset or cfg.get("preset")
-    if preset_name is not None:
-        if preset_name not in MSE_RATIO_PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset_name!r}; available: {sorted(MSE_RATIO_PRESETS)}"
-            )
+def _cmd_mse_ratio(s: dict) -> int:
+    preset_name = s["preset"]
+    custom = [key for key in ("gamma", "beta", "c", "delta") if s[key] is not None]
+    if preset_name and preset_name not in MSE_RATIO_PRESETS:
+        raise ConfigError(f"unknown preset {preset_name!r}; available: {sorted(MSE_RATIO_PRESETS)}")
+    if preset_name and custom:
+        raise ConfigError(f"preset {preset_name!r} fixes gamma, beta, c and delta; drop {custom}")
+    if preset_name:
         preset = MSE_RATIO_PRESETS[preset_name]
         seq = ParamSequence(preset.gamma, preset.beta)
         c, delta = preset.c, preset.delta
     else:
-        gamma = args.gamma or cfg.get("gamma")
-        beta = args.beta or cfg.get("beta")
-        c, delta = _setting(args, cfg, "c"), _setting(args, cfg, "delta")
-        if gamma is None or beta is None or c is None or delta is None:
+        if len(custom) < 4:
             raise ConfigError("mse-ratio needs --preset or all of --gamma/--beta/--c/--delta")
-        seq = ParamSequence(_parse_sequence(gamma, "gamma"), _parse_sequence(beta, "beta"))
-        c, delta = float(c), float(delta)
-
-    n_grid = (
-        _parse_n_grid(args.n_grid)
-        if args.n_grid is not None
-        else cfg.get("n_grid", [10**2, 10**3, 10**4, 10**5, 10**6])
-    )
-    reps = _setting(args, cfg, "reps", 10_000)
-    seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    fmt = args.format or cfg.get("format", "csv")
-    out = args.out or cfg.get("out") or f"mse-ratio-{preset_name or 'custom'}.{fmt}"
+        seq = ParamSequence(
+            _parse_sequence(s["gamma"], "gamma"), _parse_sequence(s["beta"], "beta")
+        )
+        c, delta = float(s["c"]), float(s["delta"])
+    out = s["out"] or f"mse-ratio-{preset_name or 'custom'}.{s['format']}"
 
     try:
-        points = mse_ratio_experiment(seq, c, delta, n_grid, reps, RandomStream(seed, 0))
+        points = mse_ratio_experiment(
+            seq, c, delta, s["n_grid"], s["reps"], RandomStream(s["seed"], 0)
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     meta = {
@@ -405,40 +480,38 @@ def _cmd_mse_ratio(args) -> int:
         "beta": str(seq.beta),
         "c": c,
         "delta": delta,
-        "reps": reps,
-        "seed": seed,
+        "reps": s["reps"],
+        "seed": s["seed"],
     }
     if preset_name:
         meta["preset"] = preset_name
-    write_mse_ratio_report(points, meta, out, fmt)
-    print(f"wrote {out} ({len(points)} sample sizes, seed {seed})")
+    write_mse_ratio_report(points, meta, out, s["format"])
+    print(f"wrote {out} ({len(points)} sample sizes, seed {s['seed']})")
     for p in points:
         print(
             f"  n={p.n:>9d} ratio={p.ratio:.4f} (se {p.mc_se:.4f})  K_n={p.k_at_n:.4f}  "
             f"filtered={p.filter_freq:.3f}"
         )
 
-    svg = args.svg or cfg.get("svg")
-    if svg:
+    if s["svg"]:
         line_plot(
-            svg,
+            s["svg"],
             [Series("MSE ratio", [p.n for p in points], [p.ratio for p in points], [p.mc_se for p in points])],
             x_label="n",
             y_label="MSE(shrunk) / MSE(plain)",
             title=f"gamma={seq.gamma}, beta={seq.beta}, c={c:g}, delta={delta:g}",
             log_x=True,
         )
-        print(f"wrote {svg}")
+        print(f"wrote {s['svg']}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- classify
 
 
-def _cmd_classify(args) -> int:
-    seq = ParamSequence(_parse_sequence(args.gamma, "--gamma"), _parse_sequence(args.beta, "--beta"))
-    n_grid = _parse_n_grid(args.n_grid) if args.n_grid else list(DEFAULT_N_GRID)
-    result = classify_product_regime(seq, args.c, args.delta, n_grid)
+def _cmd_classify(s: dict) -> int:
+    seq = ParamSequence(_parse_sequence(s["gamma"], "gamma"), _parse_sequence(s["beta"], "beta"))
+    result = classify_product_regime(seq, s["c"], s["delta"], s["n_grid"])
     diagnostics = {"A": result.a_value, "mean_term": result.a_mean_term, "sd_term": result.a_sd_term}
     print(
         _json_line(
@@ -456,8 +529,8 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------- fit
 
 
-def _cmd_fit(args) -> int:
-    table = read_observations(args.data, delimiter=args.delimiter)
+def _cmd_fit(s: dict) -> int:
+    table = read_observations(s["data"], delimiter=s["delimiter"])
     pair = ols_mediation_fit(table)
     try:
         sobel = sobel_stat(pair)
@@ -486,34 +559,22 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------- fwer-bound
 
 
-def _cmd_fwer_bound(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"scenario", "rule", "reps", "m", "n", "sigma", "alpha", "p0_reps", "seed", "out"},
-        "fwer-bound config",
-    )
-    scenario_spec = args.scenario if args.scenario is not None else cfg.get("scenario")
-    if scenario_spec is None:
-        raise ConfigError("fwer-bound needs --scenario or a config file naming one")
-    scenario = _parse_scenario(scenario_spec, _scenario_overrides(args, cfg), "scenario")
-    rule_spec = args.rule if args.rule is not None else cfg.get("rule")
-    if rule_spec is None:
-        raise ConfigError("fwer-bound needs --rule or a config file naming one")
+def _cmd_fwer_bound(s: dict) -> int:
+    scenario = _parse_scenario(s["scenario"], s, "scenario")
+    rule_spec = s["rule"]
     if isinstance(rule_spec, str) and rule_spec.lstrip().startswith("{"):
-        rule_spec = json.loads(rule_spec)
+        rule_spec = json.loads(rule_spec)  # inline JSON rule text
     rule = _parse_rule(rule_spec, "rule")
-    p0_reps = _setting(args, cfg, "p0_reps", 100_000)
-    seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
 
     p0, p0_se = filtration_prob_at_theta0(
         rule,
         scenario.sigma,
         scenario.sigma,
         scenario.n,
-        p0_reps,
-        RandomStream(seed, _AUX_STREAM_BASE),
+        s["p0_reps"],
+        RandomStream(s["seed"], _AUX_STREAM_BASE),
     )
-    stats = conditional_rejection_stats(scenario, Method(rule), seed)
+    stats = conditional_rejection_stats(scenario, Method(rule), s["seed"])
     bound = fwer_bound_from_survivors(stats.q_max, stats.F_samples)
     payload = {
         "rule": rule.label,
@@ -526,19 +587,28 @@ def _cmd_fwer_bound(args) -> int:
         "simulated_fwer": stats.fwer,
         "fwer_se": stats.fwer_se,
         "mean_F": float(np.mean(stats.F_samples)),
-        "seed": seed,
+        "seed": s["seed"],
     }
     print(_json_line(payload))
-    out = args.out or cfg.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    if s["out"]:
+        with open(s["out"], "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        print(f"wrote {out}")
+        print(f"wrote {s['out']}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
+
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run a multiple-testing scenario", _SIMULATE),
+    "mse-ratio": (_cmd_mse_ratio, "MSE-ratio experiment along a parameter sequence", _MSE_RATIO),
+    "classify": (_cmd_classify, "classify the filtration regime of a sequence", _CLASSIFY),
+    "fit": (_cmd_fit, "estimate pair from a tabular data file", _FIT),
+    "fwer-bound": (
+        _cmd_fwer_bound, "filtration-aware factor and survivor-count FWER bound", _FWER_BOUND
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,78 +617,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage filtration tests and shrinkage estimators for composite nulls.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_threads: bool = False) -> None:
-        p.add_argument("--seed", type=_seed_value, help="master seed (default: TWOSTAGE_SEED or drawn)")
-        p.add_argument("--out", help="output path")
-        if with_threads:
-            p.add_argument(
-                "--threads",
-                type=_positive_int,
-                help="accepted and checked, but the engine runs in one thread; "
-                "reports are identical for any value (default 1)",
-            )
-
-    p_sim = sub.add_parser("simulate", help="run a multiple-testing scenario")
-    p_sim.add_argument("--config", help="JSON config file")
-    p_sim.add_argument("--scenario", help=f"builtin scenario name: {', '.join(BUILTIN_SCENARIOS)}")
-    p_sim.add_argument("--methods", help="'all' or comma-separated method ids")
-    p_sim.add_argument("--reps", type=_positive_int, help="replications")
-    p_sim.add_argument("--m", type=_positive_int, help="hypotheses per replication")
-    p_sim.add_argument("--n", type=_positive_int, help="sample size the sequences are evaluated at")
-    p_sim.add_argument("--sigma", type=float, help="per-observation scale")
-    p_sim.add_argument("--alpha", type=float, help="FWER level")
-    p_sim.add_argument("--format", choices=("csv", "json"), help="report format (default csv)")
-    p_sim.add_argument("--svg", help="also write an SVG chart to this path")
-    common(p_sim, with_threads=True)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_mse = sub.add_parser("mse-ratio", help="MSE-ratio experiment along a parameter sequence")
-    p_mse.add_argument("--config", help="JSON config file")
-    p_mse.add_argument("--preset", help=f"named preset: {', '.join(sorted(MSE_RATIO_PRESETS))}")
-    p_mse.add_argument("--gamma", help="gamma sequence, e.g. '2n^-0.5'")
-    p_mse.add_argument("--beta", help="beta sequence")
-    p_mse.add_argument("--c", type=float, help="filtration constant c")
-    p_mse.add_argument("--delta", type=float, help="filtration exponent delta")
-    p_mse.add_argument("--n-grid", help="comma-separated sample sizes")
-    p_mse.add_argument("--reps", type=_positive_int, help="replications per sample size")
-    p_mse.add_argument("--format", choices=("csv", "json"), help="report format (default csv)")
-    p_mse.add_argument("--svg", help="write a log-x ratio plot with error band")
-    common(p_mse)
-    p_mse.set_defaults(func=_cmd_mse_ratio)
-
-    p_cls = sub.add_parser("classify", help="classify the filtration regime of a sequence")
-    p_cls.add_argument("--gamma", required=True, help="gamma sequence, e.g. 'n^-0.6'")
-    p_cls.add_argument("--beta", required=True, help="beta sequence")
-    p_cls.add_argument("--c", type=float, required=True)
-    p_cls.add_argument("--delta", type=float, required=True)
-    p_cls.add_argument("--n-grid", help="comma-separated sample sizes")
-    p_cls.set_defaults(func=_cmd_classify)
-
-    p_fit = sub.add_parser("fit", help="estimate pair from a tabular data file")
-    p_fit.add_argument("data", help="delimited file with columns a, m, y and optional x1..xd")
-    p_fit.add_argument("--delimiter", help="field delimiter (default: sniffed)")
-    p_fit.set_defaults(func=_cmd_fit)
-
-    p_fb = sub.add_parser("fwer-bound", help="filtration-aware factor and survivor-count FWER bound")
-    p_fb.add_argument("--config", help="JSON config file")
-    p_fb.add_argument("--scenario", help="builtin scenario name")
-    p_fb.add_argument("--rule", help="method id (e.g. prod-0.9) or inline JSON rule")
-    p_fb.add_argument("--reps", type=_positive_int, help="replications")
-    p_fb.add_argument("--m", type=_positive_int)
-    p_fb.add_argument("--n", type=_positive_int)
-    p_fb.add_argument("--p0-reps", type=_positive_int, help="draws for the p0 estimate")
-    common(p_fb)
-    p_fb.set_defaults(func=_cmd_fwer_bound)
-
+    for name, (_, help_text, table) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for field in table:
+            flag = field.name if field.positional else "--" + field.name.replace("_", "-")
+            p.add_argument(flag, type=field.parse_flag, help=field.help)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, table = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = _load_config(getattr(args, "config", None), table, f"{args.command} config")
+        return run(_resolve(args, cfg, table))
     except InconsistentRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -6,6 +6,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import twostage
 from twostage.cli import main
@@ -271,7 +273,9 @@ class TestSeedHandling:
             for command in ("simulate", "fwer-bound")
             for key, value in [("reps", "abc"), ("m", 2.5), ("n", [200]), ("alpha", "x"),
                                ("sigma", [1.0]), ("sigma", float("nan"))]
-        ],
+        ]
+        + [("simulate", "out", 5), ("simulate", "out", ["a"]), ("simulate", "svg", 5),
+           ("simulate", "format", "xml"), ("fwer-bound", "out", 5)],
     )
     def test_bad_config_type_exit_2(self, tmp_path, capsys, command, key, value):
         path = tmp_path / "cfg.json"
@@ -323,3 +327,152 @@ def test_classify_and_mse_ratio_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+# Smallest valid config per subcommand; each test below changes one key.
+_ROW = {"truth": "null00", "proportion": 1.0}
+_BASE = {
+    "simulate": {"scenario": "config1", "reps": 2, "m": 20, "seed": 1},
+    "fwer-bound": {"scenario": "config1", "rule": "nofilter", "reps": 2, "m": 20, "p0_reps": 10, "seed": 1},
+    "mse-ratio": {"preset": "k-4over3", "reps": 100, "n_grid": [100, 1000, 10000], "seed": 1},
+}
+
+
+def _run_config(tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run_cli(command, "--config", str(path))
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize(
+        "command, key, value, where",
+        [
+            ("simulate", "scenario", {"rows": 5}, "scenario.rows"),
+            ("simulate", "scenario", {"rows": [5]}, "scenario.rows[0]"),
+            ("simulate", "scenario", {"rows": "ab"}, "scenario.rows"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"normal": 5})]}, "scenario.rows[0].gamma.normal"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, beta={"normal": {"variance": "1"}})]},
+             "scenario.rows[0].beta.normal.mean"),
+            ("simulate", "scenario", {"rows": [_ROW], "name": [1]}, "scenario.name"),
+            ("simulate", "scenario", {"rows": [_ROW], "m": [3]}, "scenario.m"),
+            ("simulate", "methods", [{"rule": "nofilter", "id": 5}], "methods[0].id"),
+            ("fwer-bound", "rule", {"kind": 5}, "rule.kind"),
+            ("mse-ratio", "preset", [], "preset"),
+            ("mse-ratio", "n_grid", {"a": 1}, "n_grid"),
+            ("mse-ratio", "n_grid", [100.5, 1000, 10000], "n_grid"),
+        ],
+    )
+    def test_malformed_config_names_location_exit_2(self, tmp_path, capsys, monkeypatch, command, key, value, where):
+        monkeypatch.chdir(tmp_path)
+        assert _run_config(tmp_path, command, dict(_BASE[command], **{key: value})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]  # refused before any report is written
+
+    @pytest.mark.parametrize("key, value", [("gamma", "n^-0.5"), ("beta", "n^-0.5"), ("c", 4), ("delta", 0.7)])
+    def test_preset_refuses_custom_sequence_exit_2(self, tmp_path, capsys, key, value):
+        assert _run_config(tmp_path, "mse-ratio", dict(_BASE["mse-ratio"], **{key: value})) == 2
+        argv = ["mse-ratio", "--preset", "k-4over3", f"--{key}", str(value), "--reps", "100", "--seed", "1"]
+        assert run_cli(*argv, "--n-grid", "100,1000,10000", "--out", str(tmp_path / "r.csv")) == 2
+        assert capsys.readouterr().err.count("fixes gamma, beta, c and delta") == 2
+
+    @pytest.mark.parametrize("c", ["inf", "nan", "-inf"])
+    def test_classify_refuses_non_finite_c(self, capsys, c):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("classify", "--gamma", "n^-0.6", "--beta", "n^-0.6", f"--c={c}", "--delta", "0.8")
+        assert exc.value.code == 2
+        assert "c must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("simulate", {"pi": [0.5, 0.4, 0.1]}),
+            ("fwer-bound", {"sigma": 2.0, "alpha": 0.1}),
+        ],
+    )
+    def test_new_flags_match_config(self, tmp_path, capsys, command, values):
+        # simulate --pi and fwer-bound --sigma/--alpha used to be config-only spellings.
+        base = dict(_BASE[command], scenario="hierarchical", reps=10)
+        if command == "fwer-bound":
+            base["rule"] = "minp"  # with no filter, mean_F is m whatever sigma is
+        outs = [str(tmp_path / name) for name in ("config", "flags", "plain")]
+        assert _run_config(tmp_path, command, dict(base, **values, out=outs[0])) == 0
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(base))
+        flags = {"pi": ["--pi", "0.5,0.4,0.1"], "sigma": ["--sigma", "2"], "alpha": ["--alpha", "0.1"]}
+        argv = [arg for key in values for arg in flags[key]]
+        assert run_cli(command, "--config", str(plain), *argv, "--out", outs[1]) == 0
+        assert run_cli(command, "--config", str(plain), "--out", outs[2]) == 0
+        config_out, flags_out, plain_out = (open(out, "rb").read() for out in outs)
+        assert config_out == flags_out != plain_out
+
+    @pytest.mark.parametrize("scenario", ["config1", {"rows": [_ROW]}])
+    def test_pi_outside_hierarchical_exit_2(self, tmp_path, capsys, scenario):
+        cfg = dict(_BASE["simulate"], scenario=scenario, out=str(tmp_path / "r.csv"))
+        assert _run_config(tmp_path, "simulate", dict(cfg, pi=[0.5, 0.4, 0.1])) == 2
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(path), "--pi", "0.5,0.4,0.1") == 2
+        err = capsys.readouterr().err
+        assert err.count("error: pi applies only to the hierarchical scenario") == 2
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_fwer_bound_has_no_pi(self, tmp_path, capsys):
+        cfg = dict(_BASE["fwer-bound"], scenario="hierarchical", pi=[0.5, 0.4, 0.1])
+        assert _run_config(tmp_path, "fwer-bound", cfg) == 2
+        assert "unknown key(s) ['pi']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fwer-bound", "--scenario", "hierarchical", "--rule", "minp", "--pi", "0.5,0.4,0.1")
+        assert exc.value.code == 2
+
+    def test_config_value_checked_even_when_flag_overrides(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(_BASE["simulate"], reps="abc")))
+        assert run_cli("simulate", "--config", str(path), "--reps", "3", "--out", str(tmp_path / "r.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: reps must be")
+
+
+# JSON values of every shape; integers stay small, so a size key never asks for a big run.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 50) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_SCENARIO_KEYS = ["scenario", "reps", "m", "n", "sigma", "alpha", "seed", "out"]
+_KEYS = {
+    "simulate": _SCENARIO_KEYS + ["pi", "methods", "format", "svg", "threads"],
+    "fwer-bound": _SCENARIO_KEYS + ["rule", "p0_reps"],
+    "mse-ratio": ["preset", "gamma", "beta", "c", "delta", "n_grid", "reps", "format", "svg", "seed", "out"],
+}
+_SIZE_KEYS = {"reps", "m", "n", "p0_reps", "threads"}
+_PATH_KEYS = {"out", "svg"}
+
+
+def _allowed(key, value):
+    if key in _PATH_KEYS and isinstance(value, str):
+        return False  # a drawn path could point anywhere; string paths are the base case
+    if key in _SIZE_KEYS and isinstance(value, str):
+        try:
+            return int(value) <= 50
+        except ValueError:
+            return True
+    return True
+
+
+@pytest.mark.parametrize("command", sorted(_BASE))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_value_exits_cleanly(tmp_path, capsys, monkeypatch, command, data):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TWOSTAGE_SEED", raising=False)
+    base = dict(_BASE[command], out=str(tmp_path / "report"))
+    key = data.draw(st.sampled_from([*_KEYS[command], "nosuchkey"]))
+    value = data.draw(_JSON.filter(lambda v: _allowed(key, v)))
+    try:
+        code = _run_config(tmp_path, command, dict(base, **{key: value}))
+    except SystemExit as exc:
+        code = exc.code
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in capsys.readouterr().err
