@@ -19,6 +19,7 @@ import math
 import os
 import secrets
 import sys
+from contextlib import contextmanager
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -78,8 +79,8 @@ EXIT_NUMERIC = 5
 _AUX_STREAM_BASE = 2**48
 
 
-def _int_at_least(value, minimum: int, where: str) -> int:
-    """``value`` as an int >= ``minimum``, from an int or its decimal text.
+def _int_at_least(value, minimum: int, where: str, maximum: float = math.inf) -> int:
+    """``value`` as an int >= ``minimum`` (and <= ``maximum``), from an int or its decimal text.
 
     Flags, config keys and TWOSTAGE_SEED share this check, so a count or a
     seed is accepted or refused alike wherever it comes from; JSON floats and
@@ -92,6 +93,8 @@ def _int_at_least(value, minimum: int, where: str) -> int:
             pass
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ConfigError(f"{where} must be at most {maximum:g}, got a {len(str(value))}-digit integer")
     return value
 
 
@@ -130,12 +133,15 @@ def _list_of(item: _Kind, what: str) -> _Kind:
     return _Kind(check)
 
 
-_COUNT = _Kind(lambda value, where: _int_at_least(value, 1, where))
+# Counts size numpy arrays, so they must fit numpy's index type; a sample size
+# enters the formulas as a float, so it must fit a float.
+_COUNT = _Kind(lambda value, where: _int_at_least(value, 1, where, np.iinfo(np.intp).max))
+_SAMPLE_SIZE = _Kind(lambda value, where: _int_at_least(value, 1, where, sys.float_info.max))
 _SEED = _Kind(lambda value, where: _int_at_least(value, 0, where))
 _NUMBER = _Kind(_finite, float)
 _STRING = _Kind(_string)
 _FORMAT = _Kind(lambda value, where: _string(value, where, ("csv", "json")))
-_COUNTS = _list_of(_COUNT, "integers >= 1")
+_SAMPLE_SIZES = _list_of(_SAMPLE_SIZE, "integers from 1 to the largest float")
 _NUMBERS = _list_of(_NUMBER, "finite numbers")
 # Any JSON value, for the _parse_* function that knows its shape (scenario, methods, ...).
 _SPEC = _Kind(lambda value, where: value)
@@ -343,6 +349,15 @@ def _parse_scenario(spec, settings: dict, where: str) -> ScenarioMixture:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+@contextmanager
+def _memory_for(setting: str, value: int):
+    """Report arrays that the count ``setting`` made too large as a ConfigError naming it."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"{setting} = {value} needs more memory than is available ({exc})") from None
+
+
 def _json_line(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "))
 
@@ -353,7 +368,7 @@ _CONFIG = _Field("config", _STRING, "JSON config file; flags override its keys")
 _SIZES = (
     _Field("reps", _COUNT, "replications"),
     _Field("m", _COUNT, "hypotheses per replication"),
-    _Field("n", _COUNT, "sample size the sequences are evaluated at"),
+    _Field("n", _SAMPLE_SIZE, "sample size the sequences are evaluated at"),
     _Field("sigma", _NUMBER, "per-observation scale"),
     _Field("alpha", _NUMBER, "FWER level"),
 )
@@ -390,7 +405,7 @@ _MSE_RATIO = (
     _Field("beta", _SPEC, "beta sequence"),
     _Field("c", _NUMBER, "filtration constant c"),
     _Field("delta", _NUMBER, "filtration exponent delta"),
-    _Field("n_grid", _COUNTS, "comma-separated sample sizes", (10**2, 10**3, 10**4, 10**5, 10**6)),
+    _Field("n_grid", _SAMPLE_SIZES, "comma-separated sample sizes", (10**2, 10**3, 10**4, 10**5, 10**6)),
     _Field("reps", _COUNT, "replications per sample size", 10_000),
     _FORMAT_FIELD,
     _Field("svg", _STRING, "write a log-x ratio plot with error band"),
@@ -403,7 +418,7 @@ _CLASSIFY = (
     _Field("beta", _SPEC, "beta sequence", required=True),
     _Field("c", _NUMBER, "filtration constant c", required=True),
     _Field("delta", _NUMBER, "filtration exponent delta", required=True),
-    _Field("n_grid", _COUNTS, "comma-separated sample sizes", DEFAULT_N_GRID),
+    _Field("n_grid", _SAMPLE_SIZES, "comma-separated sample sizes", DEFAULT_N_GRID),
 )
 
 _FIT = (
@@ -420,7 +435,8 @@ def _cmd_simulate(s: dict) -> int:
     methods = _parse_methods(s["methods"], "methods")
     out = s["out"] or f"simulate-{scenario.name}.{s['format']}"
 
-    report = run_experiment(scenario, methods, s["seed"], threads=s["threads"])
+    with _memory_for("m", scenario.m):
+        report = run_experiment(scenario, methods, s["seed"], threads=s["threads"])
     write_simulation_report(report, out, s["format"])
     print(f"wrote {out} ({len(report.methods)} methods, seed {s['seed']}, reps {scenario.reps})")
     for res in report.methods:
@@ -470,9 +486,10 @@ def _cmd_mse_ratio(s: dict) -> int:
     out = s["out"] or f"mse-ratio-{preset_name or 'custom'}.{s['format']}"
 
     try:
-        points = mse_ratio_experiment(
-            seq, c, delta, s["n_grid"], s["reps"], RandomStream(s["seed"], 0)
-        )
+        with _memory_for("reps", s["reps"]):
+            points = mse_ratio_experiment(
+                seq, c, delta, s["n_grid"], s["reps"], RandomStream(s["seed"], 0)
+            )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     meta = {
@@ -566,15 +583,17 @@ def _cmd_fwer_bound(s: dict) -> int:
         rule_spec = json.loads(rule_spec)  # inline JSON rule text
     rule = _parse_rule(rule_spec, "rule")
 
-    p0, p0_se = filtration_prob_at_theta0(
-        rule,
-        scenario.sigma,
-        scenario.sigma,
-        scenario.n,
-        s["p0_reps"],
-        RandomStream(s["seed"], _AUX_STREAM_BASE),
-    )
-    stats = conditional_rejection_stats(scenario, Method(rule), s["seed"])
+    with _memory_for("p0_reps", s["p0_reps"]):
+        p0, p0_se = filtration_prob_at_theta0(
+            rule,
+            scenario.sigma,
+            scenario.sigma,
+            scenario.n,
+            s["p0_reps"],
+            RandomStream(s["seed"], _AUX_STREAM_BASE),
+        )
+    with _memory_for("m", scenario.m):
+        stats = conditional_rejection_stats(scenario, Method(rule), s["seed"])
     bound = fwer_bound_from_survivors(stats.q_max, stats.F_samples)
     payload = {
         "rule": rule.label,

@@ -99,6 +99,29 @@ def min_abs_stat(e: EstimatePair) -> float:
     return min(abs(e.gamma_hat), abs(e.beta_hat))
 
 
+def _abs_z(estimate, sigma, n):
+    """The z-statistic ``sqrt(n) * |estimate| / sigma`` of one coordinate; broadcasts."""
+    sigma_arr = np.asarray(sigma, dtype=float)
+    if not np.all(sigma_arr > 0.0):
+        raise ValueError("sigma must be positive")
+    return np.sqrt(np.asarray(n, dtype=float)) * np.abs(np.asarray(estimate, dtype=float)) / sigma_arr
+
+
+def _z_critical(t: float) -> float:
+    """The ``|z|`` at which the two-sided p-value of :func:`coord_pvalue` equals ``t``.
+
+    The p-value falls as ``|z|`` grows, so ``p <= t`` exactly when ``|z| >=
+    _z_critical(t)``, up to floating-point rounding at the boundary.  That
+    lets the two-stage decisions skip the p-value (and scipy) altogether.
+    ``inf`` at ``t = 0``, where no finite ``|z|`` rejects.
+    """
+    if t == 0.0:
+        return math.inf
+    from statistics import NormalDist  # deferred: only the decision paths need it
+
+    return -NormalDist().inv_cdf(t / 2.0)
+
+
 def coord_pvalue(estimate, sigma, n):
     """Two-sided z-test p-value for one coordinate being zero.
 
@@ -106,10 +129,7 @@ def coord_pvalue(estimate, sigma, n):
     (0, 1) when the true coordinate is zero.  Accepts arrays and broadcasts.
     """
     from scipy.special import erfc  # deferred: importing scipy dominates CLI start-up
-    sigma_arr = np.asarray(sigma, dtype=float)
-    if not np.all(sigma_arr > 0.0):
-        raise ValueError("sigma must be positive")
-    z = np.sqrt(np.asarray(n, dtype=float)) * np.abs(np.asarray(estimate, dtype=float)) / sigma_arr
+    z = _abs_z(estimate, sigma, n)
     # erfc form of 2*(1 - Phi(z)), exact in the far tail.
     p = erfc(z / np.sqrt(2.0))
     if np.isscalar(estimate) or np.ndim(estimate) == 0:
@@ -157,7 +177,16 @@ def shrink_general(t: float, weight: float, psi0: float) -> float:
 
 
 def _joint_pvalues(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
-    """Vectorized max of the two coordinate p-values (simulation hot path)."""
+    """Vectorized max of the two coordinate p-values."""
     p1 = coord_pvalue(gamma_hat, sigma_gamma, n)
     p2 = coord_pvalue(beta_hat, sigma_beta, n)
     return np.maximum(p1, p2)
+
+
+def _joint_abs_z(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
+    """Vectorized min of the two coordinate ``|z|``: the z-form of :func:`_joint_pvalues`.
+
+    ``_joint_pvalues(...) <= t`` exactly when ``_joint_abs_z(...) >=
+    _z_critical(t)``, up to rounding at the boundary.
+    """
+    return np.minimum(_abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n))

@@ -18,8 +18,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dist import RandomStream, chisq2_cdf
-from .estimators import EstimatePair, _joint_pvalues, coord_pvalue
+from .dist import RandomStream
+from .estimators import EstimatePair, _abs_z, _joint_abs_z, _joint_pvalues, _z_critical
 
 __all__ = [
     "NoFilter",
@@ -158,15 +158,29 @@ def filter_mask(rule: FiltrationRule, gamma_hat, beta_hat, sigma_gamma, sigma_be
     if isinstance(rule, NoFilter):
         return np.zeros(gamma_hat.shape, dtype=bool)
     if isinstance(rule, MinPValue):
-        p1 = coord_pvalue(gamma_hat, sigma_gamma, n)
-        p2 = coord_pvalue(beta_hat, sigma_beta, n)
-        return np.minimum(p1, p2) >= rule.threshold
+        # min(p_gamma, p_beta) >= threshold, decided on |z| (see _z_critical).
+        z_max = np.maximum(_abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n))
+        return z_max <= _z_critical(rule.threshold)
     if isinstance(rule, ChiSquarePValue):
         w = n * (np.square(gamma_hat) / sigma_gamma**2 + np.square(beta_hat) / sigma_beta**2)
-        return (1.0 - np.asarray(chisq2_cdf(w))) >= rule.threshold
+        return np.exp(-w / 2.0) >= rule.threshold  # the chi-square(2df) survivor p-value of w
     if isinstance(rule, ProductThreshold):
         return np.abs(gamma_hat * beta_hat) < rule.c * np.asarray(n, dtype=float) ** (-rule.delta)
     raise TypeError(f"unknown filtration rule: {rule!r}")
+
+
+def reject_mask(survivors, joint_abs_z, threshold):
+    """Stage 2, vectorized: True where a survivor's joint p-value is <= ``threshold``.
+
+    Decided as ``joint_abs_z >= _z_critical(threshold)``, with ``joint_abs_z``
+    from ``_joint_abs_z``, so no p-value is computed.  ``threshold`` is a
+    scalar, or one value per row of ``survivors``; each distinct value is
+    converted once.
+    """
+    t = np.asarray(threshold, dtype=float)
+    distinct, inverse = np.unique(t, return_inverse=True)
+    z_crit = np.array([_z_critical(v) for v in distinct])[inverse].reshape(t.shape)
+    return survivors & (joint_abs_z >= z_crit[..., None])
 
 
 def evaluate_filter(rule: FiltrationRule, e: EstimatePair) -> bool:
@@ -200,8 +214,9 @@ def run_two_stage(
     """Run filtration followed by the adjusted joint-significance base test.
 
     Survivor i is rejected iff its joint p-value is <= the common adjusted
-    threshold (``alpha/F`` or ``alpha*p0/F``).  When everything is filtered
-    (F = 0) the rejection set is empty and the threshold is reported as 0.
+    threshold (``alpha/F`` or ``alpha*p0/F``), decided by :func:`reject_mask`
+    as in the simulation kernel.  When everything is filtered (F = 0) the
+    rejection set is empty and the threshold is reported as 0.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -215,10 +230,10 @@ def run_two_stage(
     ns = np.array([e.n for e in estimates])
 
     filtered = filter_mask(rule, gamma, beta, sig_g, sig_b, ns)
-    pjoint = _joint_pvalues(gamma, beta, sig_g, sig_b, ns)
     f_count = int((~filtered).sum())
     threshold = float(adjusted_threshold(adjustment, alpha, f_count))
-    rejected = (~filtered) & (pjoint <= threshold)
+    rejected = reject_mask(~filtered, _joint_abs_z(gamma, beta, sig_g, sig_b, ns), threshold)
+    pjoint = _joint_pvalues(gamma, beta, sig_g, sig_b, ns)
 
     per_hyp = tuple(
         HypothesisOutcome(bool(f), float(p), threshold, bool(r))

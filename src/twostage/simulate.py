@@ -12,6 +12,9 @@ all m hypotheses from stream index ``r`` under the experiment's master seed.
 One vectorized kernel runs every method over blocks of replications, and
 results are identical for any block size or thread count on one numpy
 version (NEP 19 promises no stable ``Generator`` streams across releases).
+The kernel computes no p-value: both stages compare ``|z|`` with the
+critical value of each threshold (``procedure.filter_mask`` and
+``procedure.reject_mask``), so a simulation loads no scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .asymptotics import PowerSequence
 from .dist import RandomStream
-from .estimators import _joint_pvalues
+from .estimators import _joint_abs_z
 from .procedure import (
     Adjustment,
     BonferroniOverUnfiltered,
@@ -37,6 +40,7 @@ from .procedure import (
     ProductThreshold,
     adjusted_threshold,
     filter_mask,
+    reject_mask,
 )
 
 __all__ = [
@@ -348,12 +352,12 @@ def _replication_blocks(scenario, methods, stream, reps: range):
         block = range(start, min(start + _BLOCK_REPS, reps.stop))
         draws = [_draw_hypotheses(scenario, r, stream, layout) for r in block]
         gamma_hat, beta_hat, row_idx, truth_null = (np.stack(col) for col in zip(*draws))
-        pjoint = _joint_pvalues(gamma_hat, beta_hat, sigma, sigma, n)
+        joint_z = _joint_abs_z(gamma_hat, beta_hat, sigma, sigma, n)
         outcomes = []
         for method in methods:
             survivors = ~filter_mask(method.rule, gamma_hat, beta_hat, sigma, sigma, n)
             threshold = adjusted_threshold(method.adjustment, scenario.alpha, survivors.sum(axis=1))
-            outcomes.append((survivors, survivors & (pjoint <= threshold[:, None])))
+            outcomes.append((survivors, reject_mask(survivors, joint_z, threshold)))
         yield row_idx, truth_null, outcomes
 
 

@@ -329,6 +329,28 @@ def test_classify_and_mse_ratio_load_no_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+def test_simulate_and_fwer_bound_load_no_scipy(tmp_path):
+    # Both stages decide on |z| against critical values, so no rule needs scipy's p-values.
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from twostage.cli import main
+        size = ["--m", "40", "--reps", "5", "--seed", "1"]
+        assert main(["simulate", "--scenario", "config2", "--methods", "all", *size,
+                     "--out", {str(tmp_path / "r.csv")!r}]) == 0
+        for rule in ("nofilter", "minp", "chisq2", "prod-0.9"):
+            assert main(["fwer-bound", "--scenario", "hierarchical", "--rule", rule, *size,
+                         "--p0-reps", "100"]) == 0
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+        """
+    )
+    src = os.path.dirname(os.path.dirname(twostage.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 # Smallest valid config per subcommand; each test below changes one key.
 _ROW = {"truth": "null00", "proportion": 1.0}
 _BASE = {
@@ -431,6 +453,62 @@ class TestSettingsTable:
         path.write_text(json.dumps(dict(_BASE["simulate"], reps="abc")))
         assert run_cli("simulate", "--config", str(path), "--reps", "3", "--out", str(tmp_path / "r.csv")) == 2
         assert capsys.readouterr().err.startswith("error: reps must be")
+
+
+_HUGE = "1" + "0" * 400  # beyond float range
+_TOO_MANY = "100000000000000"  # numpy refuses arrays this long before allocating them
+
+
+class TestOversizedCounts:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--scenario", "config1", "--n", _HUGE], "argument --n: n must be at most"),
+            (["fwer-bound", "--scenario", "config1", "--rule", "minp", "--n", _HUGE], "argument --n: n must be at most"),
+            (["simulate", "--scenario", "config1", "--m", "1" + "0" * 20], "argument --m: m must be at most"),
+            (["mse-ratio", "--preset", "k-4over3", "--n-grid", f"100,1000,{_HUGE}"], "argument --n-grid: n_grid must be"),
+            (["classify", "--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "0.8",
+              "--n-grid", f"100,1000,{_HUGE}"], "argument --n-grid: n_grid must be"),
+        ],
+    )
+    def test_flag_beyond_range_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, where",
+        [
+            ("simulate", {"n": int(_HUGE)}, "n"),
+            ("simulate", {"scenario": {"rows": [_ROW], "n": int(_HUGE)}}, "scenario.n"),
+            ("mse-ratio", {"n_grid": [100, 1000, int(_HUGE)]}, "n_grid"),
+        ],
+    )
+    def test_config_beyond_float_exit_2(self, tmp_path, capsys, monkeypatch, command, cfg, where):
+        monkeypatch.chdir(tmp_path)
+        assert _run_config(tmp_path, command, dict(_BASE[command], **cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where} must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, setting",
+        [
+            (["simulate", "--scenario", "config1", "--m", _TOO_MANY], "m"),
+            (["simulate", "--scenario", "hierarchical", "--m", _TOO_MANY], "m"),
+            (["fwer-bound", "--scenario", "config1", "--rule", "minp", "--m", _TOO_MANY, "--p0-reps", "10"], "m"),
+            (["fwer-bound", "--scenario", "config1", "--rule", "minp", "--p0-reps", _TOO_MANY], "p0_reps"),
+            (["mse-ratio", "--preset", "k-4over3", "--reps", _TOO_MANY], "reps"),
+        ],
+    )
+    def test_count_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch, argv, setting):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--seed", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {setting} = {_TOO_MANY} needs more memory") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 # JSON values of every shape; integers stay small, so a size key never asks for a big run.

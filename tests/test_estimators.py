@@ -20,6 +20,7 @@ from twostage import (
     shrink_general,
     sobel_stat,
 )
+from twostage.estimators import _z_critical
 
 
 def pair(g, b, sg=1.0, sb=1.0, n=1):
@@ -109,6 +110,18 @@ class TestCoordPvalue:
         draws = sample_normal(RandomStream(2024, 0), 0.0, 1.0 / math.sqrt(50), size=100_000)
         ps = coord_pvalue(draws, 1.0, 50)
         assert kstest(ps, "uniform").pvalue > 0.01
+
+
+class TestZCritical:
+    def test_inverts_coord_pvalue(self):
+        # Every stage-2 threshold alpha/F and alpha*p0/F up to F = 1000, plus the minp level.
+        t = np.array([0.05 / f for f in range(1, 1001)] + [0.05 * 0.3 / f for f in range(1, 1001)]
+                     + [0.0004, 1 - 1e-9])
+        z = np.array([_z_critical(v) for v in t])
+        np.testing.assert_allclose(coord_pvalue(z, 1.0, 1), t, rtol=1e-13, atol=0.0)
+
+    def test_zero_threshold_is_infinite(self):
+        assert _z_critical(0.0) == math.inf
 
 
 class TestJointPvalue:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
@@ -23,9 +25,15 @@ from twostage import (
     evaluate_filter,
     filtration_prob_at_theta0,
     fwer_bound_from_survivors,
+    builtin_scenario,
+    chisq2_cdf,
+    coord_pvalue,
     run_experiment,
     run_two_stage,
+    standard_methods,
 )
+from twostage.procedure import filter_mask
+from twostage.simulate import _BLOCK_REPS, _draw_hypotheses, _replication_blocks
 
 
 def pair(g, b, sg=1.0, sb=1.0, n=100):
@@ -201,3 +209,97 @@ class TestFwerGuarantees:
         stats = conditional_rejection_stats(scenario, Method(rule), master_seed=78)
         bound = fwer_bound_from_survivors(stats.q_max, stats.F_samples)
         assert stats.fwer <= bound + 3.0 * max(stats.fwer_se, 1e-12)
+
+
+def _pvalue_filter_reference(rule, g, b, sg, sb, n):
+    """filter_mask written on p-values, as the rules are defined."""
+    if isinstance(rule, MinPValue):
+        return np.minimum(coord_pvalue(g, sg, n), coord_pvalue(b, sb, n)) >= rule.threshold
+    if isinstance(rule, ChiSquarePValue):
+        w = n * (np.square(g) / sg**2 + np.square(b) / sb**2)
+        return 1.0 - chisq2_cdf(w) >= rule.threshold
+    return filter_mask(rule, g, b, sg, sb, n)
+
+
+class TestZDomainDecisions:
+    def test_minp_filter_matches_pvalue_reference(self):
+        rng = np.random.default_rng(3)
+        g, b = rng.normal(scale=0.3, size=(2, 5000))
+        sg, sb = rng.uniform(0.5, 2.0, size=(2, 5000))
+        ns = rng.integers(10, 500, size=5000)
+        for sigma_g, sigma_b, n in [(1.0, 1.0, 100), (sg, sb, ns)]:
+            for t in (0.0004, 0.01, 0.2):
+                rule = MinPValue(t)
+                want = _pvalue_filter_reference(rule, g, b, sigma_g, sigma_b, n)
+                np.testing.assert_array_equal(filter_mask(rule, g, b, sigma_g, sigma_b, n), want)
+
+    def test_chisq_filter_matches_pvalue_reference(self):
+        rng = np.random.default_rng(4)
+        g, b = rng.normal(scale=0.3, size=(2, 5000))
+        for t in (0.001, 0.05, 0.5):
+            rule = ChiSquarePValue(t)
+            want = _pvalue_filter_reference(rule, g, b, 1.0, 1.0, 100)
+            np.testing.assert_array_equal(filter_mask(rule, g, b, 1.0, 1.0, 100), want)
+
+    @pytest.mark.parametrize("name", ["config2", "hierarchical"])
+    def test_kernel_matches_pvalue_reference(self, name):
+        sc = builtin_scenario(name, m=60, reps=_BLOCK_REPS + 6)
+        methods = list(standard_methods()) + [Method(MinPValue(0.01), FiltrationAware(0.3), id="aware")]
+        stream = RandomStream(41, 0)
+        blocks = list(_replication_blocks(sc, methods, stream, range(sc.reps)))
+        draws = [_draw_hypotheses(sc, r, stream) for r in range(sc.reps)]
+        g, b = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+        sigma, n = sc.sigma, sc.n
+        pjoint = np.maximum(coord_pvalue(g, sigma, n), coord_pvalue(b, sigma, n))
+        for j, method in enumerate(methods):
+            survivors = ~_pvalue_filter_reference(method.rule, g, b, sigma, sigma, n)
+            level = sc.alpha * getattr(method.adjustment, "p0", 1.0)
+            threshold = np.array([level / f if f else 0.0 for f in survivors.sum(axis=1)])
+            rejected = survivors & (pjoint <= threshold[:, None])
+            np.testing.assert_array_equal(np.concatenate([blk[2][j][0] for blk in blocks]), survivors)
+            np.testing.assert_array_equal(np.concatenate([blk[2][j][1] for blk in blocks]), rejected)
+
+    def test_run_two_stage_matches_reported_pvalues(self):
+        # Per-hypothesis scales and sample sizes: rejected iff survivor and base p-value <= threshold.
+        rng = np.random.default_rng(6)
+        es = [
+            EstimatePair(g, b, sg, sb, int(n))
+            for g, b, sg, sb, n in zip(*rng.normal(scale=0.4, size=(2, 400)),
+                                       *rng.uniform(0.5, 2.0, size=(2, 400)), rng.integers(20, 400, 400))
+        ]
+        for rule in (NoFilter(), MinPValue(0.0004), ChiSquarePValue(0.001), ProductThreshold(2.0, 0.9)):
+            out = run_two_stage(es, rule, alpha=0.05)
+            assert out.rejected_count > 0
+            for h in out.per_hypothesis:
+                assert h.rejected == (not h.filtered and h.base_pvalue <= h.adjusted_threshold)
+
+
+_RULES = st.one_of(
+    st.just(NoFilter()),
+    st.floats(1e-6, 0.999).map(MinPValue),
+    st.floats(1e-6, 0.999).map(ChiSquarePValue),
+    st.builds(ProductThreshold, st.floats(1e-3, 10.0), st.floats(0.05, 2.0)),
+)
+_PAIRS = st.lists(
+    st.builds(EstimatePair, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 10.0),
+              st.floats(0.1, 10.0), st.integers(1, 10**6)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rule=_RULES, estimates=_PAIRS, alpha=st.floats(1e-4, 0.5), p0=st.none() | st.floats(1e-3, 1.0))
+def test_rejections_are_survivors(rule, estimates, alpha, p0):
+    adjustment = BonferroniOverUnfiltered() if p0 is None else FiltrationAware(p0)
+    out = run_two_stage(estimates, rule, alpha=alpha, adjustment=adjustment)
+    assert not any(h.rejected and h.filtered for h in out.per_hypothesis)
+    assert out.F == sum(not h.filtered for h in out.per_hypothesis)
+    assert out.rejected_count == sum(h.rejected for h in out.per_hypothesis) <= out.F
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 1.0), r=st.floats(0.0, 1.0), f=st.lists(st.integers(0, 10**4), min_size=1, max_size=30))
+def test_fwer_bound_monotone_in_q(q, r, f):
+    lo, hi = sorted((q, r))
+    assert fwer_bound_from_survivors(lo, f) <= fwer_bound_from_survivors(hi, f)
