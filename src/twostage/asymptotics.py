@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -429,34 +430,42 @@ def mse_ratio_experiment(
     report MSE(shrunk)/MSE(plain) with a delta-method standard error, the
     finite-n K ratio, and the empirical filtration frequency.  Cell i draws
     from ``stream.offset(i)``, so cells are independent and order-free.
+    Each point reports ``int`` of the requested n, not of its float.  Raises
+    FloatingPointError, naming n, when the plain MSE is too small to divide by.
     """
     if reps < 100:
         raise ValueError(f"reps must be at least 100, got {reps}")
     grid = _check_grid(n_grid)
     out = []
-    for i, n_float in enumerate(grid):
-        n = int(n_float)
+    for i, (requested, n_float) in enumerate(zip(n_grid, grid)):
+        n = float(n_float)
         point = seq.at(n)
         psi = point.gamma * point.beta
         g, b = _unit_draws(stream.offset(i), point, 1.0 / math.sqrt(n), reps)
         t = g * b
-        filtered = np.abs(t) < c * float(n) ** (-delta)
+        filtered = np.abs(t) < c * n ** (-delta)
         shrunk = np.where(filtered, 0.0, t)
         sq_shrunk = np.square(shrunk - psi)
         sq_plain = np.square(t - psi)
         mse_shrunk = float(sq_shrunk.mean())
         mse_plain = float(sq_plain.mean())
+        # The standard error divides by mse_plain**2 * reps, which leaves the
+        # normal float range once n is large (past about 1e77 at k-4over3).
+        scale = mse_plain**2 * reps
+        if scale < sys.float_info.min:
+            raise FloatingPointError(
+                f"at n={int(requested)} the plain estimator's MSE ({mse_plain:g}) is too small "
+                "to form the ratio and its standard error; use smaller sample sizes"
+            )
         ratio = mse_shrunk / mse_plain
         cov = np.cov(sq_shrunk, sq_plain, ddof=1)
-        var_ratio = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / (
-            mse_plain**2 * reps
-        )
+        var_ratio = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / scale
         out.append(
             MseRatioPoint(
-                n=n,
+                n=int(requested),
                 ratio=ratio,
                 mc_se=math.sqrt(max(var_ratio, 0.0)),
-                k_at_n=float(_k_ratio(seq, np.asarray(float(n)))),
+                k_at_n=float(_k_ratio(seq, np.asarray(n))),
                 filter_freq=float(filtered.mean()),
             )
         )

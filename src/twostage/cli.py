@@ -94,7 +94,8 @@ def _int_at_least(value, minimum: int, where: str, maximum: float = math.inf) ->
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
     if value > maximum:
-        raise ConfigError(f"{where} must be at most {maximum:g}, got a {len(str(value))}-digit integer")
+        shown = maximum if isinstance(maximum, int) else f"{maximum:g}"
+        raise ConfigError(f"{where} must be at most {shown}, got a {len(str(value))}-digit integer")
     return value
 
 
@@ -137,7 +138,8 @@ def _list_of(item: _Kind, what: str) -> _Kind:
 # enters the formulas as a float, so it must fit a float.
 _COUNT = _Kind(lambda value, where: _int_at_least(value, 1, where, np.iinfo(np.intp).max))
 _SAMPLE_SIZE = _Kind(lambda value, where: _int_at_least(value, 1, where, sys.float_info.max))
-_SEED = _Kind(lambda value, where: _int_at_least(value, 0, where))
+# Philox takes a 64-bit key, so a larger seed would replay a smaller one's stream.
+_SEED = _Kind(lambda value, where: _int_at_least(value, 0, where, 2**64 - 1))
 _NUMBER = _Kind(_finite, float)
 _STRING = _Kind(_string)
 _FORMAT = _Kind(lambda value, where: _string(value, where, ("csv", "json")))
@@ -205,7 +207,7 @@ def _default_seed() -> int:
     """The seed when no flag or config sets one: TWOSTAGE_SEED, else a drawn seed, printed."""
     env = os.environ.get("TWOSTAGE_SEED")
     if env is not None:
-        return _int_at_least(env, 0, "TWOSTAGE_SEED")
+        return _SEED.check(env, "TWOSTAGE_SEED")
     drawn = secrets.randbits(63)
     print(f"seed: {drawn} (drawn; pass --seed {drawn} to reproduce)")
     return drawn

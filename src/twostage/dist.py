@@ -2,12 +2,15 @@
 seedable, splittable random streams.
 
 The CDF/quantile functions accept scalars or numpy arrays and are pure, so
-they are safe to call from any thread.  Randomness goes through
-:class:`RandomStream`, a thin wrapper over numpy's counter-based Philox
-generator: every ``(master_seed, stream_index)`` pair names one reproducible
-stream, and distinct indices give statistically independent streams that are
-O(1) to construct.  Parallel code owns one stream per work unit and never
-shares generator state.
+they are safe to call from any thread.  The normal ones apply the standard
+library's ``math.erfc`` and ``statistics.NormalDist`` elementwise, so the
+package needs numpy and nothing else; the arrays on those paths are small.
+
+Randomness goes through :class:`RandomStream`, a thin wrapper over numpy's
+counter-based Philox generator: every ``(master_seed, stream_index)`` pair
+names one reproducible stream, and distinct indices give statistically
+independent streams that are O(1) to construct.  Parallel code owns one
+stream per work unit and never shares generator state.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class RandomStream:
     def generator(self) -> Generator:
         """The stream's numpy Generator, created on first use."""
         if self._gen is None:
-            key = [self.master_seed % _UINT64, int(self.stream_index)]
+            # An explicit uint64 key: numpy would turn a list holding a value
+            # >= 2**63 into float64, and nearby seeds would share one stream.
+            key = np.array([self.master_seed % _UINT64, int(self.stream_index)], dtype=np.uint64)
             self._gen = Generator(Philox(key=key))
         return self._gen
 
@@ -76,11 +81,14 @@ def _scalar_or_array(result, *inputs):
     return result
 
 
+# math.erfc over an array; stays accurate in the far tail, where 1 - erf(x) cancels.
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def std_normal_cdf(x):
     """Standard normal CDF, accurate to better than 1e-12 in both tails."""
-    from scipy.special import ndtr  # deferred: importing scipy dominates CLI start-up
     arr = _as_float(x, "x")
-    return _scalar_or_array(ndtr(arr), x)
+    return _scalar_or_array(0.5 * _erfc(-arr / np.sqrt(2.0)), x)
 
 
 def std_normal_quantile(p):
@@ -88,8 +96,9 @@ def std_normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
-    from scipy.special import ndtri
-    return _scalar_or_array(ndtri(arr), p)
+    from statistics import NormalDist  # deferred: import twostage.cli does not need it
+
+    return _scalar_or_array(np.vectorize(NormalDist().inv_cdf, otypes=[float])(arr), p)
 
 
 def chisq2_cdf(x):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import _erfc
 from .exceptions import DegenerateInputError
 
 __all__ = [
@@ -112,7 +113,7 @@ def _z_critical(t: float) -> float:
 
     The p-value falls as ``|z|`` grows, so ``p <= t`` exactly when ``|z| >=
     _z_critical(t)``, up to floating-point rounding at the boundary.  That
-    lets the two-stage decisions skip the p-value (and scipy) altogether.
+    lets the two-stage decisions skip the p-value altogether.
     ``inf`` at ``t = 0``, where no finite ``|z|`` rejects.
     """
     if t == 0.0:
@@ -128,10 +129,9 @@ def coord_pvalue(estimate, sigma, n):
     Computes ``2 * (1 - Phi(sqrt(n) * |estimate| / sigma))``; uniform on
     (0, 1) when the true coordinate is zero.  Accepts arrays and broadcasts.
     """
-    from scipy.special import erfc  # deferred: importing scipy dominates CLI start-up
     z = _abs_z(estimate, sigma, n)
     # erfc form of 2*(1 - Phi(z)), exact in the far tail.
-    p = erfc(z / np.sqrt(2.0))
+    p = _erfc(z / np.sqrt(2.0))
     if np.isscalar(estimate) or np.ndim(estimate) == 0:
         return float(p)
     return p

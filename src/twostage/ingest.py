@@ -125,6 +125,14 @@ def _is_number(text: str) -> bool:
         return False
 
 
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``r @ x = b`` for upper-triangular ``r``; ``b`` is a vector or has one column per system."""
+    x = np.zeros(b.shape)
+    for i in range(len(r) - 1, -1, -1):
+        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x
+
+
 def _ols(design: np.ndarray, response: np.ndarray):
     """Least squares through QR with rank detection.
 
@@ -132,18 +140,17 @@ def _ols(design: np.ndarray, response: np.ndarray):
     (zero residual) report standard errors clamped to the smallest positive
     float, so downstream scale invariants (sigma > 0) still hold.
     """
-    from scipy.linalg import solve_triangular  # deferred: importing scipy dominates CLI start-up
     n, p = design.shape
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diag(r))
     if diag.min() <= _RANK_RTOL * max(diag.max(), 1.0):
         raise SingularDesignError("design matrix is rank deficient")
-    coef = solve_triangular(r, q.T @ response)
+    coef = _back_substitute(r, q.T @ response)
     resid = response - design @ coef
     rss = float(resid @ resid)
     df = n - p
     s2 = rss / df if df > 0 else 0.0
-    r_inv = solve_triangular(r, np.eye(p))
+    r_inv = _back_substitute(r, np.eye(p))
     se = np.sqrt(np.maximum(s2 * np.sum(r_inv**2, axis=1), 0.0))
     se = np.maximum(se, np.finfo(float).tiny)
     return coef, se

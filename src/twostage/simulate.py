@@ -14,7 +14,7 @@ results are identical for any block size or thread count on one numpy
 version (NEP 19 promises no stable ``Generator`` streams across releases).
 The kernel computes no p-value: both stages compare ``|z|`` with the
 critical value of each threshold (``procedure.filter_mask`` and
-``procedure.reject_mask``), so a simulation loads no scipy.
+``procedure.reject_mask``).
 """
 
 from __future__ import annotations

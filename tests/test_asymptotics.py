@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from twostage import (
@@ -57,6 +59,19 @@ class TestPowerSequence:
         for text in ("0", "1+3n^-0.5", "n^-1", "2n^-0.4", "1-2n^-1"):
             s = PowerSequence.parse(text)
             assert PowerSequence.parse(str(s)) == s
+
+    # Numbers that str's "%g" prints exactly: at most six digits, no exponent.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        offset=st.integers(-7999, 7999).map(lambda k: k / 8),
+        terms=st.lists(
+            st.tuples(st.integers(-7999, 7999).map(lambda k: k / 8), st.integers(1, 80).map(lambda k: k / 8)),
+            max_size=4,
+        ),
+    )
+    def test_str_parse_round_trip_property(self, offset, terms):
+        s = PowerSequence(offset, tuple(terms))
+        assert PowerSequence.parse(str(s)) == s
 
     def test_rejects_growth_terms(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,28 @@ class TestMseRatioCommand:
     def test_empty_n_grid(self):
         assert run_cli("mse-ratio", "--preset", "vanishing-filter", "--n-grid", "", "--seed", "1") == 2
 
+    def test_reports_the_requested_sample_sizes(self, tmp_path, capsys):
+        out = tmp_path / "mr.json"
+        grid = [100, 1000, 10**24]
+        code = run_cli(
+            "mse-ratio", "--preset", "k-4over3", "--reps", "100", "--seed", "1",
+            "--n-grid", ",".join(map(str, grid)), "--format", "json", "--out", str(out),
+        )
+        assert code == 0
+        assert [p["n"] for p in json.loads(out.read_text())["points"]] == grid
+        assert f"n={10**24} ratio=" in capsys.readouterr().out
+
+    def test_plain_mse_underflow_exit_5(self, tmp_path, capsys):
+        out = tmp_path / "mr.csv"
+        code = run_cli(
+            "mse-ratio", "--preset", "k-4over3", "--reps", "100", "--seed", "1",
+            "--n-grid", f"100,1000,{10**300}", "--out", str(out),
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: at n={10**300} ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestClassifyCommand:
     def test_much_more_case(self, capsys):
@@ -236,7 +258,7 @@ class TestSeedHandling:
         assert run_cli("simulate", "--scenario", "config1", "--reps", "8", "--seed", "321", "--out", b) == 0
         assert open(a).read() == open(b).read()
 
-    @pytest.mark.parametrize("seed", ["abc", -5, 1.5, True])
+    @pytest.mark.parametrize("seed", ["abc", -5, 1.5, True, 2**64])
     @pytest.mark.parametrize("command", ["simulate", "fwer-bound"])
     def test_bad_config_seed_exit_2(self, tmp_path, capsys, command, seed):
         cfg = tmp_path / "cfg.json"
@@ -245,7 +267,7 @@ class TestSeedHandling:
         assert run_cli(command, "--config", str(cfg), *extra, "--out", str(tmp_path / "r.csv")) == 2
         assert capsys.readouterr().err.startswith("error: seed must be")
 
-    @pytest.mark.parametrize("env", ["abc", "-3", "1.5"])
+    @pytest.mark.parametrize("env", ["abc", "-3", "1.5", str(2**64 + 3)])
     def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch, env):
         monkeypatch.setenv("TWOSTAGE_SEED", env)
         assert run_cli("simulate", "--scenario", "config1", "--reps", "2", "--out", str(tmp_path / "r.csv")) == 2
@@ -311,7 +333,10 @@ class TestSeedHandling:
         assert "drawn; pass --seed" in capsys.readouterr().out
 
 
-def test_classify_and_mse_ratio_load_no_scipy(tmp_path):
+def test_classify_mse_ratio_and_fit_load_no_scipy(tmp_path):
+    data = tmp_path / "fit.csv"
+    rng = np.random.default_rng(3)
+    data.write_text("a,m,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rng.normal(size=(50, 3))))
     code = textwrap.dedent(
         f"""
         import sys
@@ -319,6 +344,7 @@ def test_classify_and_mse_ratio_load_no_scipy(tmp_path):
         assert main(["classify", "--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "0.8"]) == 0
         assert main(["mse-ratio", "--preset", "k-4over3", "--n-grid", "100,1000,10000", "--reps", "200",
                      "--seed", "1", "--out", {str(tmp_path / "r.csv")!r}]) == 0
+        assert main(["fit", {str(data)!r}]) == 0
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
         """
@@ -466,6 +492,9 @@ class TestOversizedCounts:
             (["simulate", "--scenario", "config1", "--n", _HUGE], "argument --n: n must be at most"),
             (["fwer-bound", "--scenario", "config1", "--rule", "minp", "--n", _HUGE], "argument --n: n must be at most"),
             (["simulate", "--scenario", "config1", "--m", "1" + "0" * 20], "argument --m: m must be at most"),
+            # Philox keys are 64-bit: seed 2**64 + 3 would replay seed 3.
+            (["simulate", "--scenario", "config1", "--seed", str(2**64 + 3)],
+             f"argument --seed: seed must be at most {2**64 - 1}"),
             (["mse-ratio", "--preset", "k-4over3", "--n-grid", f"100,1000,{_HUGE}"], "argument --n-grid: n_grid must be"),
             (["classify", "--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "0.8",
               "--n-grid", f"100,1000,{_HUGE}"], "argument --n-grid: n_grid must be"),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -22,6 +23,18 @@ def normal_cdf_oracle(x: float) -> float:
     """Adaptive quadrature of the density; independent of the erf route."""
     tail, _ = integrate.quad(_normal_density, 0.0, abs(x), epsabs=1e-14, limit=200)
     return 0.5 + math.copysign(tail, x)
+
+
+def normal_quantile_oracle(p: float) -> float:
+    """Root of log Phi(x) = log(tail) at 40 digits, reflected for p > 1/2."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        tail = min(q, 1 - q)
+        x = mpmath.findroot(
+            lambda x: mpmath.log(mpmath.ncdf(x)) - mpmath.log(tail),
+            -mpmath.sqrt(-2 * mpmath.log(tail)),
+        )
+        return float(x if q < 0.5 else -x)
 
 
 def chisq2_cdf_oracle(x: float) -> float:
@@ -49,6 +62,12 @@ class TestNormalCdf:
         assert np.all(np.diff(vals) > 0)
         np.testing.assert_allclose(std_normal_cdf(-xs), 1.0 - vals, atol=1e-14)
 
+    def test_matches_mpmath_over_both_tails(self):
+        xs = np.linspace(-37.0, 9.0, 1001)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.ncdf(x)) for x in xs])
+        np.testing.assert_allclose(std_normal_cdf(xs), want, rtol=1e-12, atol=0.0)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             std_normal_cdf(float("nan"))
@@ -70,6 +89,13 @@ class TestNormalQuantile:
     def test_inverse_property_grid(self):
         ps = np.linspace(1e-6, 1.0 - 1e-6, 101)
         np.testing.assert_allclose(std_normal_cdf(std_normal_quantile(ps)), ps, atol=1e-9)
+
+    def test_matches_mpmath_from_1e_300_to_1_minus_1e_14(self):
+        ps = np.concatenate(
+            [np.logspace(-300.0, math.log10(0.49), 300), 1.0 - np.logspace(-14.0, math.log10(0.49), 100)]
+        )
+        want = np.array([normal_quantile_oracle(p) for p in ps])
+        np.testing.assert_allclose(std_normal_quantile(ps), want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_out_of_range(self, p):
@@ -134,6 +160,12 @@ class TestRandomStream:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             RandomStream(1, -1)
+
+    def test_seeds_at_the_top_of_64_bits_stay_distinct(self):
+        seeds = [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+        with np.errstate(all="raise"):
+            draws = {seed: tuple(sample_normal(RandomStream(seed, 5), 0.0, 1.0, size=4)) for seed in seeds}
+        assert len(set(draws.values())) == len(seeds)
 
 
 class TestSampleNormal:

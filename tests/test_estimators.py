@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -100,6 +101,12 @@ class TestCoordPvalue:
     def test_monotone_in_estimate(self):
         ps = coord_pvalue(np.linspace(0.0, 5.0, 50), 1.0, 4)
         assert np.all(np.diff(ps) < 0)
+
+    def test_matches_mpmath_into_the_far_tail(self):
+        z = np.linspace(0.0, 27.0, 1001)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.erfc(mpmath.mpf(v) / mpmath.sqrt(2))) for v in z])
+        np.testing.assert_allclose(coord_pvalue(z, 1.0, 1), want, rtol=1e-12, atol=0.0)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from twostage import (
     ols_mediation_fit,
     read_observations,
 )
+from twostage.ingest import _ols
 
 
 def synthetic_table(n=5000, gamma=0.8, beta=0.5, noise=1.0, noise_m=None, seed=0, d=2):
@@ -19,6 +20,23 @@ def synthetic_table(n=5000, gamma=0.8, beta=0.5, noise=1.0, noise_m=None, seed=0
     m = 0.4 + x @ rng.normal(size=d) + gamma * a + noise_m * rng.normal(size=n)
     y = -0.2 + x @ rng.normal(size=d) + 0.3 * a + beta * m + noise * rng.normal(size=n)
     return ObservationTable(x=x, a=a, m=m, y=y)
+
+
+class TestOls:
+    def test_matches_lstsq_and_classical_standard_errors(self):
+        rng = np.random.default_rng(21)
+        design = np.column_stack([np.ones(400), rng.normal(size=(400, 4))])
+        response = design @ rng.normal(size=5) + rng.normal(size=400)
+        coef, se = _ols(design, response)
+        want, rss, _, _ = np.linalg.lstsq(design, response, rcond=None)
+        np.testing.assert_allclose(coef, want, rtol=1e-12, atol=1e-14)
+        s2 = rss[0] / (400 - 5)
+        np.testing.assert_allclose(se, np.sqrt(s2 * np.diag(np.linalg.inv(design.T @ design))), rtol=1e-10)
+
+    def test_rank_deficient_design_is_singular(self):
+        design = np.column_stack([np.ones(50), np.arange(50.0), 2.0 * np.arange(50.0)])
+        with pytest.raises(SingularDesignError):
+            _ols(design, np.arange(50.0))
 
 
 class TestOlsMediationFit:

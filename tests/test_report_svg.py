@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage import (
     Method,
@@ -20,6 +22,7 @@ from twostage.report import (
     write_mse_ratio_report,
     write_simulation_report,
 )
+from twostage.simulate import ReportMeta
 from twostage.svgplot import Series, line_plot
 
 
@@ -89,6 +92,33 @@ class TestSimulationReportIO:
         write_simulation_report(report, path, "json")
         json.loads(open(path).read(), parse_constant=_reject_constant)
         assert read_simulation_report(path) == report
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal with the same sign (so -0.0 stays -0.0), or both NaN."""
+    return math.isnan(a) and math.isnan(b) or a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_SIM_FIELDS = ("empirical_fwer", "fwer_se", "power", "power_se", "mean_F")
+_META = ReportMeta(1, "config1", 40, 12, 1000, 1.0, 0.05, "deterministic", False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(st.tuples(*[st.floats()] * 5), min_size=1, max_size=4),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_any_float_round_trips(tmp_path_factory, rows, fmt):
+    report = SimulationReport(_META, tuple(MethodResult(f"m{i}", *row) for i, row in enumerate(rows)))
+    path = str(tmp_path_factory.mktemp("report") / f"r.{fmt}")
+    write_simulation_report(report, path, fmt)
+    if fmt == "json":
+        json.loads(open(path).read(), parse_constant=_reject_constant)
+    again = read_simulation_report(path)
+    assert again.meta == report.meta
+    assert [m.method_id for m in again.methods] == [m.method_id for m in report.methods]
+    for got, want in zip(again.methods, report.methods):
+        assert all(_same_float(getattr(got, k), getattr(want, k)) for k in _SIM_FIELDS), (got, want)
 
 
 class TestMseRatioReportIO:
