@@ -82,7 +82,14 @@ class ParamPoint:
             raise ValueError("coordinates must be finite")
 
 
-_TERM_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)(n\^(-[\d./]+))?$")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TERM_RE = re.compile(rf"^([+-]?(?:{_NUMBER})?)(n\^-({_NUMBER}(?:/{_NUMBER})?))?$")
+
+
+def _shortest(x: float) -> str:
+    """The shortest text that parses back to ``x``, with no trailing ".0"."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 @dataclass(frozen=True)
@@ -119,16 +126,17 @@ class PowerSequence:
 
         Each '+'/'-'-separated term is either a constant (added to the
         offset) or ``coef n^-exp`` with a decaying exponent; exponents may be
-        decimals or simple fractions.  Scientific notation is not supported
-        here; build the sequence programmatically for exotic constants.
+        decimals or simple fractions.  Numbers may use exponent notation
+        (``1e+06n^-1.5e-05``), so the text of ``str`` parses back exactly.
         """
-        # '^~' shields the exponent's minus sign from the term splitter.
+        # '^~' shields the exponent's minus sign from the term splitter, which
+        # also leaves the sign of an 'e' exponent inside its number.
         s = text.replace(" ", "").replace("^-", "^~")
         if not s:
             raise ValueError("empty sequence expression")
         offset = 0.0
         terms: list[tuple[float, float]] = []
-        for piece in re.findall(r"[+-]?[^+-]+", s):
+        for piece in re.findall(r"[+-]?(?:[eE][+-]|[^+-])+", s):
             piece = piece.replace("^~", "^-")
             m = _TERM_RE.match(piece)
             if m is None:
@@ -141,31 +149,25 @@ class PowerSequence:
             else:
                 coef = float(coef_text)
             if has_n:
-                exp_body = exp_text.lstrip("-")
-                if "/" in exp_body:
-                    num, den = exp_body.split("/")
-                    exponent = float(num) / float(den)
-                else:
-                    exponent = float(exp_body)
-                terms.append((coef, exponent))
+                num, _, den = exp_text.partition("/")
+                terms.append((coef, float(num) / float(den) if den else float(num)))
             else:
                 offset += coef
         return cls(offset, tuple(terms))
 
     def __str__(self) -> str:
+        """Text that :meth:`parse` reads back to an equal sequence."""
         pieces = []
         if self.offset != 0.0 or not self.terms:
-            pieces.append(f"{self.offset:g}")
+            pieces.append(_shortest(self.offset))
         for coef, exp in self.terms:
-            lead = f"{coef:+g}" if pieces else f"{coef:g}"
-            if exp == 0.0:
-                pieces.append(lead)
-            else:
-                if lead in ("1", "+1"):
-                    lead = lead[:-1]
-                elif lead == "-1":
-                    lead = "-"
-                pieces.append(f"{lead}n^-{exp:g}")
+            lead = _shortest(coef)
+            if pieces and not lead.startswith("-"):
+                lead = "+" + lead
+            if lead in ("1", "+1", "-1"):
+                lead = lead[:-1]
+            # abs: a -0.0 exponent would print as 'n^--0', which parse refuses.
+            pieces.append(f"{lead}n^-{_shortest(abs(exp))}")
         return "".join(pieces)
 
 
@@ -431,7 +433,8 @@ def mse_ratio_experiment(
     finite-n K ratio, and the empirical filtration frequency.  Cell i draws
     from ``stream.offset(i)``, so cells are independent and order-free.
     Each point reports ``int`` of the requested n, not of its float.  Raises
-    FloatingPointError, naming n, when the plain MSE is too small to divide by.
+    FloatingPointError, naming n, when the plain MSE is too small to divide by
+    or too large (or not finite) to square.
     """
     if reps < 100:
         raise ValueError(f"reps must be at least 100, got {reps}")
@@ -450,12 +453,13 @@ def mse_ratio_experiment(
         mse_shrunk = float(sq_shrunk.mean())
         mse_plain = float(sq_plain.mean())
         # The standard error divides by mse_plain**2 * reps, which leaves the
-        # normal float range once n is large (past about 1e77 at k-4over3).
-        scale = mse_plain**2 * reps
-        if scale < sys.float_info.min:
+        # normal float range once n is large (past about 1e77 at k-4over3), or
+        # once the parameter is huge (an offset near 1e80 overflows it).
+        scale = mse_plain * mse_plain * reps
+        if not sys.float_info.min <= scale <= sys.float_info.max:
             raise FloatingPointError(
-                f"at n={int(requested)} the plain estimator's MSE ({mse_plain:g}) is too small "
-                "to form the ratio and its standard error; use smaller sample sizes"
+                f"at n={int(requested)} the plain estimator's MSE ({mse_plain:g}) is out of the "
+                "range in which the ratio and its standard error can be formed"
             )
         ratio = mse_shrunk / mse_plain
         cov = np.cov(sq_shrunk, sq_plain, ddof=1)

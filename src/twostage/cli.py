@@ -52,7 +52,7 @@ from .procedure import (
     filtration_prob_at_theta0,
     fwer_bound_from_survivors,
 )
-from .report import nan_to_none, write_mse_ratio_report, write_simulation_report
+from .report import nan_to_none, write_json, write_mse_ratio_report, write_simulation_report
 from .simulate import (
     Assignment,
     BUILTIN_SCENARIOS,
@@ -612,9 +612,7 @@ def _cmd_fwer_bound(s: dict) -> int:
     }
     print(_json_line(payload))
     if s["out"]:
-        with open(s["out"], "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(payload, s["out"])
         print(f"wrote {s['out']}")
     return EXIT_OK
 

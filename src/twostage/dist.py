@@ -48,10 +48,12 @@ class RandomStream:
     _gen: Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.stream_index, (int, np.integer)) or self.stream_index < 0:
-            raise ValueError(f"stream_index must be a non-negative integer, got {self.stream_index}")
-        if self.stream_index >= _UINT64:
-            raise ValueError("stream_index must fit in 64 bits")
+        # Philox takes each as one 64-bit key word, so a value outside
+        # [0, 2**64) would replay the stream of the value it wraps to.
+        for name in ("master_seed", "stream_index"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or not 0 <= value < _UINT64:
+                raise ValueError(f"{name} must be an integer in [0, 2**64 - 1], got {value!r}")
 
     @property
     def generator(self) -> Generator:
@@ -59,7 +61,7 @@ class RandomStream:
         if self._gen is None:
             # An explicit uint64 key: numpy would turn a list holding a value
             # >= 2**63 into float64, and nearby seeds would share one stream.
-            key = np.array([self.master_seed % _UINT64, int(self.stream_index)], dtype=np.uint64)
+            key = np.array([int(self.master_seed), int(self.stream_index)], dtype=np.uint64)
             self._gen = Generator(Philox(key=key))
         return self._gen
 

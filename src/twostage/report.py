@@ -2,15 +2,17 @@
 
 CSV files carry a ``# key=value`` metadata block before the header row, use
 '.' decimals, ',' separators, LF line endings and 17 significant digits, so
-every float survives a write/read cycle bit-exactly.
+every float survives a write/read cycle bit-exactly.  JSON files are strict
+JSON: NaN is written as null and infinities as "inf"/"-inf".  Both report
+kinds go through one table writer and one table reader.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
-from typing import Sequence
+from dataclasses import asdict, astuple
+from typing import Sequence, get_type_hints
 
 from .asymptotics import MseRatioPoint
 from .exceptions import DataFormatError
@@ -18,6 +20,7 @@ from .simulate import MethodResult, ReportMeta, SimulationReport
 
 __all__ = [
     "format_float",
+    "write_json",
     "write_simulation_report",
     "read_simulation_report",
     "write_mse_ratio_report",
@@ -33,10 +36,6 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {key}={_plain(value)}" for key, value in meta.items()]
-
-
 def _plain(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -45,50 +44,64 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _parse_meta(lines: Sequence[str]) -> dict[str, str]:
-    meta = {}
-    for line in lines:
-        body = line[1:].strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-    return meta
+def _strict(value):
+    """``value`` with every float, at any depth, passed through :func:`nan_to_none`."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    return nan_to_none(value) if isinstance(value, float) else value
 
 
-def write_simulation_report(report: SimulationReport, path: str, fmt: str = "csv") -> None:
+def write_json(payload: dict, path: str) -> None:
+    """Write ``payload`` as a strict JSON document: 2-space indent, LF endings, final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_strict(payload), fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def _write_table(path: str, fmt: str, meta: dict, key: str, columns: Sequence[str], rows: Sequence) -> None:
+    """Write dataclass ``rows`` under ``meta``: JSON keys are field names, CSV headers ``columns``."""
     if fmt == "json":
-        # Strict JSON has no NaN or infinity: such fields go through nan_to_none.
-        methods = [
-            {**asdict(m), **{k: nan_to_none(getattr(m, k)) for k in _SIM_COLUMNS[1:]}}
-            for m in report.methods
-        ]
-        payload = {"meta": asdict(report.meta), "methods": methods}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json({"meta": meta, key: [asdict(row) for row in rows]}, path)
         return
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
-    lines = _meta_lines(asdict(report.meta))
-    lines.append(",".join(_SIM_COLUMNS))
-    for m in report.methods:
-        lines.append(
-            ",".join(
-                [
-                    m.method_id,
-                    format_float(m.empirical_fwer),
-                    format_float(m.fwer_se),
-                    format_float(m.power),
-                    format_float(m.power_se),
-                    format_float(m.mean_F),
-                ]
-            )
-        )
+    lines = [f"# {name}={_plain(value)}" for name, value in meta.items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_plain(value) for value in astuple(row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _meta_from_strings(raw: dict[str, str]) -> ReportMeta:
+def _read_table(path: str, key: str, columns: Sequence[str], row_type) -> tuple[dict, list]:
+    """Inverse of :func:`_write_table`: raw metadata (strings from CSV) and ``row_type`` rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    types = get_type_hints(row_type)  # field name -> type, in field order
+    if text.lstrip().startswith("{"):
+        payload = json.loads(text)
+        meta = payload["meta"]
+        records = [[row[name] for name in types] for row in payload[key]]
+    else:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        meta = {}
+        for name, eq, value in (ln[1:].partition("=") for ln in lines if ln.startswith("#")):
+            if eq:
+                meta[name.strip()] = value.strip()
+        body = [ln for ln in lines if not ln.startswith("#")]
+        if not body or body[0] != ",".join(columns):
+            raise DataFormatError(f"missing or unexpected report header; expected {','.join(columns)}")
+        records = [line.split(",") for line in body[1:]]
+        for record in records:
+            if len(record) != len(columns):
+                raise DataFormatError(f"expected {len(columns)} fields, got {len(record)}")
+    cells = [_float_from_json if cell is float else cell for cell in types.values()]
+    return meta, [row_type(*(cell(value) for cell, value in zip(cells, record))) for record in records]
+
+
+def _meta_from_strings(raw: dict) -> ReportMeta:
+    """ReportMeta from CSV metadata text or from the typed JSON ``meta`` object."""
     try:
         return ReportMeta(
             seed=int(raw["seed"]),
@@ -99,108 +112,34 @@ def _meta_from_strings(raw: dict[str, str]) -> ReportMeta:
             sigma=float(raw["sigma"]),
             alpha=float(raw["alpha"]),
             assignment=raw["assignment"],
-            renormalized=raw["renormalized"] == "true",
+            renormalized=raw["renormalized"] in (True, "true"),
         )
     except KeyError as exc:
         raise DataFormatError(f"report metadata missing key {exc}") from exc
 
 
+def write_simulation_report(report: SimulationReport, path: str, fmt: str = "csv") -> None:
+    _write_table(path, fmt, asdict(report.meta), "methods", _SIM_COLUMNS, report.methods)
+
+
 def read_simulation_report(path: str) -> SimulationReport:
     """Parse a report written by :func:`write_simulation_report` (either format)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        meta = ReportMeta(**payload["meta"])
-        methods = tuple(
-            MethodResult(**{**m, **{k: _float_from_json(m[k]) for k in _SIM_COLUMNS[1:]}})
-            for m in payload["methods"]
-        )
-        return SimulationReport(meta, methods)
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    meta = _meta_from_strings(_parse_meta([ln for ln in lines if ln.startswith("#")]))
-    body = [ln for ln in lines if not ln.startswith("#")]
-    if not body or body[0] != ",".join(_SIM_COLUMNS):
-        raise DataFormatError("missing or unexpected simulate report header")
-    methods = []
-    for line in body[1:]:
-        parts = line.split(",")
-        if len(parts) != len(_SIM_COLUMNS):
-            raise DataFormatError(f"expected {len(_SIM_COLUMNS)} fields, got {len(parts)}")
-        methods.append(
-            MethodResult(
-                method_id=parts[0],
-                empirical_fwer=float(parts[1]),
-                fwer_se=float(parts[2]),
-                power=float(parts[3]),
-                power_se=float(parts[4]),
-                mean_F=float(parts[5]),
-            )
-        )
-    return SimulationReport(meta, tuple(methods))
+    meta, methods = _read_table(path, "methods", _SIM_COLUMNS, MethodResult)
+    return SimulationReport(_meta_from_strings(meta), tuple(methods))
 
 
 def write_mse_ratio_report(points: Sequence[MseRatioPoint], meta: dict, path: str, fmt: str = "csv") -> None:
-    if fmt == "json":
-        payload = {"meta": meta, "points": [asdict(p) for p in points]}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
-    lines = _meta_lines(meta)
-    lines.append(",".join(_MSE_COLUMNS))
-    for p in points:
-        lines.append(
-            ",".join(
-                [
-                    str(p.n),
-                    format_float(p.ratio),
-                    format_float(p.mc_se),
-                    format_float(p.k_at_n),
-                    format_float(p.filter_freq),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, fmt, meta, "points", _MSE_COLUMNS, points)
 
 
-def read_mse_ratio_report(path: str) -> tuple[list[MseRatioPoint], dict[str, str]]:
-    """Parse a ratio report back into points plus raw metadata strings."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        points = [MseRatioPoint(**p) for p in payload["points"]]
-        return points, payload["meta"]
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    meta = _parse_meta([ln for ln in lines if ln.startswith("#")])
-    body = [ln for ln in lines if not ln.startswith("#")]
-    if not body or body[0] != ",".join(_MSE_COLUMNS):
-        raise DataFormatError("missing or unexpected mse-ratio report header")
-    points = []
-    for line in body[1:]:
-        parts = line.split(",")
-        if len(parts) != len(_MSE_COLUMNS):
-            raise DataFormatError(f"expected {len(_MSE_COLUMNS)} fields, got {len(parts)}")
-        points.append(
-            MseRatioPoint(
-                n=int(parts[0]),
-                ratio=float(parts[1]),
-                mc_se=float(parts[2]),
-                k_at_n=float(parts[3]),
-                filter_freq=float(parts[4]),
-            )
-        )
+def read_mse_ratio_report(path: str) -> tuple[list[MseRatioPoint], dict]:
+    """Parse a ratio report back into points plus raw metadata (strings from CSV)."""
+    meta, points = _read_table(path, "points", _MSE_COLUMNS, MseRatioPoint)
     return points, meta
 
 
 def _float_from_json(x) -> float:
-    """Inverse of :func:`nan_to_none`: None is NaN, "inf"/"-inf" are infinities."""
+    """A float cell, from JSON or CSV text: None (see :func:`nan_to_none`) is NaN."""
     return math.nan if x is None else float(x)
 
 

@@ -18,6 +18,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 class TestSimulateCommand:
     def test_standard_menu_row_count(self, tmp_path, capsys):
         out = str(tmp_path / "report.csv")
@@ -132,18 +136,25 @@ class TestMseRatioCommand:
             "--n-grid", ",".join(map(str, grid)), "--format", "json", "--out", str(out),
         )
         assert code == 0
-        assert [p["n"] for p in json.loads(out.read_text())["points"]] == grid
+        assert [p["n"] for p in json.loads(out.read_text(), parse_constant=_reject_constant)["points"]] == grid
         assert f"n={10**24} ratio=" in capsys.readouterr().out
 
-    def test_plain_mse_underflow_exit_5(self, tmp_path, capsys):
-        out = tmp_path / "mr.csv"
-        code = run_cli(
-            "mse-ratio", "--preset", "k-4over3", "--reps", "100", "--seed", "1",
-            "--n-grid", f"100,1000,{10**300}", "--out", str(out),
-        )
-        assert code == 5
+    # The plain MSE underflows at a huge n, and its square overflows (or the
+    # draws themselves do) at a huge parameter.
+    @pytest.mark.parametrize(
+        "settings, n",
+        [
+            ({"preset": "k-4over3", "n_grid": [100, 1000, 10**300]}, 10**300),
+            ({"gamma": {"offset": 1e80}, "beta": "0", "c": 1, "delta": 0.5}, 100),
+            ({"gamma": {"offset": 1e200}, "beta": {"offset": 1e200}, "c": 1, "delta": 0.5}, 100),
+        ],
+    )
+    def test_plain_mse_out_of_range_exit_5(self, tmp_path, capsys, settings, n):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "mr.json"
+        cfg.write_text(json.dumps({"n_grid": [100, 1000, 10_000], **settings, "reps": 100, "seed": 1, "format": "json"}))
+        assert run_cli("mse-ratio", "--config", str(cfg), "--out", str(out)) == 5
         err = capsys.readouterr().err
-        assert err.startswith(f"error: at n={10**300} ") and "Traceback" not in err
+        assert err.startswith(f"error: at n={n} ") and "Traceback" not in err
         assert not out.exists()
 
 
@@ -223,13 +234,15 @@ class TestFitCommand:
 
 
 class TestFwerBoundCommand:
-    def test_nofilter_reduces_to_bonferroni(self, capsys):
+    def test_nofilter_reduces_to_bonferroni(self, tmp_path, capsys):
+        out = tmp_path / "bound.json"
         code = run_cli(
             "fwer-bound", "--scenario", "config1", "--rule", "nofilter",
-            "--reps", "60", "--seed", "19", "--p0-reps", "2000",
+            "--reps", "60", "--seed", "19", "--p0-reps", "2000", "--out", str(out),
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out.strip())
+        payload = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert json.loads(out.read_text(), parse_constant=_reject_constant) == payload
         assert payload["p0"] == 1.0
         assert payload["mean_F"] == 200.0
         assert payload["simulated_fwer"] <= payload["survivor_bound"] + 3.0 * payload["fwer_se"] + 1e-12

@@ -161,6 +161,12 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(1, -1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        # -1 would otherwise wrap to 2**64 - 1 and replay that seed's streams.
+        with pytest.raises(ValueError, match="master_seed"):
+            RandomStream(seed, 0)
+
     def test_seeds_at_the_top_of_64_bits_stay_distinct(self):
         seeds = [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
         with np.errstate(all="raise"):

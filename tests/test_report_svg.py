@@ -101,24 +101,35 @@ def _same_float(a: float, b: float) -> bool:
 
 _SIM_FIELDS = ("empirical_fwer", "fwer_se", "power", "power_se", "mean_F")
 _META = ReportMeta(1, "config1", 40, 12, 1000, 1.0, 0.05, "deterministic", False)
+_MSE_FIELDS = ("ratio", "mc_se", "k_at_n", "filter_freq")
+_MSE_META = {"gamma": "n^-0.5", "beta": "n^-0.5", "c": 4.0, "delta": 0.7, "reps": 100, "seed": 1}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     rows=st.lists(st.tuples(*[st.floats()] * 5), min_size=1, max_size=4),
     fmt=st.sampled_from(["csv", "json"]),
+    kind=st.sampled_from(["simulate", "mse-ratio"]),
 )
-def test_any_float_round_trips(tmp_path_factory, rows, fmt):
-    report = SimulationReport(_META, tuple(MethodResult(f"m{i}", *row) for i, row in enumerate(rows)))
+def test_any_float_round_trips(tmp_path_factory, rows, fmt, kind):
     path = str(tmp_path_factory.mktemp("report") / f"r.{fmt}")
-    write_simulation_report(report, path, fmt)
+    if kind == "simulate":
+        report = SimulationReport(_META, tuple(MethodResult(f"m{i}", *row) for i, row in enumerate(rows)))
+        write_simulation_report(report, path, fmt)
+        again = read_simulation_report(path)
+        assert again.meta == report.meta
+        assert [m.method_id for m in again.methods] == [m.method_id for m in report.methods]
+        pairs, fields = zip(again.methods, report.methods), _SIM_FIELDS
+    else:
+        points = [MseRatioPoint(10**i, *row[:4]) for i, row in enumerate(rows)]
+        write_mse_ratio_report(points, _MSE_META, path, fmt)
+        again, _ = read_mse_ratio_report(path)
+        assert [p.n for p in again] == [p.n for p in points]
+        pairs, fields = zip(again, points), _MSE_FIELDS
     if fmt == "json":
         json.loads(open(path).read(), parse_constant=_reject_constant)
-    again = read_simulation_report(path)
-    assert again.meta == report.meta
-    assert [m.method_id for m in again.methods] == [m.method_id for m in report.methods]
-    for got, want in zip(again.methods, report.methods):
-        assert all(_same_float(getattr(got, k), getattr(want, k)) for k in _SIM_FIELDS), (got, want)
+    for got, want in pairs:
+        assert all(_same_float(getattr(got, k), getattr(want, k)) for k in fields), (got, want)
 
 
 class TestMseRatioReportIO:
