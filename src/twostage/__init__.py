@@ -1,89 +1,114 @@
 """Two-stage filtration tests and shrinkage estimators for composite null
 hypotheses, with a reproducible Monte-Carlo harness for multiple-testing
-studies."""
+studies.
 
-from .asymptotics import (
-    DEFAULT_N_GRID,
-    MSE_RATIO_PRESETS,
-    EfficiencyClass,
-    LRegion,
-    MseRatioPoint,
-    MseRatioPreset,
-    ParamPoint,
-    ParamSequence,
-    PowerSequence,
-    RegimeClassification,
-    classify_product_regime,
-    compute_K,
-    eval_sequence,
-    extrapolate_limit,
-    irregularity_probe,
-    k_upper_bound,
-    ks_critical_value,
-    mse_product_closed,
-    mse_ratio_experiment,
-    rate_probe,
-)
-from .dist import (
-    RandomStream,
-    chisq2_cdf,
-    chisq2_quantile,
-    sample_normal,
-    std_normal_cdf,
-    std_normal_quantile,
-)
-from .estimators import (
-    EstimatePair,
-    coord_pvalue,
-    hodges,
-    joint_pvalue,
-    min_abs_stat,
-    norm2_stat,
-    product_stat,
-    shrink,
-    shrink_general,
-    sobel_stat,
-)
-from .exceptions import (
-    ConfigError,
-    DataFormatError,
-    DegenerateInputError,
-    InconsistentRegimeError,
-    SingularDesignError,
-    TwoStageError,
-)
-from .ingest import ObservationTable, ols_mediation_fit, read_observations
-from .procedure import (
-    Adjustment,
-    BonferroniOverUnfiltered,
-    ChiSquarePValue,
-    FiltrationAware,
-    FiltrationRule,
-    MinPValue,
-    NoFilter,
-    ProductThreshold,
-    TwoStageOutcome,
-    evaluate_filter,
-    filtration_prob_at_theta0,
-    fwer_bound_from_survivors,
-    run_two_stage,
-)
-from .simulate import (
-    BUILTIN_SCENARIOS,
-    Assignment,
-    ConditionalRejectionStats,
-    Method,
-    MethodResult,
-    MixtureRow,
-    NormalMeanPrior,
-    ScenarioMixture,
-    SimulationReport,
-    Truth,
-    builtin_scenario,
-    conditional_rejection_stats,
-    run_experiment,
-    run_replication,
-    standard_methods,
-)
+Public names resolve lazily (PEP 562): ``from twostage import X`` imports
+only the submodule that defines ``X``, so a caller that needs the regime
+classifier never loads the simulation engine.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "asymptotics": (
+        "DEFAULT_N_GRID",
+        "MSE_RATIO_PRESETS",
+        "EfficiencyClass",
+        "LRegion",
+        "MseRatioPoint",
+        "MseRatioPreset",
+        "ParamPoint",
+        "ParamSequence",
+        "PowerSequence",
+        "RegimeClassification",
+        "classify_product_regime",
+        "compute_K",
+        "eval_sequence",
+        "extrapolate_limit",
+        "irregularity_probe",
+        "k_upper_bound",
+        "ks_critical_value",
+        "mse_product_closed",
+        "mse_ratio_experiment",
+        "rate_probe",
+    ),
+    "dist": (
+        "RandomStream",
+        "chisq2_cdf",
+        "chisq2_quantile",
+        "sample_normal",
+        "std_normal_cdf",
+        "std_normal_quantile",
+    ),
+    "estimators": (
+        "EstimatePair",
+        "coord_pvalue",
+        "hodges",
+        "joint_pvalue",
+        "min_abs_stat",
+        "norm2_stat",
+        "product_stat",
+        "shrink",
+        "shrink_general",
+        "sobel_stat",
+    ),
+    "exceptions": (
+        "ConfigError",
+        "DataFormatError",
+        "DegenerateInputError",
+        "InconsistentRegimeError",
+        "SingularDesignError",
+        "TwoStageError",
+    ),
+    "ingest": ("ObservationTable", "ols_mediation_fit", "read_observations"),
+    "procedure": (
+        "Adjustment",
+        "BonferroniOverUnfiltered",
+        "ChiSquarePValue",
+        "FiltrationAware",
+        "FiltrationRule",
+        "MinPValue",
+        "NoFilter",
+        "ProductThreshold",
+        "TwoStageOutcome",
+        "evaluate_filter",
+        "filtration_prob_at_theta0",
+        "fwer_bound_from_survivors",
+        "run_two_stage",
+    ),
+    "simulate": (
+        "BUILTIN_SCENARIOS",
+        "Assignment",
+        "ConditionalRejectionStats",
+        "Method",
+        "MethodResult",
+        "MixtureRow",
+        "NormalMeanPrior",
+        "ScenarioMixture",
+        "SimulationReport",
+        "Truth",
+        "builtin_scenario",
+        "conditional_rejection_stats",
+        "run_experiment",
+        "run_replication",
+        "standard_methods",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

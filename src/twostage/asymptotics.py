@@ -150,6 +150,8 @@ class PowerSequence:
                 coef = float(coef_text)
             if has_n:
                 num, _, den = exp_text.partition("/")
+                if den and float(den) == 0.0:
+                    raise ValueError(f"zero denominator in exponent of {piece!r} in {text!r}")
                 terms.append((coef, float(num) / float(den) if den else float(num)))
             else:
                 offset += coef
@@ -445,13 +447,16 @@ def mse_ratio_experiment(
         point = seq.at(n)
         psi = point.gamma * point.beta
         g, b = _unit_draws(stream.offset(i), point, 1.0 / math.sqrt(n), reps)
-        t = g * b
-        filtered = np.abs(t) < c * n ** (-delta)
-        shrunk = np.where(filtered, 0.0, t)
-        sq_shrunk = np.square(shrunk - psi)
-        sq_plain = np.square(t - psi)
-        mse_shrunk = float(sq_shrunk.mean())
-        mse_plain = float(sq_plain.mean())
+        # A huge parameter overflows the squares; the range check below
+        # reports it, so numpy need not warn on stderr first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = g * b
+            filtered = np.abs(t) < c * n ** (-delta)
+            shrunk = np.where(filtered, 0.0, t)
+            sq_shrunk = np.square(shrunk - psi)
+            sq_plain = np.square(t - psi)
+            mse_shrunk = float(sq_shrunk.mean())
+            mse_plain = float(sq_plain.mean())
         # The standard error divides by mse_plain**2 * reps, which leaves the
         # normal float range once n is large (past about 1e77 at k-4over3), or
         # once the parameter is huge (an offset near 1e80 overflows it).

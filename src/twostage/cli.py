@@ -9,6 +9,10 @@ Exit codes are a stable contract: 0 ok, 2 configuration problem, 3 I/O
 failure, 4 domain inconsistency, 5 numerical failure.  ``--seed`` pins all
 randomness; when absent the TWOSTAGE_SEED environment variable is honored,
 and otherwise a fresh seed is drawn and printed so the run can be replayed.
+
+Each handler imports the library code it runs when it is called, so a call
+loads only its own subcommand's modules (``fit`` never loads the simulation
+engine, nor ``numpy.random``).
 """
 
 from __future__ import annotations
@@ -17,56 +21,22 @@ import argparse
 import json
 import math
 import os
-import secrets
 import sys
 from contextlib import contextmanager
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .asymptotics import (
-    DEFAULT_N_GRID,
-    MSE_RATIO_PRESETS,
-    ParamSequence,
-    PowerSequence,
-    classify_product_regime,
-    mse_ratio_experiment,
-)
-from .dist import RandomStream
-from .estimators import joint_pvalue, product_stat, sobel_stat
 from .exceptions import (
     ConfigError,
     DegenerateInputError,
     InconsistentRegimeError,
     SingularDesignError,
 )
-from .ingest import ols_mediation_fit, read_observations
-from .procedure import (
-    BonferroniOverUnfiltered,
-    ChiSquarePValue,
-    FiltrationAware,
-    FiltrationRule,
-    MinPValue,
-    NoFilter,
-    ProductThreshold,
-    filtration_prob_at_theta0,
-    fwer_bound_from_survivors,
-)
-from .report import nan_to_none, write_json, write_mse_ratio_report, write_simulation_report
-from .simulate import (
-    Assignment,
-    BUILTIN_SCENARIOS,
-    Method,
-    MixtureRow,
-    NormalMeanPrior,
-    ScenarioMixture,
-    Truth,
-    builtin_scenario,
-    conditional_rejection_stats,
-    run_experiment,
-    standard_methods,
-)
-from .svgplot import Series, line_plot
+
+if TYPE_CHECKING:
+    from .procedure import FiltrationRule
+    from .simulate import Method, ScenarioMixture
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -208,12 +178,16 @@ def _default_seed() -> int:
     env = os.environ.get("TWOSTAGE_SEED")
     if env is not None:
         return _SEED.check(env, "TWOSTAGE_SEED")
+    import secrets
+
     drawn = secrets.randbits(63)
     print(f"seed: {drawn} (drawn; pass --seed {drawn} to reproduce)")
     return drawn
 
 
 def _parse_sequence(spec, where: str, allow_prior: bool = False):
+    from .asymptotics import PowerSequence
+
     if isinstance(spec, str):
         try:
             return PowerSequence.parse(spec)
@@ -226,6 +200,8 @@ def _parse_sequence(spec, where: str, allow_prior: bool = False):
             _check_keys(spec, {"normal"}, where)
             body = spec["normal"]
             _check_keys(body, {"mean", "variance"}, f"{where}.normal")
+            from .simulate import NormalMeanPrior
+
             return NormalMeanPrior(
                 mean=_parse_sequence(body.get("mean"), f"{where}.normal.mean"),
                 variance=_parse_sequence(body.get("variance"), f"{where}.normal.variance"),
@@ -242,6 +218,8 @@ def _parse_sequence(spec, where: str, allow_prior: bool = False):
 
 
 def _standard_method(method_id: str, where: str, what: str) -> Method:
+    from .simulate import standard_methods
+
     methods = {method.method_id: method for method in standard_methods()}
     if method_id not in methods:
         raise ConfigError(
@@ -251,6 +229,8 @@ def _standard_method(method_id: str, where: str, what: str) -> Method:
 
 
 def _parse_rule(spec, where: str) -> FiltrationRule:
+    from .procedure import ChiSquarePValue, MinPValue, NoFilter, ProductThreshold
+
     if isinstance(spec, str):
         return _standard_method(spec, where, "rule").rule
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -272,6 +252,8 @@ def _parse_rule(spec, where: str) -> FiltrationRule:
 
 
 def _parse_adjustment(spec, where: str):
+    from .procedure import BonferroniOverUnfiltered, FiltrationAware
+
     if spec is None or isinstance(spec, dict) and spec.get("kind") == "bonferroni":
         return BonferroniOverUnfiltered()
     if isinstance(spec, dict) and spec.get("kind") == "filtration_aware":
@@ -284,6 +266,8 @@ def _parse_adjustment(spec, where: str):
 
 
 def _parse_methods(spec, where: str) -> tuple[Method, ...]:
+    from .simulate import Method, standard_methods
+
     if spec is None or spec == "all":
         return standard_methods()
     if isinstance(spec, str):
@@ -310,6 +294,8 @@ def _parse_methods(spec, where: str) -> tuple[Method, ...]:
 
 def _parse_scenario(spec, settings: dict, where: str) -> ScenarioMixture:
     """A builtin scenario by name, or an inline one; the size (and simulate's pi) settings win."""
+    from .simulate import Assignment, MixtureRow, ScenarioMixture, Truth, builtin_scenario
+
     overrides = {f.name: settings[f.name] for f in _SIZES if settings[f.name] is not None}
     if settings.get("pi") is not None:
         if spec != "hierarchical":
@@ -379,7 +365,7 @@ _SEED_FIELD = _Field("seed", _SEED, "master seed (default: TWOSTAGE_SEED or draw
 _OUT = _Field("out", _STRING, "output path")
 _SCENARIO_RUN = (
     _CONFIG,
-    _Field("scenario", _SPEC, f"builtin scenario: {', '.join(BUILTIN_SCENARIOS)}", required=True),
+    _Field("scenario", _SPEC, "builtin scenario: {scenarios}", required=True),
     *_SIZES,
     _SEED_FIELD,
     _OUT,
@@ -402,7 +388,7 @@ _FWER_BOUND = (
 
 _MSE_RATIO = (
     _CONFIG,
-    _Field("preset", _STRING, f"named preset: {', '.join(sorted(MSE_RATIO_PRESETS))}"),
+    _Field("preset", _STRING, "named preset: {presets}"),
     _Field("gamma", _SPEC, "gamma sequence, e.g. '2n^-0.5'"),
     _Field("beta", _SPEC, "beta sequence"),
     _Field("c", _NUMBER, "filtration constant c"),
@@ -420,7 +406,7 @@ _CLASSIFY = (
     _Field("beta", _SPEC, "beta sequence", required=True),
     _Field("c", _NUMBER, "filtration constant c", required=True),
     _Field("delta", _NUMBER, "filtration exponent delta", required=True),
-    _Field("n_grid", _SAMPLE_SIZES, "comma-separated sample sizes", DEFAULT_N_GRID),
+    _Field("n_grid", _SAMPLE_SIZES, "comma-separated sample sizes"),
 )
 
 _FIT = (
@@ -433,6 +419,9 @@ _FIT = (
 
 
 def _cmd_simulate(s: dict) -> int:
+    from .report import write_simulation_report
+    from .simulate import run_experiment
+
     scenario = _parse_scenario(s["scenario"], s, "scenario")
     methods = _parse_methods(s["methods"], "methods")
     out = s["out"] or f"simulate-{scenario.name}.{s['format']}"
@@ -449,6 +438,8 @@ def _cmd_simulate(s: dict) -> int:
         )
 
     if s["svg"]:
+        from .svgplot import Series, line_plot
+
         idx = list(range(1, len(report.methods) + 1))
         line_plot(
             s["svg"],
@@ -468,6 +459,10 @@ def _cmd_simulate(s: dict) -> int:
 
 
 def _cmd_mse_ratio(s: dict) -> int:
+    from .asymptotics import MSE_RATIO_PRESETS, ParamSequence, mse_ratio_experiment
+    from .dist import RandomStream
+    from .report import write_mse_ratio_report
+
     preset_name = s["preset"]
     custom = [key for key in ("gamma", "beta", "c", "delta") if s[key] is not None]
     if preset_name and preset_name not in MSE_RATIO_PRESETS:
@@ -513,6 +508,8 @@ def _cmd_mse_ratio(s: dict) -> int:
         )
 
     if s["svg"]:
+        from .svgplot import Series, line_plot
+
         line_plot(
             s["svg"],
             [Series("MSE ratio", [p.n for p in points], [p.ratio for p in points], [p.mc_se for p in points])],
@@ -529,17 +526,23 @@ def _cmd_mse_ratio(s: dict) -> int:
 
 
 def _cmd_classify(s: dict) -> int:
+    from .asymptotics import DEFAULT_N_GRID, ParamSequence, classify_product_regime
+    from .jsonsafe import strict
+
     seq = ParamSequence(_parse_sequence(s["gamma"], "gamma"), _parse_sequence(s["beta"], "beta"))
-    result = classify_product_regime(seq, s["c"], s["delta"], s["n_grid"])
+    n_grid = DEFAULT_N_GRID if s["n_grid"] is None else s["n_grid"]
+    result = classify_product_regime(seq, s["c"], s["delta"], n_grid)
     diagnostics = {"A": result.a_value, "mean_term": result.a_mean_term, "sd_term": result.a_sd_term}
     print(
         _json_line(
-            {
-                "L_region": result.L_region.value,
-                "K": nan_to_none(result.K_value),
-                "efficiency_class": result.efficiency_class.value,
-                "A_diagnostics": {key: nan_to_none(value) for key, value in diagnostics.items()},
-            }
+            strict(
+                {
+                    "L_region": result.L_region.value,
+                    "K": result.K_value,
+                    "efficiency_class": result.efficiency_class.value,
+                    "A_diagnostics": diagnostics,
+                }
+            )
         )
     )
     return EXIT_OK
@@ -549,6 +552,9 @@ def _cmd_classify(s: dict) -> int:
 
 
 def _cmd_fit(s: dict) -> int:
+    from .estimators import joint_pvalue, product_stat, sobel_stat
+    from .ingest import ols_mediation_fit, read_observations
+
     table = read_observations(s["data"], delimiter=s["delimiter"])
     pair = ols_mediation_fit(table)
     try:
@@ -579,6 +585,10 @@ def _cmd_fit(s: dict) -> int:
 
 
 def _cmd_fwer_bound(s: dict) -> int:
+    from .dist import RandomStream
+    from .procedure import filtration_prob_at_theta0, fwer_bound_from_survivors
+    from .simulate import Method, conditional_rejection_stats
+
     scenario = _parse_scenario(s["scenario"], s, "scenario")
     rule_spec = s["rule"]
     if isinstance(rule_spec, str) and rule_spec.lstrip().startswith("{"):
@@ -612,6 +622,8 @@ def _cmd_fwer_bound(s: dict) -> int:
     }
     print(_json_line(payload))
     if s["out"]:
+        from .report import write_json
+
         write_json(payload, s["out"])
         print(f"wrote {s['out']}")
     return EXIT_OK
@@ -630,6 +642,23 @@ _COMMANDS = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Fills ``{scenarios}`` and ``{presets}`` in a flag's help only when help is printed.
+
+    So only ``--help`` loads the modules that define those names.
+    """
+
+    def _get_help_string(self, action):
+        text = super()._get_help_string(action)
+        if "{scenarios}" in text or "{presets}" in text:
+            from .asymptotics import MSE_RATIO_PRESETS
+            from .simulate import BUILTIN_SCENARIOS
+
+            names = {"scenarios": BUILTIN_SCENARIOS, "presets": sorted(MSE_RATIO_PRESETS)}
+            text = text.format(**{key: ", ".join(value) for key, value in names.items()})
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twostage",
@@ -637,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, table) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
         for field in table:
             flag = field.name if field.positional else "--" + field.name.replace("_", "-")
             p.add_argument(flag, type=field.parse_flag, help=field.help)

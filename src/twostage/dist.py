@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, Philox
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "RandomStream",
@@ -59,6 +62,10 @@ class RandomStream:
     def generator(self) -> Generator:
         """The stream's numpy Generator, created on first use."""
         if self._gen is None:
+            # Deferred: numpy.random takes about 12 ms to import, and only
+            # the commands that draw need it.
+            from numpy.random import Generator, Philox
+
             # An explicit uint64 key: numpy would turn a list holding a value
             # >= 2**63 into float64, and nearby seeds would share one stream.
             key = np.array([int(self.master_seed), int(self.stream_index)], dtype=np.uint64)

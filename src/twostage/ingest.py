@@ -9,6 +9,7 @@ the scales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,30 +59,31 @@ def read_observations(path: str, delimiter: str | None = None) -> ObservationTab
     """Read a delimited text file with a header naming a, m, y and optional x1..xd.
 
     The delimiter is sniffed from the header (comma, semicolon, tab, else
-    whitespace) unless given.  Decimal separator is '.'; any non-numeric cell
-    fails with its 1-based line number.
+    whitespace) unless given.  Blank and whitespace-only lines are skipped.
+    Decimal separator is '.'; a cell that is not a finite number in ASCII
+    without digit separators fails with its 1-based line number in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
         raise DataFormatError("file is empty")
 
-    header_line = lines[0]
+    header_line = lines[start]
     if delimiter is None:
         for cand in (",", ";", "\t"):
             if cand in header_line:
                 delimiter = cand
                 break
+    delimiter = delimiter or None  # None splits on runs of whitespace
 
     def split(line: str) -> list[str]:
-        parts = line.split(delimiter) if delimiter else line.split()
-        return [p.strip() for p in parts]
+        return [p.strip() for p in line.split(delimiter)]
 
     header = [h.lower() for h in split(header_line)]
     for required in ("a", "m", "y"):
         if required not in header:
-            raise DataFormatError(f"missing required column {required!r}", line=1)
+            raise DataFormatError(f"missing required column {required!r}", line=start + 1)
     x_names = sorted(
         (h for h in header if h.startswith("x") and h[1:].isdigit()),
         key=lambda h: int(h[1:]),
@@ -89,27 +91,25 @@ def read_observations(path: str, delimiter: str | None = None) -> ObservationTab
     expected = set(x_names) | {"a", "m", "y"}
     unknown = [h for h in header if h not in expected]
     if unknown:
-        raise DataFormatError(f"unexpected column(s) {unknown}", line=1)
+        raise DataFormatError(f"unexpected column(s) {unknown}", line=start + 1)
     if x_names and [int(h[1:]) for h in x_names] != list(range(1, len(x_names) + 1)):
-        raise DataFormatError(f"covariate columns must be x1..xd without gaps, got {x_names}", line=1)
+        raise DataFormatError(f"covariate columns must be x1..xd without gaps, got {x_names}", line=start + 1)
+
+    body = [ln for ln in lines[start + 1:] if ln.strip()]
+    if not body:
+        raise DataFormatError("no data rows")
+    data = None
+    # loadtxt parses in C but takes only a one-character delimiter other than
+    # a newline, and names no line of the file when it fails.
+    if delimiter is None or len(delimiter) == 1 and delimiter not in "\r\n":
+        try:
+            data = np.loadtxt(body, delimiter=delimiter, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        data = _read_rows(lines, start + 1, split, len(header))
 
     col = {name: header.index(name) for name in header}
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = split(line)
-        if len(parts) != len(header):
-            raise DataFormatError(
-                f"expected {len(header)} fields, found {len(parts)}", line=lineno
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            bad = next(p for p in parts if not _is_number(p))
-            raise DataFormatError(f"non-numeric field {bad!r}", line=lineno) from None
-
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        raise DataFormatError("no data rows")
     x = data[:, [col[h] for h in x_names]] if x_names else np.empty((len(data), 0))
     try:
         return ObservationTable(x=x, a=data[:, col["a"]], m=data[:, col["m"]], y=data[:, col["y"]])
@@ -117,12 +117,34 @@ def read_observations(path: str, delimiter: str | None = None) -> ObservationTab
         raise DataFormatError(str(exc)) from exc
 
 
-def _is_number(text: str) -> bool:
+def _read_rows(lines: list[str], first: int, split, width: int) -> np.ndarray:
+    """``lines[first:]`` parsed one at a time; the first bad line fails with its number."""
+    rows = []
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        if not line.strip():
+            continue
+        parts = split(line)
+        if len(parts) != width:
+            raise DataFormatError(f"expected {width} fields, found {len(parts)}", line=lineno)
+        rows.append([_cell(p, lineno) for p in parts])
+    return np.asarray(rows, dtype=float)
+
+
+def _cell(text: str, lineno: int) -> float:
+    """``text`` as a finite float, read as ``np.loadtxt`` reads it.
+
+    ``float`` also takes digit separators (``1_000``) and non-ASCII digits;
+    loadtxt refuses both, and so does this.
+    """
     try:
-        float(text)
-        return True
+        value = float(text) if text.isascii() and "_" not in text else None
     except ValueError:
-        return False
+        value = None
+    if value is None:
+        raise DataFormatError(f"non-numeric field {text!r}", line=lineno)
+    if not math.isfinite(value):
+        raise DataFormatError(f"non-finite field {text!r}", line=lineno)
+    return value
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:

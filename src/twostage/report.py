@@ -12,11 +12,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple
-from typing import Sequence, get_type_hints
+from typing import TYPE_CHECKING, Sequence, get_type_hints
 
-from .asymptotics import MseRatioPoint
 from .exceptions import DataFormatError
-from .simulate import MethodResult, ReportMeta, SimulationReport
+from .jsonsafe import strict
+
+if TYPE_CHECKING:
+    from .asymptotics import MseRatioPoint
+    from .simulate import ReportMeta, SimulationReport
 
 __all__ = [
     "format_float",
@@ -44,19 +47,10 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _strict(value):
-    """``value`` with every float, at any depth, passed through :func:`nan_to_none`."""
-    if isinstance(value, dict):
-        return {key: _strict(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_strict(item) for item in value]
-    return nan_to_none(value) if isinstance(value, float) else value
-
-
 def write_json(payload: dict, path: str) -> None:
     """Write ``payload`` as a strict JSON document: 2-space indent, LF endings, final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_strict(payload), fh, indent=2, allow_nan=False)
+        json.dump(strict(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -102,6 +96,8 @@ def _read_table(path: str, key: str, columns: Sequence[str], row_type) -> tuple[
 
 def _meta_from_strings(raw: dict) -> ReportMeta:
     """ReportMeta from CSV metadata text or from the typed JSON ``meta`` object."""
+    from .simulate import ReportMeta
+
     try:
         return ReportMeta(
             seed=int(raw["seed"]),
@@ -124,6 +120,8 @@ def write_simulation_report(report: SimulationReport, path: str, fmt: str = "csv
 
 def read_simulation_report(path: str) -> SimulationReport:
     """Parse a report written by :func:`write_simulation_report` (either format)."""
+    from .simulate import MethodResult, SimulationReport
+
     meta, methods = _read_table(path, "methods", _SIM_COLUMNS, MethodResult)
     return SimulationReport(_meta_from_strings(meta), tuple(methods))
 
@@ -134,19 +132,12 @@ def write_mse_ratio_report(points: Sequence[MseRatioPoint], meta: dict, path: st
 
 def read_mse_ratio_report(path: str) -> tuple[list[MseRatioPoint], dict]:
     """Parse a ratio report back into points plus raw metadata (strings from CSV)."""
+    from .asymptotics import MseRatioPoint
+
     meta, points = _read_table(path, "points", _MSE_COLUMNS, MseRatioPoint)
     return points, meta
 
 
 def _float_from_json(x) -> float:
-    """A float cell, from JSON or CSV text: None (see :func:`nan_to_none`) is NaN."""
+    """A float cell, from JSON or CSV text: None (see :func:`.jsonsafe.nan_to_none`) is NaN."""
     return math.nan if x is None else float(x)
-
-
-def nan_to_none(x: float):
-    """JSON-safe float: None for NaN, strings for infinities."""
-    if x is None or math.isnan(x):
-        return None
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x

@@ -83,6 +83,11 @@ class TestPowerSequence:
         with pytest.raises(ValueError):
             PowerSequence.parse("")
 
+    @pytest.mark.parametrize("text", ["n^-1/0", "2n^-3/0.0", "1+n^-0/0e5"])
+    def test_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            PowerSequence.parse(text)
+
     def test_eval_sequence_op(self):
         point = eval_sequence(seq("3n^-0.5", "0"), 9)
         assert point == ParamPoint(1.0, 0.0)

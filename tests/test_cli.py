@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +142,9 @@ class TestMseRatioCommand:
         assert f"n={10**24} ratio=" in capsys.readouterr().out
 
     # The plain MSE underflows at a huge n, and its square overflows (or the
-    # draws themselves do) at a huge parameter.
+    # draws themselves do) at a huge parameter.  A numpy warning would be
+    # printed before the error line, so warnings fail the test.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "settings, n",
         [
@@ -179,8 +183,10 @@ class TestClassifyCommand:
         code = run_cli("classify", "--gamma", "n^-1", "--beta", "n^-1", "--c", "2.5", "--delta", "1.2")
         assert code == 4
 
-    def test_bad_sequence_exit_2(self):
-        assert run_cli("classify", "--gamma", "n^0.5", "--beta", "0", "--c", "1", "--delta", "0.8") == 2
+    @pytest.mark.parametrize("gamma", ["n^0.5", "n^-1/0"])
+    def test_bad_sequence_exit_2(self, capsys, gamma):
+        assert run_cli("classify", "--gamma", gamma, "--beta", "0", "--c", "1", "--delta", "0.8") == 2
+        assert capsys.readouterr().err.startswith("error: gamma: ")
 
 
 class TestFitCommand:
@@ -217,6 +223,18 @@ class TestFitCommand:
         path.write_text("a,y\n1,2\n")
         assert run_cli("fit", str(path)) == 2
         assert "'m'" in capsys.readouterr().err
+
+    # A nan cell used to end in "rank deficient" (exit 5), and an inf cell in
+    # a numpy warning on stderr; both now fail at the file's line, exit 2.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exit_2(self, tmp_path, capsys, cell):
+        path = tmp_path / "data.csv"
+        lines = Path(self._write_synthetic(tmp_path, noise=1.0)).read_text().splitlines()
+        lines[7] = ",".join([cell] + lines[7].split(",")[1:])
+        path.write_text("\n".join(lines[:5]) + "\n\n" + "\n".join(lines[5:]) + "\n")
+        assert run_cli("fit", str(path)) == 2
+        assert capsys.readouterr().err == f"error: line 9: non-finite field '{cell}'\n"
 
     def test_missing_file_exit_3(self, tmp_path):
         assert run_cli("fit", str(tmp_path / "nope.csv")) == 3
@@ -346,20 +364,74 @@ class TestSeedHandling:
         assert "drawn; pass --seed" in capsys.readouterr().out
 
 
-def test_classify_mse_ratio_and_fit_load_no_scipy(tmp_path):
-    data = tmp_path / "fit.csv"
+_SIZE = ["--m", "40", "--reps", "5", "--seed", "1"]
+_CLASSIFY = ["classify", "--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "0.8"]
+_MSE_RATIO = ["mse-ratio", "--preset", "k-4over3", "--n-grid", "100,1000,10000", "--reps", "200", "--seed", "1"]
+_SIMULATE = ["simulate", "--scenario", "config2", "--methods", "all", *_SIZE]
+
+
+# Each case runs in a fresh interpreter: the subcommand's calls, then the
+# modules that must still be absent.  Both stages decide on |z| against
+# critical values, so no command needs scipy.
+@pytest.mark.parametrize(
+    "calls, forbidden",
+    [
+        ([["fit", "fit.csv"]], ["simulate", "procedure", "asymptotics", "report", "svgplot", "numpy.random"]),
+        ([_CLASSIFY], ["simulate", "procedure", "ingest", "report", "svgplot", "numpy.random"]),
+        ([_MSE_RATIO], ["simulate", "procedure", "ingest", "svgplot"]),
+        ([[*_MSE_RATIO, "--svg", "r.svg"]], ["simulate", "procedure", "ingest"]),
+        ([_SIMULATE], ["ingest", "svgplot"]),
+        ([[*_SIMULATE, "--svg", "r.svg"]], ["ingest"]),
+        (
+            [
+                ["fwer-bound", "--scenario", "hierarchical", "--rule", rule, *_SIZE, "--p0-reps", "100", "--out", "b.json"]
+                for rule in ("nofilter", "minp", "chisq2", "prod-0.9")
+            ],
+            ["ingest", "svgplot"],
+        ),
+    ],
+    ids=["fit", "classify", "mse-ratio", "mse-ratio-svg", "simulate", "simulate-svg", "fwer-bound"],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, calls, forbidden):
     rng = np.random.default_rng(3)
-    data.write_text("a,m,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rng.normal(size=(50, 3))))
+    rows = rng.normal(size=(50, 3))
+    (tmp_path / "fit.csv").write_text("a,m,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+    forbidden = [name if name.startswith("numpy") else f"twostage.{name}" for name in forbidden]
     code = textwrap.dedent(
         f"""
         import sys
         from twostage.cli import main
-        assert main(["classify", "--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "0.8"]) == 0
-        assert main(["mse-ratio", "--preset", "k-4over3", "--n-grid", "100,1000,10000", "--reps", "200",
-                     "--seed", "1", "--out", {str(tmp_path / "r.csv")!r}]) == 0
-        assert main(["fit", {str(data)!r}]) == 0
-        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        for argv in {calls!r}:
+            assert main(argv) == 0, argv
+        loaded = sorted(m for m in sys.modules if m in {forbidden!r} or m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
+        """
+    )
+    src = os.path.dirname(os.path.dirname(twostage.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_package_names_load_their_module_on_first_use():
+    code = textwrap.dedent(
+        """
+        import sys
+        import twostage
+        assert not [m for m in sys.modules if m.startswith("twostage.")]
+        assert twostage.PowerSequence is sys.modules["twostage.asymptotics"].PowerSequence
+        assert "twostage.simulate" not in sys.modules
+        assert set(twostage.__all__) <= set(dir(twostage))
+        for name in twostage.__all__:
+            getattr(twostage, name)
+        try:
+            twostage.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("no AttributeError")
         """
     )
     src = os.path.dirname(os.path.dirname(twostage.__file__))
@@ -368,26 +440,19 @@ def test_classify_mse_ratio_and_fit_load_no_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_simulate_and_fwer_bound_load_no_scipy(tmp_path):
-    # Both stages decide on |z| against critical values, so no rule needs scipy's p-values.
-    code = textwrap.dedent(
-        f"""
-        import sys
-        from twostage.cli import main
-        size = ["--m", "40", "--reps", "5", "--seed", "1"]
-        assert main(["simulate", "--scenario", "config2", "--methods", "all", *size,
-                     "--out", {str(tmp_path / "r.csv")!r}]) == 0
-        for rule in ("nofilter", "minp", "chisq2", "prod-0.9"):
-            assert main(["fwer-bound", "--scenario", "hierarchical", "--rule", rule, *size,
-                         "--p0-reps", "100"]) == 0
-        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        assert not loaded, loaded
-        """
-    )
-    src = os.path.dirname(os.path.dirname(twostage.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
+@pytest.mark.parametrize("command", ["simulate", "fwer-bound", "mse-ratio"])
+def test_help_lists_scenarios_and_presets(capsys, command):
+    from twostage.asymptotics import MSE_RATIO_PRESETS
+    from twostage.simulate import BUILTIN_SCENARIOS
+
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    label, names = ("named preset", sorted(MSE_RATIO_PRESETS)) if command == "mse-ratio" else ("builtin scenario", list(BUILTIN_SCENARIOS))
+    listed = re.search(label + r": ((?:[\w.-]+, )*[\w.-]+)", text)
+    assert listed is not None, text
+    assert listed.group(1).split(", ") == names
 
 
 # Smallest valid config per subcommand; each test below changes one key.

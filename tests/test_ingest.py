@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage import (
     DataFormatError,
@@ -137,6 +141,63 @@ class TestReadObservations(object):
         path = self._write(tmp_path, "a,m,y\n1,2\n")
         with pytest.raises(DataFormatError, match="line 2"):
             read_observations(path)
+
+    # Blank and whitespace-only lines are skipped but still counted, so an
+    # error names the line of the file.  Non-finite cells are refused, and so
+    # are spellings that float() reads but np.loadtxt does not.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,m,y\n\n1,2,3\n\n4,x,6\n7,8,9\n", "line 5: non-numeric field 'x'"),
+            ("a,m,y\n \n1,2,3\n\t\n4,5\n7,8,9\n", "line 5: expected 3 fields, found 2"),
+            ("\n\na,m\n1,2\n", "line 3: missing required column 'y'"),
+            ("a m y\n\n1 2 3\n   \n4 5 6 7\n", "line 5: expected 3 fields, found 4"),
+            ("a,m,y\n1,2,3\n\n4,nan,6\n7,8,9\n", "line 4: non-finite field 'nan'"),
+            ("a,m,y\n1,2,3\n\n4,5,-Infinity\n7,8,9\n", "line 4: non-finite field '-Infinity'"),
+            ("a;m;y\n1;2;3\n\n1e400;5;6\n7;8;9\n", "line 4: non-finite field '1e400'"),
+            ("a,m,y\n1,2,3\n4,1_000,6\n7,8,9\n", "line 3: non-numeric field '1_000'"),
+            ("a,m,y\n1,2,3\n4,\u0661\u0662,6\n7,8,9\n", "line 3: non-numeric field '\u0661\u0662'"),
+            ("a,m,y\n1,2,3\n4,5,6\n7,8,\uff19\n", "line 4: non-numeric field '\uff19'"),
+        ],
+    )
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        with pytest.raises(DataFormatError, match=f"^{message}$"):
+            read_observations(self._write(tmp_path, text))
+
+    def test_multi_character_delimiter(self, tmp_path):
+        path = self._write(tmp_path, "a::m::y\n1::2::3\n4::5::6\n7::8::9.5\n")
+        table = read_observations(path, delimiter="::")
+        assert table.y.tolist() == [3.0, 6.0, 9.5]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(0, 2),
+        extra_rows=st.integers(0, 5),
+        delimiter=st.sampled_from([",", ";", "\t", " "]),
+        data=st.data(),
+    )
+    def test_any_finite_table_reads_back_exactly(self, tmp_path_factory, d, extra_rows, delimiter, data):
+        columns = [f"x{i}" for i in range(1, d + 1)] + ["a", "m", "y"]
+        cells = data.draw(
+            st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(columns), max_size=len(columns)),
+                min_size=d + 3 + extra_rows,
+                max_size=d + 3 + extra_rows,
+            )
+        )
+        lines = [delimiter.join(columns)] + [delimiter.join(repr(v) for v in row) for row in cells]
+        filler = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
+        text = "".join(
+            "".join(line + "\n" for line in data.draw(filler)) + line + "\n" for line in lines
+        )
+        path = tmp_path_factory.mktemp("table") / "data.txt"
+        path.write_text(text, encoding="utf-8")
+        # A valid table must be read by the one loadtxt pass alone.
+        with mock.patch("twostage.ingest._read_rows", side_effect=AssertionError("line-by-line reader used")):
+            table = read_observations(str(path))
+        want = np.array([[float(repr(v)) for v in row] for row in cells])
+        got = np.column_stack([table.x, table.a, table.m, table.y])
+        assert got.tobytes() == want.tobytes()
 
     def test_fit_from_file_round_trip(self, tmp_path):
         table = synthetic_table(n=400, seed=6, d=1)
