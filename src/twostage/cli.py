@@ -12,7 +12,10 @@ and otherwise a fresh seed is drawn and printed so the run can be replayed.
 
 Each handler imports the library code it runs when it is called, so a call
 loads only its own subcommand's modules (``fit`` never loads the simulation
-engine, nor ``numpy.random``).
+engine, nor ``numpy.random``), and importing this module, ``--help`` and a
+usage error load no numpy at all.  ``main`` runs numpy's BLAS in one thread
+unless OPENBLAS_NUM_THREADS is set: the program's BLAS work is one small QR
+and a few matrix-vector products, and each extra OpenBLAS worker only spins.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import os
 import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from .exceptions import (
     ConfigError,
@@ -104,9 +105,10 @@ def _list_of(item: _Kind, what: str) -> _Kind:
     return _Kind(check)
 
 
-# Counts size numpy arrays, so they must fit numpy's index type; a sample size
-# enters the formulas as a float, so it must fit a float.
-_COUNT = _Kind(lambda value, where: _int_at_least(value, 1, where, np.iinfo(np.intp).max))
+# Counts size numpy arrays, so they must fit numpy's index type (np.intp, whose
+# largest value is sys.maxsize); a sample size enters the formulas as a float,
+# so it must fit a float.
+_COUNT = _Kind(lambda value, where: _int_at_least(value, 1, where, sys.maxsize))
 _SAMPLE_SIZE = _Kind(lambda value, where: _int_at_least(value, 1, where, sys.float_info.max))
 # Philox takes a 64-bit key, so a larger seed would replay a smaller one's stream.
 _SEED = _Kind(lambda value, where: _int_at_least(value, 0, where, 2**64 - 1))
@@ -350,6 +352,10 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "))
 
 
+def _nan_to_zero(value: float) -> float:
+    return 0.0 if math.isnan(value) else value
+
+
 # ---------------------------------------------------------------- settings
 
 _CONFIG = _Field("config", _STRING, "JSON config file; flags override its keys")
@@ -445,7 +451,7 @@ def _cmd_simulate(s: dict) -> int:
             s["svg"],
             [
                 Series("FWER", idx, [m.empirical_fwer for m in report.methods], [m.fwer_se for m in report.methods]),
-                Series("power", idx, [np.nan_to_num(m.power) for m in report.methods], [np.nan_to_num(m.power_se) for m in report.methods]),
+                Series("power", idx, [_nan_to_zero(m.power) for m in report.methods], [_nan_to_zero(m.power_se) for m in report.methods]),
             ],
             x_label="method index: " + " ".join(f"{i}={m.method_id}" for i, m in zip(idx, report.methods)),
             y_label="probability",
@@ -617,14 +623,16 @@ def _cmd_fwer_bound(s: dict) -> int:
         "survivor_bound": bound,
         "simulated_fwer": stats.fwer,
         "fwer_se": stats.fwer_se,
-        "mean_F": float(np.mean(stats.F_samples)),
+        "mean_F": sum(stats.F_samples) / len(stats.F_samples),
         "seed": s["seed"],
     }
-    print(_json_line(payload))
+    # The file comes first, so a run that cannot write it prints no result.
     if s["out"]:
         from .report import write_json
 
         write_json(payload, s["out"])
+    print(_json_line(payload))
+    if s["out"]:
         print(f"wrote {s['out']}")
     return EXIT_OK
 
@@ -674,6 +682,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand and return its exit code; argparse exits 2 on a usage error.
+
+    When numpy is not yet loaded, OPENBLAS_NUM_THREADS defaults to 1 first (a
+    value already set is kept); a process that has loaded numpy keeps its BLAS.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     run, _, table = _COMMANDS[args.command]
     try:
@@ -682,7 +697,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InconsistentRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (SingularDesignError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (SingularDesignError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:  # ConfigError and DataFormatError among them

@@ -163,7 +163,10 @@ def _ols(design: np.ndarray, response: np.ndarray):
     float, so downstream scale invariants (sigma > 0) still hold.
     """
     n, p = design.shape
-    q, r = np.linalg.qr(design)
+    try:
+        q, r = np.linalg.qr(design)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(str(exc)) from exc
     diag = np.abs(np.diag(r))
     if diag.min() <= _RANK_RTOL * max(diag.max(), 1.0):
         raise SingularDesignError("design matrix is rank deficient")

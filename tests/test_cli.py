@@ -250,6 +250,16 @@ class TestFitCommand:
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("fit", str(path)) == 5
 
+    def test_lapack_error_exit_5(self, tmp_path, capsys, monkeypatch):
+        def qr(design):
+            raise np.linalg.LinAlgError("QR did not converge")
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        assert run_cli("fit", self._write_synthetic(tmp_path, noise=1.0)) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: QR did not converge\n"
+
 
 class TestFwerBoundCommand:
     def test_nofilter_reduces_to_bonferroni(self, tmp_path, capsys):
@@ -278,6 +288,16 @@ class TestFwerBoundCommand:
 
     def test_requires_rule(self):
         assert run_cli("fwer-bound", "--scenario", "config1", "--seed", "1") == 2
+
+    def test_unwritable_out_prints_no_result(self, tmp_path, capsys):
+        code = run_cli(
+            "fwer-bound", "--scenario", "config1", "--rule", "minp",
+            "--reps", "5", "--m", "20", "--seed", "1", "--p0-reps", "100", "--out", str(tmp_path),
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestSeedHandling:
@@ -370,49 +390,98 @@ _MSE_RATIO = ["mse-ratio", "--preset", "k-4over3", "--n-grid", "100,1000,10000",
 _SIMULATE = ["simulate", "--scenario", "config2", "--methods", "all", *_SIZE]
 
 
-# Each case runs in a fresh interpreter: the subcommand's calls, then the
-# modules that must still be absent.  Both stages decide on |z| against
-# critical values, so no command needs scipy.
+def _run_python(code, **kwargs):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(twostage.__file__))
+    env = kwargs.pop("env", os.environ)
+    env = dict(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, **kwargs)
+
+
+# Each case runs in a fresh interpreter: the subcommand's calls and the exit
+# code each must give, then the modules that must still be absent.  Both
+# stages decide on |z| against critical values, so no command needs scipy;
+# importing the CLI, help and usage errors need no numpy.
 @pytest.mark.parametrize(
-    "calls, forbidden",
+    "calls, code, forbidden",
     [
-        ([["fit", "fit.csv"]], ["simulate", "procedure", "asymptotics", "report", "svgplot", "numpy.random"]),
-        ([_CLASSIFY], ["simulate", "procedure", "ingest", "report", "svgplot", "numpy.random"]),
-        ([_MSE_RATIO], ["simulate", "procedure", "ingest", "svgplot"]),
-        ([[*_MSE_RATIO, "--svg", "r.svg"]], ["simulate", "procedure", "ingest"]),
-        ([_SIMULATE], ["ingest", "svgplot"]),
-        ([[*_SIMULATE, "--svg", "r.svg"]], ["ingest"]),
+        ([], 0, ["numpy"]),
+        ([["--help"]], 0, ["numpy"]),
+        ([["classify", "--help"]], 0, ["numpy"]),
+        ([["simulate", "--scenario", "config1", "--reps", "0"]], 2, ["numpy"]),
+        ([["fit", "fit.csv"]], 0, ["simulate", "procedure", "asymptotics", "report", "svgplot", "numpy.random"]),
+        ([_CLASSIFY], 0, ["simulate", "procedure", "ingest", "report", "svgplot", "numpy.random"]),
+        ([_MSE_RATIO], 0, ["simulate", "procedure", "ingest", "svgplot"]),
+        ([[*_MSE_RATIO, "--svg", "r.svg"]], 0, ["simulate", "procedure", "ingest"]),
+        ([_SIMULATE], 0, ["ingest", "svgplot"]),
+        ([[*_SIMULATE, "--svg", "r.svg"]], 0, ["ingest"]),
         (
             [
                 ["fwer-bound", "--scenario", "hierarchical", "--rule", rule, *_SIZE, "--p0-reps", "100", "--out", "b.json"]
                 for rule in ("nofilter", "minp", "chisq2", "prod-0.9")
             ],
+            0,
             ["ingest", "svgplot"],
         ),
     ],
-    ids=["fit", "classify", "mse-ratio", "mse-ratio-svg", "simulate", "simulate-svg", "fwer-bound"],
+    ids=[
+        "import", "help", "classify-help", "usage-error", "fit", "classify", "mse-ratio", "mse-ratio-svg",
+        "simulate", "simulate-svg", "fwer-bound",
+    ],
 )
-def test_each_command_loads_only_what_it_runs(tmp_path, calls, forbidden):
+def test_each_command_loads_only_what_it_runs(tmp_path, calls, code, forbidden):
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(50, 3))
     (tmp_path / "fit.csv").write_text("a,m,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
     forbidden = [name if name.startswith("numpy") else f"twostage.{name}" for name in forbidden]
-    code = textwrap.dedent(
+    script = textwrap.dedent(
         f"""
         import sys
         from twostage.cli import main
         for argv in {calls!r}:
-            assert main(argv) == 0, argv
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == {code!r}, (argv, code)
         loaded = sorted(m for m in sys.modules if m in {forbidden!r} or m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
         """
     )
-    src = os.path.dirname(os.path.dirname(twostage.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
-    )
+    run = _run_python(script, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
+
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy first loads it, so the
+# check needs a fresh interpreter in which main() is the first to load numpy.
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_main_runs_blas_in_one_thread_unless_set(tmp_path, preset, want):
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(2000, 4))
+    (tmp_path / "fit.csv").write_text("x1,a,m,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+    script = textwrap.dedent(
+        """
+        import os, sys
+        from twostage.cli import main
+        assert "numpy" not in sys.modules
+        assert main(["fit", "fit.csv"]) == 0
+        print(os.environ.get("OPENBLAS_NUM_THREADS"))
+        print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "")
+        """
+    )
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = _run_python(script, env=env, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    value, threads = run.stdout.splitlines()[-2:]
+    assert value == want
+    if preset is None and threads:  # /proc/self/task lists one entry per thread (Linux)
+        assert threads == "1"
+
+
+def test_count_bound_is_numpys_largest_index():
+    assert sys.maxsize == np.iinfo(np.intp).max
 
 
 def test_package_names_load_their_module_on_first_use():
@@ -434,9 +503,7 @@ def test_package_names_load_their_module_on_first_use():
             raise AssertionError("no AttributeError")
         """
     )
-    src = os.path.dirname(os.path.dirname(twostage.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    run = _run_python(code)
     assert run.returncode == 0, run.stderr
 
 
