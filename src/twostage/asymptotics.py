@@ -21,6 +21,9 @@ sequence, a convergence-rate estimator, and a two-sample check that the
 normalized (Sobel) statistic has direction-dependent limit laws at the
 double null.  Probes fix unit per-observation scales; general scales reduce
 to this case by rescaling.
+
+The limits are plain ``math`` on Python floats, so classifying a sequence
+needs only the standard library; numpy loads when a probe draws.
 """
 
 from __future__ import annotations
@@ -30,13 +33,12 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .dist import RandomStream
-from .estimators import _sobel
 from .exceptions import InconsistentRegimeError
+
+if TYPE_CHECKING:
+    from .dist import RandomStream
 
 __all__ = [
     "ParamPoint",
@@ -68,6 +70,14 @@ _ZERO_TOL = 0.05
 _ZERO_SOFT = 0.25
 _DECAY_FRACTION = 0.6
 _INF_TOL = 100.0
+
+
+def _pow(x: float, y: float) -> float:
+    """``x**y`` for x > 0 as libm's pow gives it, and inf where that overflows."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -112,13 +122,13 @@ class PowerSequence:
             if exp < 0:
                 raise ValueError(f"exponent must be non-negative, got {exp}")
 
-    def at(self, n: int | float | np.ndarray):
-        """Value(s) of the sequence at sample size n."""
-        n = np.asarray(n, dtype=float)
-        value = np.full(n.shape, self.offset)
+    def at(self, n: int | float) -> float:
+        """Value of the sequence at one sample size n > 0."""
+        n = float(n)
+        value = float(self.offset)
         for coef, exp in self.terms:
-            value = value + coef * n ** (-exp)
-        return float(value) if value.ndim == 0 else value
+            value = value + coef * _pow(n, -exp)
+        return value
 
     @classmethod
     def parse(cls, text: str) -> "PowerSequence":
@@ -195,11 +205,11 @@ def eval_sequence(seq: ParamSequence, n: int) -> ParamPoint:
     return seq.at(n)
 
 
-def _check_grid(n_grid: Sequence[int]) -> np.ndarray:
-    grid = np.asarray(n_grid, dtype=float)
-    if grid.size < 3:
+def _check_grid(n_grid: Sequence[int]) -> list[float]:
+    grid = [float(n) for n in n_grid]
+    if len(grid) < 3:
         raise ValueError("n_grid needs at least 3 points")
-    if np.any(grid < 1) or np.any(np.diff(grid) <= 0):
+    if not all(1.0 <= a < b for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be increasing and positive")
     return grid
 
@@ -218,35 +228,32 @@ def extrapolate_limit(values: Sequence[float]) -> float | None:
     Sequences approaching a small nonzero constant slower than the
     stabilization window can be reported as 0; widen the grid in doubt.
     """
-    v = np.asarray(values, dtype=float)
-    if v.size < 3:
+    v = [float(x) for x in values]
+    if len(v) < 3:
         raise ValueError("need at least 3 grid values to extrapolate")
-    tail = v[-4:] if v.size >= 4 else v
-    mags = np.abs(tail)
-    last = float(v[-1])
+    mags = [abs(x) for x in v[-4:]]
+    last = v[-1]
 
-    if np.all(mags < 1e-12):
+    if all(m < 1e-12 for m in mags):
         return 0.0
-    denom = np.maximum(np.abs(v[-2:]), 1e-300)
-    rel = np.abs(np.diff(v[-3:])) / denom
-    if np.all(rel < _REL_STABLE):
+    if all(abs(b - a) / max(abs(b), 1e-300) < _REL_STABLE for a, b in zip(v[-3:], v[-2:])):
         return last
-    diffs = np.diff(mags)
-    if np.all(diffs <= 0):
+    diffs = [b - a for a, b in zip(mags, mags[1:])]
+    if all(d <= 0 for d in diffs):
         if abs(last) <= _ZERO_TOL:
             return 0.0
         if abs(last) <= _ZERO_SOFT and mags[-1] <= _DECAY_FRACTION * mags[0]:
             return 0.0
-    if np.all(diffs >= 0) and abs(last) >= _INF_TOL:
+    if all(d >= 0 for d in diffs) and abs(last) >= _INF_TOL:
         return math.copysign(math.inf, last)
     return None
 
 
-def _k_ratio(seq: ParamSequence, n: np.ndarray) -> np.ndarray:
+def _k_ratio(seq: ParamSequence, n: float) -> float:
     """Finite-n standardized distance: g*b / sqrt(n^-1 (n^-1 + g^2 + b^2))."""
     g = seq.gamma.at(n)
     b = seq.beta.at(n)
-    return n * g * b / np.sqrt(1.0 + n * (np.square(g) + np.square(b)))
+    return n * g * b / math.sqrt(1.0 + n * (g * g + b * b))
 
 
 def compute_K(seq: ParamSequence, n_grid: Sequence[int] = DEFAULT_N_GRID) -> float | None:
@@ -255,8 +262,7 @@ def compute_K(seq: ParamSequence, n_grid: Sequence[int] = DEFAULT_N_GRID) -> flo
     Returns None when the grid does not resolve the limit; widen the grid for
     sequences that converge slower than about n**-0.05.
     """
-    grid = _check_grid(n_grid)
-    return extrapolate_limit(_k_ratio(seq, grid))
+    return extrapolate_limit([_k_ratio(seq, n) for n in _check_grid(n_grid)])
 
 
 def k_upper_bound(seq: ParamSequence, n_grid: Sequence[int] = DEFAULT_N_GRID) -> float | None:
@@ -267,11 +273,12 @@ def k_upper_bound(seq: ParamSequence, n_grid: Sequence[int] = DEFAULT_N_GRID) ->
     ``2ab <= a^2 + b^2``; it is below 1 exactly when s converges to less than
     the golden ratio.
     """
-    grid = _check_grid(n_grid)
-    g = seq.gamma.at(grid)
-    b = seq.beta.at(grid)
-    s = grid * (np.square(g) + np.square(b))
-    return extrapolate_limit(s / np.sqrt(1.0 + s))
+    values = []
+    for n in _check_grid(n_grid):
+        g, b = seq.gamma.at(n), seq.beta.at(n)
+        s = n * (g * g + b * b)
+        values.append(s / math.sqrt(1.0 + s))
+    return extrapolate_limit(values)
 
 
 class LRegion(Enum):
@@ -350,12 +357,14 @@ def classify_product_regime(
     """
     if c <= 0.0 or delta <= 0.0:
         raise ValueError("c and delta must be positive")
-    grid = _check_grid(n_grid)
-    g = seq.gamma.at(grid)
-    b = seq.beta.at(grid)
-    # |g b| rather than g b: the filtration event is two-sided in T.
-    mean_term = extrapolate_limit(grid**delta * np.abs(g * b))
-    sd_term = extrapolate_limit(grid ** (delta - 0.5) * np.sqrt(1.0 / grid + np.square(g) + np.square(b)))
+    means, sds = [], []
+    for n in _check_grid(n_grid):
+        g, b = seq.gamma.at(n), seq.beta.at(n)
+        # |g b| rather than g b: the filtration event is two-sided in T.
+        means.append(_pow(n, delta) * abs(g * b))
+        sds.append(_pow(n, delta - 0.5) * math.sqrt(1.0 / n + g * g + b * b))
+    mean_term = extrapolate_limit(means)
+    sd_term = extrapolate_limit(sds)
 
     if mean_term is not None and math.isinf(mean_term):
         a_value: float | None = math.inf
@@ -438,12 +447,13 @@ def mse_ratio_experiment(
     FloatingPointError, naming n, when the plain MSE is too small to divide by
     or too large (or not finite) to square.
     """
+    import numpy as np
+
     if reps < 100:
         raise ValueError(f"reps must be at least 100, got {reps}")
     grid = _check_grid(n_grid)
     out = []
-    for i, (requested, n_float) in enumerate(zip(n_grid, grid)):
-        n = float(n_float)
+    for i, (requested, n) in enumerate(zip(n_grid, grid)):
         point = seq.at(n)
         psi = point.gamma * point.beta
         g, b = _unit_draws(stream.offset(i), point, 1.0 / math.sqrt(n), reps)
@@ -474,7 +484,7 @@ def mse_ratio_experiment(
                 n=int(requested),
                 ratio=ratio,
                 mc_se=math.sqrt(max(var_ratio, 0.0)),
-                k_at_n=float(_k_ratio(seq, np.asarray(n))),
+                k_at_n=_k_ratio(seq, n),
                 filter_freq=float(filtered.mean()),
             )
         )
@@ -495,6 +505,8 @@ def rate_probe(
     a root-n statistic, 1.0 where the rate accelerates because the gradient
     of the functional vanishes.
     """
+    import numpy as np
+
     if stat_kind not in ("product", "norm2"):
         raise ValueError(f"stat_kind must be 'product' or 'norm2', got {stat_kind!r}")
     grid = _check_grid(n_grid)
@@ -530,6 +542,10 @@ def irregularity_probe(
     statistic would give the same limit law for every h; a distance above the
     two-sample critical value exposes direction dependence.
     """
+    import numpy as np
+
+    from .estimators import _sobel
+
     if reps < 10_000:
         raise ValueError(f"reps must be at least 10000, got {reps}")
     root_n = math.sqrt(n)

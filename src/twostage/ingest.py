@@ -172,7 +172,10 @@ def _ols(design: np.ndarray, response: np.ndarray):
         raise SingularDesignError("design matrix is rank deficient")
     coef = _back_substitute(r, q.T @ response)
     resid = response - design @ coef
-    rss = float(resid @ resid)
+    # fsum, not a BLAS dot product, whose split across threads would move the
+    # last digits with the thread count.  Squaring in place adds no array.
+    resid *= resid
+    rss = math.fsum(resid)
     df = n - p
     s2 = rss / df if df > 0 else 0.0
     r_inv = _back_substitute(r, np.eye(p))

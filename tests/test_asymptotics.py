@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,3 +370,129 @@ class TestPresets:
         for name in ("partial-small", "partial-mid", "partial-large"):
             assert MSE_RATIO_PRESETS[name].delta == 1.0
             assert MSE_RATIO_PRESETS[name].c == 2.5
+
+
+# ------------------------------------------------------------ numpy oracle
+#
+# The same limits as numpy array formulas, the reference for the module's
+# math on Python floats.  The two may differ only where pow rounds
+# differently (numpy's SIMD power against libm's pow), so labels, None, +-inf
+# and 0 must agree exactly and finite values to a few units in the last place.
+
+
+def _np_at(s: PowerSequence, n: np.ndarray) -> np.ndarray:
+    value = np.full(n.shape, s.offset)
+    for coef, exp in s.terms:
+        value = value + coef * n ** (-exp)
+    return value
+
+
+def _np_extrapolate(values):
+    v = np.asarray(values, dtype=float)
+    tail = v[-4:] if v.size >= 4 else v
+    mags = np.abs(tail)
+    last = float(v[-1])
+    if np.all(mags < 1e-12):
+        return 0.0
+    rel = np.abs(np.diff(v[-3:])) / np.maximum(np.abs(v[-2:]), 1e-300)
+    if np.all(rel < 0.01):
+        return last
+    diffs = np.diff(mags)
+    if np.all(diffs <= 0):
+        if abs(last) <= 0.05:
+            return 0.0
+        if abs(last) <= 0.25 and mags[-1] <= 0.6 * mags[0]:
+            return 0.0
+    if np.all(diffs >= 0) and abs(last) >= 100.0:
+        return math.copysign(math.inf, last)
+    return None
+
+
+def _np_limits(sq: ParamSequence, delta: float, n_grid):
+    """(mean_term, sd_term, K, K upper bound) from the numpy formulas."""
+    grid = np.asarray(n_grid, dtype=float)
+    with np.errstate(all="ignore"):
+        g, b = _np_at(sq.gamma, grid), _np_at(sq.beta, grid)
+        s = grid * (np.square(g) + np.square(b))
+        return (
+            _np_extrapolate(grid**delta * np.abs(g * b)),
+            _np_extrapolate(grid ** (delta - 0.5) * np.sqrt(1.0 / grid + np.square(g) + np.square(b))),
+            _np_extrapolate(grid * g * b / np.sqrt(1.0 + s)),
+            _np_extrapolate(s / np.sqrt(1.0 + s)),
+        )
+
+
+def _np_region(mean, sd, delta):
+    """The L region the oracle's terms give, or None for an unreachable cell."""
+    if any(t is not None and math.isinf(t) for t in (mean, sd)):
+        return "zero", math.inf
+    a = None if mean is None or sd is None else max(abs(mean), sd)
+    if delta > 1.0 or (a == 0.0 and delta >= 1.0):
+        return None, a
+    return ("undetermined" if a is None else "one" if a == 0.0 else "interior"), a
+
+
+def _agree(new, old) -> bool:
+    if new is None or old is None or new == 0.0 or old == 0.0 or math.isinf(new) or math.isinf(old):
+        return new == old
+    return abs(new - old) <= 4 * math.ulp(max(abs(new), abs(old)))
+
+
+def _coordinate():
+    """A sequence whose offset and coefficients share one sign, so no term cancels another."""
+    magnitude = st.floats(1e-6, 1e6) | st.sampled_from([1e150, 1e200, 1e308])
+    return st.builds(
+        lambda sign, offset, terms: PowerSequence(sign * offset, tuple((sign * c, e) for c, e in terms)),
+        st.sampled_from([1.0, -1.0]),
+        st.just(0.0) | magnitude,
+        st.lists(st.tuples(st.floats(1e-6, 1e6), st.floats(0.0, 3.0)), max_size=3),
+    )
+
+
+_GRIDS = (
+    st.just(DEFAULT_N_GRID)
+    | st.lists(st.integers(1, 10**12), min_size=3, max_size=3, unique=True).map(sorted)
+    | st.lists(st.integers(20, 308), min_size=3, max_size=3, unique=True).map(lambda ks: [10**k for k in sorted(ks)])
+)
+
+
+class TestNumpyOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        gamma=_coordinate(),
+        beta=_coordinate(),
+        c=st.floats(0.01, 100.0),
+        delta=st.floats(0.05, 3.0) | st.sampled_from([0.5, 1.0, 1e308]),
+        n_grid=_GRIDS,
+    )
+    def test_classification_matches_numpy_formulas(self, gamma, beta, c, delta, n_grid):
+        sq = ParamSequence(gamma, beta)
+        mean, sd, k, bound = _np_limits(sq, delta, n_grid)
+        assert _agree(compute_K(sq, n_grid), k)
+        assert _agree(k_upper_bound(sq, n_grid), bound)
+        region, a = _np_region(mean, sd, delta)
+        if region is None:
+            with pytest.raises(InconsistentRegimeError):
+                classify_product_regime(sq, c, delta, n_grid)
+            return
+        r = classify_product_regime(sq, c, delta, n_grid)
+        assert r.L_region.value == region
+        for new, old in ((r.a_mean_term, mean), (r.a_sd_term, sd), (r.a_value, a), (r.K_value, k)):
+            assert _agree(new, old), (new, old)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats() | st.sampled_from([0.0, 1e-13, 0.05, 0.25, 100.0]), min_size=3, max_size=6))
+    def test_extrapolation_matches_numpy_exactly(self, values):
+        with np.errstate(all="ignore"):
+            old = _np_extrapolate(values)
+        new = extrapolate_limit(values)
+        assert new == old
+        assert extrapolate_limit(np.asarray(values)) == new
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 10**300) | st.floats(1.0, 1e308), exp=st.floats(0.0, 50.0))
+    def test_at_within_one_ulp_of_mpmath(self, n, exp):
+        got = PowerSequence(0.0, ((1.0, exp),)).at(n)
+        with mpmath.workprec(200):
+            exact = mpmath.power(mpmath.mpf(float(n)), -mpmath.mpf(exp))
+            assert abs(mpmath.mpf(got) - exact) <= math.ulp(got)

@@ -401,7 +401,7 @@ def _run_python(code, **kwargs):
 # Each case runs in a fresh interpreter: the subcommand's calls and the exit
 # code each must give, then the modules that must still be absent.  Both
 # stages decide on |z| against critical values, so no command needs scipy;
-# importing the CLI, help and usage errors need no numpy.
+# importing the CLI, help, usage errors and classify need no numpy.
 @pytest.mark.parametrize(
     "calls, code, forbidden",
     [
@@ -410,7 +410,7 @@ def _run_python(code, **kwargs):
         ([["classify", "--help"]], 0, ["numpy"]),
         ([["simulate", "--scenario", "config1", "--reps", "0"]], 2, ["numpy"]),
         ([["fit", "fit.csv"]], 0, ["simulate", "procedure", "asymptotics", "report", "svgplot", "numpy.random"]),
-        ([_CLASSIFY], 0, ["simulate", "procedure", "ingest", "report", "svgplot", "numpy.random"]),
+        ([_CLASSIFY], 0, ["simulate", "procedure", "ingest", "report", "svgplot", "dist", "estimators", "numpy"]),
         ([_MSE_RATIO], 0, ["simulate", "procedure", "ingest", "svgplot"]),
         ([[*_MSE_RATIO, "--svg", "r.svg"]], 0, ["simulate", "procedure", "ingest"]),
         ([_SIMULATE], 0, ["ingest", "svgplot"]),
@@ -450,6 +450,72 @@ def test_each_command_loads_only_what_it_runs(tmp_path, calls, code, forbidden):
     )
     run = _run_python(script, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
+
+
+# classify's exact line at defaults, also checked by the benchmark's quick-cmds workload.
+_CLASSIFY_LINE = (
+    '{"L_region": "one", "K": 0.0, "efficiency_class": "much_more", '
+    '"A_diagnostics": {"A": 0.0, "mean_term": 0.0, "sd_term": 0.0}}'
+)
+
+
+def test_classify_runs_without_numpy():
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+        from twostage.cli import main
+        sys.exit(main({_CLASSIFY!r}))
+        """
+    )
+    run = _run_python(script)
+    assert (run.returncode, run.stdout, run.stderr) == (0, _CLASSIFY_LINE + "\n", "")
+
+
+_HUGE_GRID = ",".join(str(10**k) for k in (100, 200, 300))
+_UNRESOLVED = (
+    '{"L_region": "undetermined", "K": null, "efficiency_class": "indeterminate", '
+    '"A_diagnostics": {"A": null, "mean_term": null, "sd_term": null}}\n'
+)
+
+
+# Inputs whose terms overflow a float: the limits come out inf or NaN, and
+# nothing but the result line (or the one error line) may be printed.
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["--gamma", "1e308n^-0.5", "--beta", "1", "--c", "1", "--delta", "0.8"], 0, _UNRESOLVED),
+        (["--gamma", "1e200", "--beta", "1e200", "--c", "1", "--delta", "0.8"], 0, _UNRESOLVED),
+        (["--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "1e308"], 4, ""),
+        (["--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "3", "--n-grid", _HUGE_GRID], 4, ""),
+    ],
+    ids=["huge-coefficient", "huge-offsets", "huge-delta", "huge-integer-grid"],
+)
+def test_classify_overflow_prints_no_warning(argv, code, out):
+    script = f"import sys\nfrom twostage.cli import main\nsys.exit(main({['classify', *argv]!r}))\n"
+    run = _run_python(script)
+    assert (run.returncode, run.stdout) == (code, out)
+    if code == 0:
+        assert run.stderr == ""
+    else:
+        assert run.stderr.startswith("error: delta = ") and run.stderr.count("\n") == 1
+
+
+# OpenBLAS splits a dot product across threads above 10,000 elements, so a
+# residual sum formed by BLAS would move fit's last digits with the count (it
+# did on this file: sigma_gamma and the statistics built on it).
+def test_fit_digits_do_not_depend_on_blas_threads(tmp_path):
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(16_000, 4))
+    rows[:, 3] += 0.3 * rows[:, 2]
+    (tmp_path / "fit.csv").write_text("x1,a,m,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+    script = "import sys\nfrom twostage.cli import main\nsys.exit(main(['fit', 'fit.csv']))\n"
+    outputs = []
+    for threads in ("1", "2"):
+        run = _run_python(script, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy first loads it, so the
