@@ -16,6 +16,7 @@ from twostage import (
     filtration_prob_at_theta0,
     fwer_bound_from_survivors,
     run_two_stage,
+    survival_prob_at_theta0,
 )
 
 rng = np.random.default_rng(7)
@@ -33,9 +34,13 @@ out = run_two_stage(estimates, rule, alpha=0.05)
 print(f"plain Bonferroni over survivors: F={out.F}, rejected={out.rejected_count}, "
       f"threshold={out.per_hypothesis[0].adjusted_threshold:.2e}")
 
-# p0: how often the double null survives this filter (Monte Carlo + SE)
-p0, p0_se = filtration_prob_at_theta0(rule, 1.0, 1.0, n, 100_000, RandomStream(55, 0))
-print(f"double-null survival probability p0 = {p0:.4f} (se {p0_se:.4f})")
+# p0: how often the double null survives this filter. Both z-statistics are
+# standard normal there, so p0 = P(|Z1 Z2| >= c n^(1-delta)) exactly; a
+# 100k-draw Monte-Carlo estimate scatters around it by its standard error.
+p0 = survival_prob_at_theta0(rule, 1.0, 1.0, n)
+mc, mc_se = filtration_prob_at_theta0(rule, 1.0, 1.0, n, 100_000, RandomStream(55, 0))
+print(f"double-null survival probability p0 = {p0:.4f} "
+      f"(Monte Carlo {mc:.4f}, se {mc_se:.4f}, {(mc - p0) / mc_se:+.1f} se off)")
 
 aware = run_two_stage(estimates, rule, alpha=0.05, adjustment=FiltrationAware(p0))
 print(f"filtration-aware threshold alpha*p0/F: rejected={aware.rejected_count}, "

@@ -25,7 +25,6 @@ _EXPORTS = {
         "RegimeClassification",
         "classify_product_regime",
         "compute_K",
-        "eval_sequence",
         "extrapolate_limit",
         "irregularity_probe",
         "k_upper_bound",
@@ -37,7 +36,6 @@ _EXPORTS = {
     "dist": (
         "RandomStream",
         "chisq2_cdf",
-        "chisq2_quantile",
         "sample_normal",
         "std_normal_cdf",
         "std_normal_quantile",
@@ -77,6 +75,7 @@ _EXPORTS = {
         "filtration_prob_at_theta0",
         "fwer_bound_from_survivors",
         "run_two_stage",
+        "survival_prob_at_theta0",
     ),
     "simulate": (
         "BUILTIN_SCENARIOS",

@@ -44,7 +44,6 @@ __all__ = [
     "ParamPoint",
     "PowerSequence",
     "ParamSequence",
-    "eval_sequence",
     "extrapolate_limit",
     "compute_K",
     "k_upper_bound",
@@ -196,13 +195,6 @@ class ParamSequence:
     @classmethod
     def parse(cls, gamma: str, beta: str) -> "ParamSequence":
         return cls(PowerSequence.parse(gamma), PowerSequence.parse(beta))
-
-
-def eval_sequence(seq: ParamSequence, n: int) -> ParamPoint:
-    """Evaluate the drifting pair at sample size n."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return seq.at(n)
 
 
 def _check_grid(n_grid: Sequence[int]) -> list[float]:

@@ -2,8 +2,8 @@
 
 Subcommands: ``simulate`` (multiple-testing study), ``mse-ratio`` (shrinkage
 MSE-ratio experiment), ``classify`` (regime classification of a sequence),
-``fit`` (estimate pair from a data file), ``fwer-bound`` (filtration-aware
-adjustment factor and the survivor-count FWER bound).
+``fit`` (estimate pair from a data file), ``fwer-bound`` (the filtration-aware
+adjustment factor p0, exact from the rule, and the survivor-count FWER bound).
 
 Exit codes are a stable contract: 0 ok, 2 configuration problem, 3 I/O
 failure, 4 domain inconsistency, 5 numerical failure.  ``--seed`` pins all
@@ -44,11 +44,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DOMAIN = 4
 EXIT_NUMERIC = 5
-
-# Auxiliary randomness (e.g. the p0 estimate) lives on stream indices far
-# above the per-replication lanes r used by experiments.
-_AUX_STREAM_BASE = 2**48
-
 
 def _int_at_least(value, minimum: int, where: str, maximum: float = math.inf) -> int:
     """``value`` as an int >= ``minimum`` (and <= ``maximum``), from an int or its decimal text.
@@ -389,7 +384,7 @@ _SIMULATE = (
 _FWER_BOUND = (
     *_SCENARIO_RUN,
     _Field("rule", _SPEC, "method id (e.g. prod-0.9) or inline JSON rule", required=True),
-    _Field("p0_reps", _COUNT, "draws for the p0 estimate", 100_000),
+    _Field("p0_reps", _COUNT, "checked, but ignored: p0 is exact"),
 )
 
 _MSE_RATIO = (
@@ -591,8 +586,7 @@ def _cmd_fit(s: dict) -> int:
 
 
 def _cmd_fwer_bound(s: dict) -> int:
-    from .dist import RandomStream
-    from .procedure import filtration_prob_at_theta0, fwer_bound_from_survivors
+    from .procedure import fwer_bound_from_survivors, survival_prob_at_theta0
     from .simulate import Method, conditional_rejection_stats
 
     scenario = _parse_scenario(s["scenario"], s, "scenario")
@@ -601,15 +595,7 @@ def _cmd_fwer_bound(s: dict) -> int:
         rule_spec = json.loads(rule_spec)  # inline JSON rule text
     rule = _parse_rule(rule_spec, "rule")
 
-    with _memory_for("p0_reps", s["p0_reps"]):
-        p0, p0_se = filtration_prob_at_theta0(
-            rule,
-            scenario.sigma,
-            scenario.sigma,
-            scenario.n,
-            s["p0_reps"],
-            RandomStream(s["seed"], _AUX_STREAM_BASE),
-        )
+    p0 = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)
     with _memory_for("m", scenario.m):
         stats = conditional_rejection_stats(scenario, Method(rule), s["seed"])
     bound = fwer_bound_from_survivors(stats.q_max, stats.F_samples)
@@ -617,7 +603,6 @@ def _cmd_fwer_bound(s: dict) -> int:
         "rule": rule.label,
         "scenario": scenario.name,
         "p0": p0,
-        "p0_se": p0_se,
         "adjusted_threshold_factor": p0,
         "q_max": stats.q_max,
         "survivor_bound": bound,

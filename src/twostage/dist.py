@@ -29,7 +29,6 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "chisq2_cdf",
-    "chisq2_quantile",
     "sample_normal",
 ]
 
@@ -117,14 +116,6 @@ def chisq2_cdf(x):
         raise ValueError("x must be non-negative")
     # -expm1 keeps full precision for small x where 1 - exp(-x/2) cancels.
     return _scalar_or_array(-np.expm1(-arr / 2.0), x)
-
-
-def chisq2_quantile(p):
-    """Inverse of :func:`chisq2_cdf`: -2*log(1 - p) for p in [0, 1)."""
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr >= 0.0) & (arr < 1.0)):
-        raise ValueError("p must lie in [0, 1)")
-    return _scalar_or_array(-2.0 * np.log1p(-arr), p)
 
 
 def sample_normal(stream: RandomStream, mean: float, sd: float, size: int | None = None):

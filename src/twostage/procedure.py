@@ -1,5 +1,5 @@
 """Two-stage testing procedure: filtration rules, multiplicity adjustments,
-and finite-sample FWER bounds.
+the exact survival probability p0 at the double null, and FWER bounds.
 
 Stage 1 applies a strict preliminary test to every hypothesis and sets aside
 ("filters") those that look like the double-null point (0, 0).  Stage 2 runs
@@ -35,6 +35,7 @@ __all__ = [
     "TwoStageOutcome",
     "evaluate_filter",
     "run_two_stage",
+    "survival_prob_at_theta0",
     "filtration_prob_at_theta0",
     "fwer_bound_from_survivors",
 ]
@@ -242,6 +243,38 @@ def run_two_stage(
     return TwoStageOutcome(per_hyp, f_count, int(rejected.sum()))
 
 
+def survival_prob_at_theta0(rule: FiltrationRule, sigma_gamma: float, sigma_beta: float, n: float) -> float:
+    """The survival probability p0 of ``rule`` at the double null, exactly.
+
+    Both z-statistics are standard normal there, whatever the scales and n,
+    so p0 is 1 (NoFilter), ``1 - (1 - t)^2`` (MinPValue), ``t``
+    (ChiSquarePValue) or ``P(|Z1 Z2| >= c n^(1-delta) / (sigma_gamma sigma_beta))``.
+    """
+    if isinstance(rule, NoFilter):
+        return 1.0
+    if isinstance(rule, MinPValue):
+        return rule.threshold * (2.0 - rule.threshold)  # 1 - (1 - t)^2 without cancellation
+    if isinstance(rule, ChiSquarePValue):
+        return rule.threshold
+    if not isinstance(rule, ProductThreshold):
+        raise TypeError(f"unknown filtration rule: {rule!r}")
+    # Z1 Z2 has density K0(|x|)/pi (Craig 1936), and K0(x) integrates exp(-x cosh t)
+    # over t > 0, so P(|Z1 Z2| >= s) = (2/pi) * integral of exp(-s cosh t) / cosh t.
+    # The trapezoid rule converges geometrically on that even, analytic integrand;
+    # the step resolves the poles at t = +-i pi/2 and the peak at t = 0 (width
+    # 1/sqrt(s)).  e^-s bounds the tail and is factored out: cosh t = 1 + 2 sinh(t/2)^2.
+    s = rule.c * float(n) ** (1.0 - rule.delta) / sigma_gamma / sigma_beta
+    scale = math.exp(-s)
+    if scale == 0.0:
+        return 0.0
+    h = 0.5 / max(2.5, math.sqrt(s))
+    terms = [0.5]  # the t = 0 node, at half weight
+    while terms[-1] > 1e-18:
+        t = len(terms) * h
+        terms.append(math.exp(-2.0 * s * math.sinh(0.5 * t) ** 2) / math.cosh(t))
+    return min(1.0, 2.0 * h / math.pi * math.fsum(terms) * scale)  # rounding can pass 1 at tiny s
+
+
 def filtration_prob_at_theta0(
     rule: FiltrationRule,
     sigma_gamma: float,
@@ -253,8 +286,8 @@ def filtration_prob_at_theta0(
     """Monte-Carlo estimate of the survival probability p0 at the double null.
 
     Simulates ``reps`` estimate pairs at gamma = beta = 0 and returns the
-    fraction not filtered together with its binomial standard error.  This is
-    the p0 consumed by :class:`FiltrationAware`.
+    fraction not filtered with its binomial standard error, a check of
+    :func:`survival_prob_at_theta0`.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")

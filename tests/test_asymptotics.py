@@ -19,7 +19,6 @@ from twostage import (
     RandomStream,
     classify_product_regime,
     compute_K,
-    eval_sequence,
     extrapolate_limit,
     irregularity_probe,
     k_upper_bound,
@@ -88,12 +87,6 @@ class TestPowerSequence:
     def test_rejects_zero_denominator(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
             PowerSequence.parse(text)
-
-    def test_eval_sequence_op(self):
-        point = eval_sequence(seq("3n^-0.5", "0"), 9)
-        assert point == ParamPoint(1.0, 0.0)
-        with pytest.raises(ValueError):
-            eval_sequence(seq("0", "0"), 0)
 
 
 class TestExtrapolateLimit:

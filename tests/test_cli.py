@@ -266,7 +266,7 @@ class TestFwerBoundCommand:
         out = tmp_path / "bound.json"
         code = run_cli(
             "fwer-bound", "--scenario", "config1", "--rule", "nofilter",
-            "--reps", "60", "--seed", "19", "--p0-reps", "2000", "--out", str(out),
+            "--reps", "60", "--seed", "19", "--out", str(out),
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[0])
@@ -279,12 +279,28 @@ class TestFwerBoundCommand:
         code = run_cli(
             "fwer-bound", "--scenario", "config2", "--rule",
             '{"kind": "product", "c": 2.0, "delta": 0.9}',
-            "--reps", "120", "--seed", "23", "--p0-reps", "5000",
+            "--reps", "120", "--seed", "23",
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert 0.0 < payload["p0"] < 1.0
         assert payload["simulated_fwer"] <= payload["survivor_bound"] + 3.0 * payload["fwer_se"]
+
+    @pytest.mark.parametrize("rule, p0", [("nofilter", 1.0), ("minp", 0.0004 * (2 - 0.0004)), ("chisq2", 0.001)])
+    def test_p0_is_the_closed_form_at_any_seed(self, capsys, rule, p0):
+        for seed in ("1", "2"):
+            argv = ["--scenario", "hierarchical", "--rule", rule, "--reps", "5", "--m", "20", "--seed", seed]
+            assert run_cli("fwer-bound", *argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["p0"] == payload["adjusted_threshold_factor"] == p0
+            assert "p0_se" not in payload
+
+    def test_p0_reps_is_ignored(self, capsys):
+        argv = ["fwer-bound", "--scenario", "config2", "--rule", "prod-0.9", "--reps", "5", "--seed", "3"]
+        assert run_cli(*argv) == 0
+        without = capsys.readouterr().out
+        assert run_cli(*argv, "--p0-reps", "10") == 0
+        assert capsys.readouterr().out == without
 
     def test_requires_rule(self):
         assert run_cli("fwer-bound", "--scenario", "config1", "--seed", "1") == 2
@@ -292,7 +308,7 @@ class TestFwerBoundCommand:
     def test_unwritable_out_prints_no_result(self, tmp_path, capsys):
         code = run_cli(
             "fwer-bound", "--scenario", "config1", "--rule", "minp",
-            "--reps", "5", "--m", "20", "--seed", "1", "--p0-reps", "100", "--out", str(tmp_path),
+            "--reps", "5", "--m", "20", "--seed", "1", "--out", str(tmp_path),
         )
         assert code == 3
         captured = capsys.readouterr()
@@ -314,7 +330,7 @@ class TestSeedHandling:
     def test_bad_config_seed_exit_2(self, tmp_path, capsys, command, seed):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "config1", "reps": 2, "seed": seed}))
-        extra = ["--rule", "nofilter", "--p0-reps", "10"] if command == "fwer-bound" else []
+        extra = ["--rule", "nofilter"] if command == "fwer-bound" else []
         assert run_cli(command, "--config", str(cfg), *extra, "--out", str(tmp_path / "r.csv")) == 2
         assert capsys.readouterr().err.startswith("error: seed must be")
 
@@ -348,12 +364,12 @@ class TestSeedHandling:
                                ("sigma", [1.0]), ("sigma", float("nan"))]
         ]
         + [("simulate", "out", 5), ("simulate", "out", ["a"]), ("simulate", "svg", 5),
-           ("simulate", "format", "xml"), ("fwer-bound", "out", 5)],
+           ("simulate", "format", "xml"), ("fwer-bound", "out", 5), ("fwer-bound", "p0_reps", 0)],
     )
     def test_bad_config_type_exit_2(self, tmp_path, capsys, command, key, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "hierarchical", "reps": 2, "seed": 1, key: value}))
-        extra = ["--rule", "nofilter", "--p0-reps", "10"] if command == "fwer-bound" else []
+        extra = ["--rule", "nofilter"] if command == "fwer-bound" else []
         assert run_cli(command, "--config", str(path), *extra, "--out", str(tmp_path / "r.csv")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be") and "Traceback" not in err
@@ -369,7 +385,7 @@ class TestSeedHandling:
     def test_fwer_bound_config_dimensions_match_flags(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "config1", "reps": 4, "m": 30, "n": 50, "seed": 2}))
-        flags = ["--rule", "prod-0.9", "--p0-reps", "100"]
+        flags = ["--rule", "prod-0.9"]
         assert run_cli("fwer-bound", "--config", str(path), *flags) == 0
         from_config = capsys.readouterr().out
         argv = ["--scenario", "config1", "--reps", "4", "--m", "30", "--n", "50", "--seed", "2"]
@@ -417,7 +433,7 @@ def _run_python(code, **kwargs):
         ([[*_SIMULATE, "--svg", "r.svg"]], 0, ["ingest"]),
         (
             [
-                ["fwer-bound", "--scenario", "hierarchical", "--rule", rule, *_SIZE, "--p0-reps", "100", "--out", "b.json"]
+                ["fwer-bound", "--scenario", "hierarchical", "--rule", rule, *_SIZE, "--out", "b.json"]
                 for rule in ("nofilter", "minp", "chisq2", "prod-0.9")
             ],
             0,
@@ -738,8 +754,8 @@ class TestOversizedCounts:
         [
             (["simulate", "--scenario", "config1", "--m", _TOO_MANY], "m"),
             (["simulate", "--scenario", "hierarchical", "--m", _TOO_MANY], "m"),
-            (["fwer-bound", "--scenario", "config1", "--rule", "minp", "--m", _TOO_MANY, "--p0-reps", "10"], "m"),
-            (["fwer-bound", "--scenario", "config1", "--rule", "minp", "--p0-reps", _TOO_MANY], "p0_reps"),
+            (["fwer-bound", "--scenario", "config1", "--rule", "minp", "--m", _TOO_MANY], "m"),
+            (["fwer-bound", "--scenario", "hierarchical", "--rule", "minp", "--m", _TOO_MANY], "m"),
             (["mse-ratio", "--preset", "k-4over3", "--reps", _TOO_MANY], "reps"),
         ],
     )

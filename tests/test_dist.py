@@ -8,7 +8,6 @@ from scipy import integrate
 from twostage import (
     RandomStream,
     chisq2_cdf,
-    chisq2_quantile,
     sample_normal,
     std_normal_cdf,
     std_normal_quantile,
@@ -114,22 +113,9 @@ class TestChisq2:
         assert abs(chisq2_cdf(5.991465) - 0.95) < 1e-6
         assert abs(chisq2_cdf(5.991465) - chisq2_cdf_oracle(5.991465)) < 1e-12
 
-    def test_quantile_closed_forms(self):
-        assert chisq2_quantile(0.0) == 0.0
-        assert abs(chisq2_quantile(0.5) - 2.0 * math.log(2.0)) < 1e-15
-        assert abs(chisq2_quantile(0.95) - 5.991465) < 1e-5
-
-    def test_quantile_cdf_identity(self):
-        ps = np.linspace(0.0, 1.0 - 1e-12, 300)
-        np.testing.assert_allclose(chisq2_cdf(chisq2_quantile(ps)), ps, atol=1e-10)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             chisq2_cdf(-0.5)
-        with pytest.raises(ValueError):
-            chisq2_quantile(1.0)
-        with pytest.raises(ValueError):
-            chisq2_quantile(-0.01)
 
 
 class TestRandomStream:

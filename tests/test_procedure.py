@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from twostage import (
     run_experiment,
     run_two_stage,
     standard_methods,
+    survival_prob_at_theta0,
 )
 from twostage.procedure import filter_mask
 from twostage.simulate import _BLOCK_REPS, _draw_hypotheses, _replication_blocks
@@ -137,6 +139,64 @@ def survival_prob_product_oracle(t: float) -> float:
     return 4.0 * val
 
 
+def survival_prob_k0_oracle(s: float) -> float:
+    """P(|Z1 * Z2| >= s) = (2/pi) * (integral of K0 from s to infinity), in mpmath.
+
+    Z1 * Z2 has density K0(|x|)/pi.  The integral from 0 is
+    (pi x / 2) (K0 L_-1 + K1 L0) at x = s (L: modified Struve functions), and
+    the working precision grows with s by the digits that 1 minus it cancels.
+    """
+    with mpmath.workdps(30 + int(s / 2.3)):
+        x = mpmath.mpf(s)
+        head = x * (mpmath.besselk(0, x) * mpmath.struvel(-1, x) + mpmath.besselk(1, x) * mpmath.struvel(0, x))
+        return float(1 - head)
+
+
+class TestExactSurvivalProb:
+    @pytest.mark.parametrize("sigma_gamma, sigma_beta, n", [(1.0, 1.0, 200), (0.3, 4.0, 17), (2.0, 2.0, 10**9)])
+    def test_closed_forms(self, sigma_gamma, sigma_beta, n):
+        exact = lambda rule: survival_prob_at_theta0(rule, sigma_gamma, sigma_beta, n)
+        assert exact(NoFilter()) == 1.0
+        assert exact(MinPValue(0.0004)) == 0.00079984
+        assert exact(MinPValue(1e-20)) == 2e-20  # 1 - (1 - t)^2 would round to 0
+        for t in (1e-9, 0.001, 0.3, 0.999):
+            assert exact(MinPValue(t)) == t * (2.0 - t)
+            assert exact(ChiSquarePValue(t)) == t
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-6, 1e-3, 0.1, 1.0, 2.5, 3.397, 10.0, 40.0, 200.0, 700.0])
+    def test_product_matches_oracles(self, s):
+        want = survival_prob_k0_oracle(s)
+        if s <= 10.0:  # past that the scipy oracle's 1 - ndtr cancels
+            assert want == pytest.approx(survival_prob_product_oracle(s), rel=1e-9, abs=0.0)
+        # c n^(1 - delta) / (sigma_gamma sigma_beta) = s in three spellings, each exact in floats
+        for rule, sigma_gamma, sigma_beta, n in [
+            (ProductThreshold(s, 1.0), 1.0, 1.0, 100),
+            (ProductThreshold(s / 16.0, 0.5), 0.25, 1.0, 16),
+            (ProductThreshold(s, 2.0), 1.0, 0.5, 2),
+        ]:
+            assert survival_prob_at_theta0(rule, sigma_gamma, sigma_beta, n) == pytest.approx(want, rel=3e-15, abs=0.0)
+
+    def test_product_at_the_standard_rule(self):
+        # prod-0.9 at n = 200: s = 2 * 200**0.1 = 3.397
+        assert survival_prob_at_theta0(ProductThreshold(2.0, 0.9), 1.0, 1.0, 200) == pytest.approx(
+            0.0125856470396, rel=1e-11
+        )
+
+    def test_product_non_increasing_in_s(self):
+        p0 = lambda rule, n=100: survival_prob_at_theta0(rule, 1.0, 1.0, n)
+        values = [p0(ProductThreshold(s, 1.0)) for s in np.logspace(-12, np.log10(2000.0), 300)]
+        assert all(0.0 <= b <= a <= 1.0 for a, b in zip(values, values[1:]))
+        assert values[0] > 1.0 - 1e-10 and values[-1] == 0.0  # the tail underflows past s = 745
+        assert p0(ProductThreshold(1.0, 0.5), 1e300) == 0.0  # s = 1e150
+        assert p0(ProductThreshold(1.0, 3.0), 1e300) == pytest.approx(1.0, rel=3e-15)  # s underflows to 0
+
+    def test_monte_carlo_estimates_within_3_se(self):
+        # the TestFiltrationProb estimates below, at their seeds and sizes
+        for rule, reps, seed in [(ProductThreshold(2.5, 1.0), 200_000, 3), (ChiSquarePValue(0.001), 400_000, 4)]:
+            p0, se = filtration_prob_at_theta0(rule, 1.0, 1.0, 100, reps, RandomStream(seed, 0))
+            assert abs(p0 - survival_prob_at_theta0(rule, 1.0, 1.0, 100)) < 3.0 * se
+
+
 class TestFiltrationProb:
     def test_nofilter_is_one(self):
         p0, se = filtration_prob_at_theta0(NoFilter(), 1.0, 1.0, 100, 1000, RandomStream(1, 0))
@@ -195,9 +255,7 @@ class TestFwerGuarantees:
         # adjustment scaled by the survival probability at the double null
         scenario = _all_null_scenario()
         rule = ProductThreshold(2.0, 0.9)
-        p0, _ = filtration_prob_at_theta0(
-            rule, 1.0, 1.0, scenario.n, 200_000, RandomStream(77, 2**48)
-        )
+        p0 = survival_prob_at_theta0(rule, 1.0, 1.0, scenario.n)
         report = run_experiment(scenario, [Method(rule, FiltrationAware(p0))], master_seed=77)
         res = report.methods[0]
         assert res.empirical_fwer <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / scenario.reps)
