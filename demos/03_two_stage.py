@@ -32,7 +32,7 @@ estimates = [
 rule = ProductThreshold(c=2.0, delta=0.9)
 out = run_two_stage(estimates, rule, alpha=0.05)
 print(f"plain Bonferroni over survivors: F={out.F}, rejected={out.rejected_count}, "
-      f"threshold={out.per_hypothesis[0].adjusted_threshold:.2e}")
+      f"threshold={out.threshold:.2e}")
 
 # p0: how often the double null survives this filter. Both z-statistics are
 # standard normal there, so p0 = P(|Z1 Z2| >= c n^(1-delta)) exactly; a
@@ -44,7 +44,7 @@ print(f"double-null survival probability p0 = {p0:.4f} "
 
 aware = run_two_stage(estimates, rule, alpha=0.05, adjustment=FiltrationAware(p0))
 print(f"filtration-aware threshold alpha*p0/F: rejected={aware.rejected_count}, "
-      f"threshold={aware.per_hypothesis[0].adjusted_threshold:.2e}")
+      f"threshold={aware.threshold:.2e}")
 
 # The survivor-count bound: P(any false rejection) <= E[(1-(1-q)^F) 1{F>0}],
 # with q bounding the per-hypothesis conditional rejection probability.

@@ -65,11 +65,11 @@ def _int_at_least(value, minimum: int, where: str, maximum: float = math.inf) ->
     return value
 
 
-def _finite(value, where: str):
-    """``value`` unchanged if it is a JSON number within float range; else a ConfigError."""
+def _finite(value, where: str) -> float:
+    """``value`` as a float if it is a JSON number within float range; else a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _string(value, where: str, choices: tuple[str, ...] = ()) -> str:
@@ -206,8 +206,8 @@ def _parse_sequence(spec, where: str, allow_prior: bool = False):
         _check_keys(spec, {"offset", "terms"}, where)
         try:
             return PowerSequence(
-                float(spec.get("offset", 0.0)),
-                tuple((float(c), float(e)) for c, e in spec.get("terms", ())),
+                _finite(spec.get("offset", 0.0), "offset"),
+                tuple((_finite(c, "coefficient"), _finite(e, "exponent")) for c, e in spec.get("terms", ())),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
@@ -239,30 +239,39 @@ def _parse_rule(spec, where: str) -> FiltrationRule:
             return NoFilter()
         if kind in ("minp", "chisq2"):
             _check_keys(spec, {"kind", "threshold"}, where)
-            return (MinPValue if kind == "minp" else ChiSquarePValue)(float(spec["threshold"]))
+            return (MinPValue if kind == "minp" else ChiSquarePValue)(_finite(spec["threshold"], "threshold"))
         if kind == "product":
             _check_keys(spec, {"kind", "c", "delta"}, where)
-            return ProductThreshold(float(spec["c"]), float(spec["delta"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            return ProductThreshold(_finite(spec["c"], "c"), _finite(spec["delta"], "delta"))
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: unknown rule kind {kind!r}")
 
 
-def _parse_adjustment(spec, where: str):
-    from .procedure import BonferroniOverUnfiltered, FiltrationAware
+def _parse_adjustment(spec, where: str, rule: FiltrationRule, scenario: ScenarioMixture):
+    """An adjustment object; ``filtration_aware`` without ``p0`` takes the rule's exact p0."""
+    from .procedure import BonferroniOverUnfiltered, FiltrationAware, survival_prob_at_theta0
 
-    if spec is None or isinstance(spec, dict) and spec.get("kind") == "bonferroni":
+    if spec is None:
         return BonferroniOverUnfiltered()
-    if isinstance(spec, dict) and spec.get("kind") == "filtration_aware":
-        _check_keys(spec, {"kind", "p0"}, where)
-        try:
-            return FiltrationAware(float(spec["p0"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: adjustment must be bonferroni or filtration_aware")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in ("bonferroni", "filtration_aware"):
+        raise ConfigError(f"{where}: adjustment must be an object with a 'kind' of bonferroni or filtration_aware")
+    _check_keys(spec, {"kind", "p0"} if kind == "filtration_aware" else {"kind"}, where)
+    if kind == "bonferroni":
+        return BonferroniOverUnfiltered()
+    if spec.get("p0") is None:
+        p0 = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)
+        if p0 == 0.0:
+            raise ConfigError(f"{where}: the exact p0 of {rule.label} at n = {scenario.n} underflows to 0")
+        return FiltrationAware(p0)
+    try:
+        return FiltrationAware(_finite(spec["p0"], "p0"))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_methods(spec, where: str) -> tuple[Method, ...]:
+def _parse_methods(spec, where: str, scenario: ScenarioMixture) -> tuple[Method, ...]:
     from .simulate import Method, standard_methods
 
     if spec is None or spec == "all":
@@ -279,7 +288,7 @@ def _parse_methods(spec, where: str) -> tuple[Method, ...]:
         elif isinstance(item, dict):
             _check_keys(item, {"rule", "adjustment", "id"}, item_where)
             rule = _parse_rule(item.get("rule"), f"{item_where}.rule")
-            adjustment = _parse_adjustment(item.get("adjustment"), f"{item_where}.adjustment")
+            adjustment = _parse_adjustment(item.get("adjustment"), f"{item_where}.adjustment", rule, scenario)
             method_id = item.get("id")
             if method_id is not None:
                 _string(method_id, f"{item_where}.id")
@@ -318,13 +327,12 @@ def _parse_scenario(spec, settings: dict, where: str) -> ScenarioMixture:
             MixtureRow(
                 gamma=_parse_sequence(row.get("gamma", "0"), f"{row_where}.gamma", allow_prior=True),
                 beta=_parse_sequence(row.get("beta", "0"), f"{row_where}.beta", allow_prior=True),
-                proportion=float(_finite(row.get("proportion", 0.0), f"{row_where}.proportion")),
+                proportion=_finite(row.get("proportion", 0.0), f"{row_where}.proportion"),
                 truth=truth,
             )
         )
     sizes = [f for f in _SIZES if f.name in spec]
     params = {f.name: f.kind.check(spec[f.name], f"{where}.{f.name}") for f in sizes}
-    params.update((key, float(params[key])) for key in ("sigma", "alpha") if key in params)
     params.update(overrides)
     name = _string(spec.get("name", "inline"), f"{where}.name")
     try:
@@ -378,7 +386,7 @@ _SIMULATE = (
     _Field("methods", _SPEC, "'all' (default) or comma-separated method ids"),
     _FORMAT_FIELD,
     _Field("svg", _STRING, "also write an SVG chart to this path"),
-    _Field("threads", _COUNT, "checked, but the engine runs in one thread (default 1)", 1),
+    _Field("threads", _COUNT, "checked, but ignored: the engine runs in one thread"),
 )
 
 _FWER_BOUND = (
@@ -424,11 +432,11 @@ def _cmd_simulate(s: dict) -> int:
     from .simulate import run_experiment
 
     scenario = _parse_scenario(s["scenario"], s, "scenario")
-    methods = _parse_methods(s["methods"], "methods")
+    methods = _parse_methods(s["methods"], "methods", scenario)
     out = s["out"] or f"simulate-{scenario.name}.{s['format']}"
 
     with _memory_for("m", scenario.m):
-        report = run_experiment(scenario, methods, s["seed"], threads=s["threads"])
+        report = run_experiment(scenario, methods, s["seed"])
     write_simulation_report(report, out, s["format"])
     print(f"wrote {out} ({len(report.methods)} methods, seed {s['seed']}, reps {scenario.reps})")
     for res in report.methods:
@@ -480,7 +488,7 @@ def _cmd_mse_ratio(s: dict) -> int:
         seq = ParamSequence(
             _parse_sequence(s["gamma"], "gamma"), _parse_sequence(s["beta"], "beta")
         )
-        c, delta = float(s["c"]), float(s["delta"])
+        c, delta = s["c"], s["delta"]
     out = s["out"] or f"mse-ratio-{preset_name or 'custom'}.{s['format']}"
 
     try:
@@ -592,7 +600,10 @@ def _cmd_fwer_bound(s: dict) -> int:
     scenario = _parse_scenario(s["scenario"], s, "scenario")
     rule_spec = s["rule"]
     if isinstance(rule_spec, str) and rule_spec.lstrip().startswith("{"):
-        rule_spec = json.loads(rule_spec)  # inline JSON rule text
+        try:
+            rule_spec = json.loads(rule_spec)  # inline JSON rule text
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"rule: invalid JSON at column {exc.colno}: {exc.msg}") from exc
     rule = _parse_rule(rule_spec, "rule")
 
     p0 = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)

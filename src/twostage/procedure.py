@@ -30,10 +30,9 @@ __all__ = [
     "BonferroniOverUnfiltered",
     "FiltrationAware",
     "Adjustment",
-    "adjusted_threshold",
-    "HypothesisOutcome",
     "TwoStageOutcome",
     "evaluate_filter",
+    "two_stage",
     "run_two_stage",
     "survival_prob_at_theta0",
     "filtration_prob_at_theta0",
@@ -140,18 +139,6 @@ class FiltrationAware:
 Adjustment = Union[BonferroniOverUnfiltered, FiltrationAware]
 
 
-def adjusted_threshold(adjustment: Adjustment, alpha: float, f_count):
-    """The stage-2 rejection threshold for F survivors.
-
-    ``alpha/F``, or ``alpha*p0/F`` under :class:`FiltrationAware`, and 0 where
-    F = 0.  Accepts a scalar F or an array of counts and returns a float array
-    of the same shape.
-    """
-    level = alpha * adjustment.p0 if isinstance(adjustment, FiltrationAware) else alpha
-    f = np.asarray(f_count, dtype=float)
-    return np.divide(level, f, out=np.zeros_like(f), where=f > 0)
-
-
 def filter_mask(rule: FiltrationRule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
     """Vectorized filtration: boolean array, True where the hypothesis is filtered."""
     gamma_hat = np.asarray(gamma_hat, dtype=float)
@@ -170,18 +157,29 @@ def filter_mask(rule: FiltrationRule, gamma_hat, beta_hat, sigma_gamma, sigma_be
     raise TypeError(f"unknown filtration rule: {rule!r}")
 
 
-def reject_mask(survivors, joint_abs_z, threshold):
-    """Stage 2, vectorized: True where a survivor's joint p-value is <= ``threshold``.
+def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n) -> list[tuple]:
+    """The two-stage procedure for each ``(rule, adjustment)`` pair in ``methods``.
 
-    Decided as ``joint_abs_z >= _z_critical(threshold)``, with ``joint_abs_z``
-    from ``_joint_abs_z``, so no p-value is computed.  ``threshold`` is a
-    scalar, or one value per row of ``survivors``; each distinct value is
-    converted once.
+    The hypotheses lie along the last axis of the estimate arrays (leading
+    axes index independent batches, such as replications); the scales and n
+    broadcast against them.  Returns one ``(survivors, threshold, rejected)``
+    triple per method: the stage-1 survivor mask, the common stage-2
+    threshold of each batch (``alpha/F``, or ``alpha*p0/F`` under
+    :class:`FiltrationAware`, and 0 where F = 0), and the rejection mask.
+    A survivor is rejected iff its joint p-value is <= the threshold, decided
+    as ``joint |z| >= _z_critical(threshold)``, so no p-value is computed.
     """
-    t = np.asarray(threshold, dtype=float)
-    distinct, inverse = np.unique(t, return_inverse=True)
-    z_crit = np.array([_z_critical(v) for v in distinct])[inverse].reshape(t.shape)
-    return survivors & (joint_abs_z >= z_crit[..., None])
+    joint_z = _joint_abs_z(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)
+    outcomes = []
+    for rule, adjustment in methods:
+        survivors = ~filter_mask(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)
+        level = alpha * adjustment.p0 if isinstance(adjustment, FiltrationAware) else alpha
+        f = survivors.sum(axis=-1).astype(float)
+        threshold = np.divide(level, f, out=np.zeros_like(f), where=f > 0)
+        distinct, inverse = np.unique(threshold, return_inverse=True)  # one conversion per distinct F
+        z_crit = np.array([_z_critical(t) for t in distinct])[inverse].reshape(threshold.shape)
+        outcomes.append((survivors, threshold, survivors & (joint_z >= z_crit[..., None])))
+    return outcomes
 
 
 def evaluate_filter(rule: FiltrationRule, e: EstimatePair) -> bool:
@@ -189,19 +187,19 @@ def evaluate_filter(rule: FiltrationRule, e: EstimatePair) -> bool:
     return bool(filter_mask(rule, e.gamma_hat, e.beta_hat, e.sigma_gamma, e.sigma_beta, e.n))
 
 
-@dataclass(frozen=True)
-class HypothesisOutcome:
-    filtered: bool
-    base_pvalue: float
-    adjusted_threshold: float
-    rejected: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoStageOutcome:
-    """Result of one two-stage run over a list of hypotheses."""
+    """Result of one two-stage run over a list of hypotheses.
 
-    per_hypothesis: tuple[HypothesisOutcome, ...]
+    ``filtered``, ``base_pvalue`` (the joint p-value) and ``rejected`` hold one
+    entry per hypothesis, in input order; ``threshold`` is the common stage-2
+    threshold, 0 when everything is filtered (F = 0).
+    """
+
+    filtered: np.ndarray
+    base_pvalue: np.ndarray
+    rejected: np.ndarray
+    threshold: float
     F: int
     rejected_count: int
 
@@ -214,10 +212,8 @@ def run_two_stage(
 ) -> TwoStageOutcome:
     """Run filtration followed by the adjusted joint-significance base test.
 
-    Survivor i is rejected iff its joint p-value is <= the common adjusted
-    threshold (``alpha/F`` or ``alpha*p0/F``), decided by :func:`reject_mask`
-    as in the simulation kernel.  When everything is filtered (F = 0) the
-    rejection set is empty and the threshold is reported as 0.
+    Each estimate pair keeps its own scales and n; the decisions are those of
+    :func:`two_stage`, the kernel the simulation runs.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -229,18 +225,15 @@ def run_two_stage(
     sig_g = np.array([e.sigma_gamma for e in estimates])
     sig_b = np.array([e.sigma_beta for e in estimates])
     ns = np.array([e.n for e in estimates])
-
-    filtered = filter_mask(rule, gamma, beta, sig_g, sig_b, ns)
-    f_count = int((~filtered).sum())
-    threshold = float(adjusted_threshold(adjustment, alpha, f_count))
-    rejected = reject_mask(~filtered, _joint_abs_z(gamma, beta, sig_g, sig_b, ns), threshold)
-    pjoint = _joint_pvalues(gamma, beta, sig_g, sig_b, ns)
-
-    per_hyp = tuple(
-        HypothesisOutcome(bool(f), float(p), threshold, bool(r))
-        for f, p, r in zip(filtered, pjoint, rejected)
+    [(survivors, threshold, rejected)] = two_stage([(rule, adjustment)], alpha, gamma, beta, sig_g, sig_b, ns)
+    return TwoStageOutcome(
+        filtered=~survivors,
+        base_pvalue=_joint_pvalues(gamma, beta, sig_g, sig_b, ns),
+        rejected=rejected,
+        threshold=float(threshold),
+        F=int(survivors.sum()),
+        rejected_count=int(rejected.sum()),
     )
-    return TwoStageOutcome(per_hyp, f_count, int(rejected.sum()))
 
 
 def survival_prob_at_theta0(rule: FiltrationRule, sigma_gamma: float, sigma_beta: float, n: float) -> float:

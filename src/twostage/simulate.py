@@ -9,12 +9,12 @@ comparisons use common random numbers.
 
 Randomness is allocated as one stream per replication: replication r draws
 all m hypotheses from stream index ``r`` under the experiment's master seed.
-One vectorized kernel runs every method over blocks of replications, and
-results are identical for any block size or thread count on one numpy
-version (NEP 19 promises no stable ``Generator`` streams across releases).
-The kernel computes no p-value: both stages compare ``|z|`` with the
-critical value of each threshold (``procedure.filter_mask`` and
-``procedure.reject_mask``).
+One vectorized kernel, ``procedure.two_stage`` (the one ``run_two_stage``
+runs), applies every method to blocks of replications, and results are
+identical for any block size on one numpy version (NEP 19 promises no
+stable ``Generator`` streams across releases).  The kernel computes no
+p-value: both stages compare ``|z|`` with the critical value of each
+threshold.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .asymptotics import PowerSequence
 from .dist import RandomStream
-from .estimators import _joint_abs_z
 from .procedure import (
     Adjustment,
     BonferroniOverUnfiltered,
@@ -38,9 +37,7 @@ from .procedure import (
     MinPValue,
     NoFilter,
     ProductThreshold,
-    adjusted_threshold,
-    filter_mask,
-    reject_mask,
+    two_stage,
 )
 
 __all__ = [
@@ -347,18 +344,14 @@ def _replication_blocks(scenario, methods, stream, reps: range):
     ``(survivors, rejected)`` pair of ``(block, m)`` masks per method.
     """
     sigma, n = scenario.sigma, scenario.n
+    pairs = [(method.rule, method.adjustment) for method in methods]
     layout = _scenario_layout(scenario)
     for start in range(reps.start, reps.stop, _BLOCK_REPS):
         block = range(start, min(start + _BLOCK_REPS, reps.stop))
         draws = [_draw_hypotheses(scenario, r, stream, layout) for r in block]
         gamma_hat, beta_hat, row_idx, truth_null = (np.stack(col) for col in zip(*draws))
-        joint_z = _joint_abs_z(gamma_hat, beta_hat, sigma, sigma, n)
-        outcomes = []
-        for method in methods:
-            survivors = ~filter_mask(method.rule, gamma_hat, beta_hat, sigma, sigma, n)
-            threshold = adjusted_threshold(method.adjustment, scenario.alpha, survivors.sum(axis=1))
-            outcomes.append((survivors, reject_mask(survivors, joint_z, threshold)))
-        yield row_idx, truth_null, outcomes
+        outcomes = two_stage(pairs, scenario.alpha, gamma_hat, beta_hat, sigma, sigma, n)
+        yield row_idx, truth_null, [(survivors, rejected) for survivors, _, rejected in outcomes]
 
 
 def _tally(truth_null, survivors, rejected):
@@ -423,23 +416,19 @@ def run_experiment(
     scenario: ScenarioMixture,
     methods: Sequence[Method],
     master_seed: int,
-    threads: int = 1,
 ) -> SimulationReport:
     """Aggregate FWER and power over the scenario's replications.
 
     The empirical FWER is the fraction of replications with any false
     rejection; power averages (true rejections / alternatives) over the
     replications that drew at least one alternative.  The report is a pure
-    function of ``master_seed``.  ``threads`` is validated and otherwise
-    unused: the vectorized kernel runs in one thread.
+    function of ``master_seed``.
     """
     if not methods:
         raise ValueError("methods must be nonempty")
     ids = [mth.method_id for mth in methods]
     if len(set(ids)) != len(ids):
         raise ValueError(f"method ids must be unique, got {ids}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     reps = scenario.reps
     tallies = [[] for _ in methods]
     for _, truth_null, outcomes in _replication_blocks(

@@ -45,7 +45,7 @@ def study_runs():
     """The three built-in configurations at m=200, reps=500, alpha=0.05."""
     t0 = time.perf_counter()
     runs = {
-        name: run_experiment(builtin_scenario(name), standard_methods(), SEED, threads=4)
+        name: run_experiment(builtin_scenario(name), standard_methods(), SEED)
         for name in ("config1", "config2", "config3")
     }
     return runs, time.perf_counter() - t0
@@ -55,7 +55,7 @@ def study_runs():
 def config2_highres():
     """config2 re-run at reps=2000 to resolve the power ordering of criterion 3."""
     scenario = builtin_scenario("config2", reps=2000)
-    return run_experiment(scenario, standard_methods(), SEED + 1, threads=4)
+    return run_experiment(scenario, standard_methods(), SEED + 1)
 
 
 def test_criterion_01_fwer_control(study_runs):

@@ -86,6 +86,19 @@ class TestSimulateCommand:
         assert [m.method_id for m in report.methods] == ["nofilter", "custom"]
         assert report.meta.scenario == "tiny"
 
+    def test_filtration_aware_without_p0_takes_the_exact_p0(self, tmp_path):
+        rule = {"kind": "product", "c": 2.0, "delta": 0.9}
+        p0 = twostage.survival_prob_at_theta0(twostage.ProductThreshold(2.0, 0.9), 1.0, 1.0, 150)
+        adjustments = [{"kind": "filtration_aware"}, {"kind": "filtration_aware", "p0": p0}, None]
+        reports = []
+        for i, adjustment in enumerate(adjustments):
+            out = tmp_path / f"r{i}.csv"
+            methods = [{"rule": rule, "adjustment": adjustment, "id": "prod"}]
+            cfg = {"scenario": "config2", "n": 150, "reps": 20, "seed": 4, "methods": methods, "out": str(out)}
+            assert _run_config(tmp_path, "simulate", cfg) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] != reports[2]
+
     def test_svg_output(self, tmp_path):
         out = str(tmp_path / "r.csv")
         svg = str(tmp_path / "r.svg")
@@ -294,6 +307,10 @@ class TestFwerBoundCommand:
             payload = json.loads(capsys.readouterr().out)
             assert payload["p0"] == payload["adjusted_threshold_factor"] == p0
             assert "p0_se" not in payload
+
+    def test_inline_rule_json_error_names_rule_exit_2(self, capsys):
+        assert run_cli("fwer-bound", "--scenario", "config1", "--rule", "{bad", "--seed", "1") == 2
+        assert capsys.readouterr().err.startswith("error: rule: invalid JSON at column 2")
 
     def test_p0_reps_is_ignored(self, capsys):
         argv = ["fwer-bound", "--scenario", "config2", "--rule", "prod-0.9", "--reps", "5", "--seed", "3"]
@@ -636,6 +653,18 @@ class TestSettingsTable:
             ("mse-ratio", "preset", [], "preset"),
             ("mse-ratio", "n_grid", {"a": 1}, "n_grid"),
             ("mse-ratio", "n_grid", [100.5, 1000, 10000], "n_grid"),
+            # Numbers in inline rules, adjustments and sequences: booleans and text are refused.
+            ("fwer-bound", "rule", {"kind": "product", "c": True, "delta": 0.9}, "rule: c must be a finite number"),
+            ("simulate", "methods", [{"rule": {"kind": "product", "c": 2, "delta": "0.9"}}], "methods[0].rule: delta"),
+            ("simulate", "methods", [{"rule": {"kind": "minp", "threshold": True}}], "methods[0].rule: threshold"),
+            ("simulate", "methods", [{"rule": "minp", "adjustment": {"kind": "filtration_aware", "p0": True}}],
+             "methods[0].adjustment: p0"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"offset": True})]}, "scenario.rows[0].gamma: offset"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, beta={"terms": [[1, "0.5"]]})]},
+             "scenario.rows[0].beta: exponent"),
+            # The exact p0 of this rule at n = 200 is below the smallest float.
+            ("simulate", "methods", [{"rule": {"kind": "product", "c": 1000, "delta": 0.5},
+                                      "adjustment": {"kind": "filtration_aware"}}], "methods[0].adjustment: the exact p0"),
         ],
     )
     def test_malformed_config_names_location_exit_2(self, tmp_path, capsys, monkeypatch, command, key, value, where):
@@ -644,6 +673,18 @@ class TestSettingsTable:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]  # refused before any report is written
+
+    @pytest.mark.parametrize(
+        "adjustment, message",
+        [
+            ({"kind": "bonferroni", "bogus": 1}, "unknown key(s) ['bogus'] in methods[0].adjustment"),
+            ("bonferroni", "methods[0].adjustment: adjustment must be an object with a 'kind'"),
+        ],
+    )
+    def test_adjustment_is_an_object_with_known_keys_exit_2(self, tmp_path, capsys, adjustment, message):
+        cfg = dict(_BASE["simulate"], methods=[{"rule": "nofilter", "adjustment": adjustment}])
+        assert _run_config(tmp_path, "simulate", cfg) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("gamma", "n^-0.5"), ("beta", "n^-0.5"), ("c", 4), ("delta", 0.7)])
     def test_preset_refuses_custom_sequence_exit_2(self, tmp_path, capsys, key, value):

@@ -34,7 +34,7 @@ from twostage import (
     standard_methods,
     survival_prob_at_theta0,
 )
-from twostage.procedure import filter_mask
+from twostage.procedure import filter_mask, two_stage
 from twostage.simulate import _BLOCK_REPS, _draw_hypotheses, _replication_blocks
 
 
@@ -85,14 +85,15 @@ class TestRunTwoStage:
         out = run_two_stage(es, MinPValue(0.0004), alpha=0.05)
         assert out.F == 0
         assert out.rejected_count == 0
-        assert all(h.adjusted_threshold == 0.0 for h in out.per_hypothesis)
+        assert out.threshold == 0.0
+        assert out.filtered.all() and not out.rejected.any()
 
     def test_nofilter_threshold_is_plain_bonferroni(self):
         rng = np.random.default_rng(1)
         es = [pair(g, b, n=400) for g, b in rng.normal(scale=0.1, size=(200, 2))]
         out = run_two_stage(es, NoFilter(), alpha=0.05)
         assert out.F == 200
-        assert out.per_hypothesis[0].adjusted_threshold == pytest.approx(2.5e-4)
+        assert out.threshold == pytest.approx(2.5e-4)
 
     def test_single_survivor_rejected(self):
         strong = pair(2.0, 2.0, n=100)  # joint p-value ~ 0, survives any filter
@@ -100,15 +101,14 @@ class TestRunTwoStage:
         out = run_two_stage([strong, weak], MinPValue(0.0004), alpha=0.05)
         assert out.F == 1
         assert out.rejected_count == 1
-        assert out.per_hypothesis[0].rejected and not out.per_hypothesis[1].rejected
+        assert out.rejected.tolist() == [True, False]
 
     def test_rejected_implies_unfiltered(self):
         rng = np.random.default_rng(5)
         es = [pair(g, b, n=100) for g, b in rng.normal(scale=0.4, size=(300, 2))]
         out = run_two_stage(es, ProductThreshold(2.0, 0.9), alpha=0.05)
-        for h in out.per_hypothesis:
-            assert not (h.rejected and h.filtered)
-        assert out.F == sum(not h.filtered for h in out.per_hypothesis)
+        assert not (out.rejected & out.filtered).any()
+        assert out.F == (~out.filtered).sum()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
@@ -117,13 +117,14 @@ class TestRunTwoStage:
         out = run_two_stage(es, ProductThreshold(2.0, 0.9), alpha=0.05)
         out_perm = run_two_stage([es[i] for i in perm], ProductThreshold(2.0, 0.9), alpha=0.05)
         assert out.F == out_perm.F
-        for new_pos, old_pos in enumerate(perm):
-            assert out.per_hypothesis[old_pos] == out_perm.per_hypothesis[new_pos]
+        assert out.threshold == out_perm.threshold
+        for name in ("filtered", "base_pvalue", "rejected"):
+            np.testing.assert_array_equal(getattr(out, name)[perm], getattr(out_perm, name))
 
     def test_filtration_aware_threshold(self):
         strong = pair(2.0, 2.0, n=100)
         out = run_two_stage([strong], NoFilter(), alpha=0.05, adjustment=FiltrationAware(0.5))
-        assert out.per_hypothesis[0].adjusted_threshold == pytest.approx(0.025)
+        assert out.threshold == pytest.approx(0.025)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -309,6 +310,7 @@ class TestZDomainDecisions:
         g, b = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
         sigma, n = sc.sigma, sc.n
         pjoint = np.maximum(coord_pvalue(g, sigma, n), coord_pvalue(b, sigma, n))
+        kernel = two_stage([(mth.rule, mth.adjustment) for mth in methods], sc.alpha, g, b, sigma, sigma, n)
         for j, method in enumerate(methods):
             survivors = ~_pvalue_filter_reference(method.rule, g, b, sigma, sigma, n)
             level = sc.alpha * getattr(method.adjustment, "p0", 1.0)
@@ -316,6 +318,8 @@ class TestZDomainDecisions:
             rejected = survivors & (pjoint <= threshold[:, None])
             np.testing.assert_array_equal(np.concatenate([blk[2][j][0] for blk in blocks]), survivors)
             np.testing.assert_array_equal(np.concatenate([blk[2][j][1] for blk in blocks]), rejected)
+            for got, want in zip(kernel[j], (survivors, threshold, rejected)):
+                np.testing.assert_array_equal(got, want)
 
     def test_run_two_stage_matches_reported_pvalues(self):
         # Per-hypothesis scales and sample sizes: rejected iff survivor and base p-value <= threshold.
@@ -328,8 +332,7 @@ class TestZDomainDecisions:
         for rule in (NoFilter(), MinPValue(0.0004), ChiSquarePValue(0.001), ProductThreshold(2.0, 0.9)):
             out = run_two_stage(es, rule, alpha=0.05)
             assert out.rejected_count > 0
-            for h in out.per_hypothesis:
-                assert h.rejected == (not h.filtered and h.base_pvalue <= h.adjusted_threshold)
+            np.testing.assert_array_equal(out.rejected, ~out.filtered & (out.base_pvalue <= out.threshold))
 
 
 _RULES = st.one_of(
@@ -351,9 +354,9 @@ _PAIRS = st.lists(
 def test_rejections_are_survivors(rule, estimates, alpha, p0):
     adjustment = BonferroniOverUnfiltered() if p0 is None else FiltrationAware(p0)
     out = run_two_stage(estimates, rule, alpha=alpha, adjustment=adjustment)
-    assert not any(h.rejected and h.filtered for h in out.per_hypothesis)
-    assert out.F == sum(not h.filtered for h in out.per_hypothesis)
-    assert out.rejected_count == sum(h.rejected for h in out.per_hypothesis) <= out.F
+    assert not (out.rejected & out.filtered).any()
+    assert out.F == (~out.filtered).sum()
+    assert out.rejected_count == out.rejected.sum() <= out.F
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

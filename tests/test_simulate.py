@@ -121,14 +121,6 @@ class TestExperiment:
         report = run_experiment(sc, [Method(NoFilter())], master_seed=2)
         assert report.methods[0].empirical_fwer in (0.0, 1.0)
 
-    def test_thread_count_invariance(self):
-        sc = builtin_scenario("config1", m=60, reps=24)
-        r1 = run_experiment(sc, list(standard_methods()), master_seed=31, threads=1)
-        r4 = run_experiment(sc, list(standard_methods()), master_seed=31, threads=4)
-        assert r1 == r4
-        with pytest.raises(ValueError):
-            run_experiment(sc, list(standard_methods()), master_seed=31, threads=0)
-
     def test_bonferroni_guarantee_all_null(self):
         rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0, Truth.NULL00),)
         sc = ScenarioMixture("null00-only", rows, m=100, reps=300, n=200)
@@ -146,7 +138,7 @@ class TestExperiment:
 
     def test_hierarchical_fwer_controlled(self):
         sc = builtin_scenario("hierarchical", m=100, reps=200)
-        report = run_experiment(sc, list(standard_methods()), master_seed=47, threads=2)
+        report = run_experiment(sc, list(standard_methods()), master_seed=47)
         cap = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / sc.reps)
         assert all(res.empirical_fwer <= cap for res in report.methods)
 
