@@ -21,6 +21,8 @@ and a few matrix-vector products, and each extra OpenBLAS worker only spins.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import math
 import os
@@ -100,6 +102,28 @@ def _list_of(item: _Kind, what: str) -> _Kind:
     return _Kind(check)
 
 
+def _array_of(item: _Kind, size: int | None = None) -> _Kind:
+    """A JSON list (of ``size`` entries, if given) of ``item`` values, each checked at ``where[i]``."""
+    def check(value, where: str) -> tuple:
+        if not isinstance(value, list) or size is not None and len(value) != size:
+            raise ConfigError(f"{where} must be a list{f' of {size}' if size else ''}, got {value!r}")
+        return tuple(item.check(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return _Kind(check)
+
+
+def _name(value, where: str) -> str:
+    """A label that a CSV report's cell or metadata line holds, and reads back, as it is."""
+    text = _string(value, where)
+    if text.splitlines() != [text] or "," in text or text.strip() != text or text.startswith("#"):
+        raise ConfigError(f"{where} must be one line of text with no comma, outer space or leading #, got {value!r}")
+    return text
+
+
+def _json_text(text: str):
+    """A structured flag's text: JSON when it opens with { or [, else the text itself."""
+    return json.loads(text) if text.lstrip().startswith(("{", "[")) else text
+
+
 # Counts size numpy arrays, so they must fit numpy's index type (np.intp, whose
 # largest value is sys.maxsize); a sample size enters the formulas as a float,
 # so it must fit a float.
@@ -112,8 +136,9 @@ _STRING = _Kind(_string)
 _FORMAT = _Kind(lambda value, where: _string(value, where, ("csv", "json")))
 _SAMPLE_SIZES = _list_of(_SAMPLE_SIZE, "integers from 1 to the largest float")
 _NUMBERS = _list_of(_NUMBER, "finite numbers")
-# Any JSON value, for the _parse_* function that knows its shape (scenario, methods, ...).
-_SPEC = _Kind(lambda value, where: value)
+_NAME = _Kind(_name)
+# A name or a JSON spec, parsed by the handler that knows its shape (scenario, methods, ...).
+_SPEC = _Kind(lambda value, where: value, _json_text)
 
 
 class _Field(NamedTuple):
@@ -182,36 +207,68 @@ def _default_seed() -> int:
     return drawn
 
 
-def _parse_sequence(spec, where: str, allow_prior: bool = False):
-    from .asymptotics import PowerSequence
+def _object(spec, fields: Sequence[_Field] | dict, where: str) -> dict:
+    """A nested JSON object checked against ``fields``, as a dict of every field's value.
 
-    if isinstance(spec, str):
-        try:
-            return PowerSequence.parse(spec)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if isinstance(spec, dict):
-        if "normal" in spec:
-            if not allow_prior:
-                raise ConfigError(f"{where}: hyperprior coordinates are only allowed in scenario rows")
-            _check_keys(spec, {"normal"}, where)
-            body = spec["normal"]
-            _check_keys(body, {"mean", "variance"}, f"{where}.normal")
-            from .simulate import NormalMeanPrior
+    Unknown keys are refused, null is absent, an absent key takes its default,
+    and each value goes through its field's kind at the dotted path
+    ``where.name``.  For a kind table, kind -> (class path, fields), the
+    object's ``kind`` picks the fields.
+    """
+    if isinstance(fields, dict):
+        if not isinstance(spec, dict) or spec.get("kind") is None:
+            raise ConfigError(f"{where} must be an object with a kind of {' or '.join(fields)}, got {spec!r}")
+        _, own = fields[_string(spec["kind"], f"{where}.kind", tuple(fields))]
+        fields = (_Field("kind", _STRING, "the kind"), *own)
+    _check_keys(spec, {field.name for field in fields}, where)
+    values = {}
+    for field in fields:
+        value = field.default if spec.get(field.name) is None else spec[field.name]
+        if value is None and field.required:
+            raise ConfigError(f"{where} needs a {field.name}")
+        values[field.name] = None if value is None else field.kind.check(value, f"{where}.{field.name}")
+    return values
 
-            return NormalMeanPrior(
-                mean=_parse_sequence(body.get("mean"), f"{where}.normal.mean"),
-                variance=_parse_sequence(body.get("variance"), f"{where}.normal.variance"),
-            )
-        _check_keys(spec, {"offset", "terms"}, where)
-        try:
-            return PowerSequence(
-                _finite(spec.get("offset", 0.0), "offset"),
-                tuple((_finite(c, "coefficient"), _finite(e, "exponent")) for c, e in spec.get("terms", ())),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: expected a sequence string or object, got {type(spec).__name__}")
+
+def _lib(path: str):
+    """``module.name`` (or ``module.name.attribute``) in this package, imported when asked for."""
+    module, *names = path.split(".")
+    return functools.reduce(getattr, names, importlib.import_module(f"{__package__}.{module}"))
+
+
+def _make(path: str, where: str, *args, **kwargs):
+    """Call ``_lib(path)``, and report its ValueError at ``where``."""
+    try:
+        return _lib(path)(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _built(path: str, fields: Sequence[_Field]) -> _Kind:
+    """A JSON object checked against ``fields``, then passed to ``path`` as keywords."""
+    return _Kind(lambda value, where: _make(path, where, **_object(value, fields, where)))
+
+
+def _member(path: str) -> _Kind:
+    """The value of a member of the Enum at ``path``."""
+    def check(value, where: str):
+        enum = _lib(path)
+        return enum(_string(value, where, tuple(member.value for member in enum)))
+    return _Kind(check)
+
+
+def _sequence(value, where: str):
+    """A sequence: text such as '1+3n^-0.5', or an object of an offset and [coefficient, exponent] terms."""
+    if isinstance(value, str):
+        return _make("asymptotics.PowerSequence.parse", where, value)
+    return _make("asymptotics.PowerSequence", where, **_object(value, _TERMS, where))
+
+
+def _coordinate(value, where: str):
+    """A scenario row's coordinate: a sequence, or a hyperprior {"normal": {"mean": ..., "variance": ...}}."""
+    if isinstance(value, dict) and "normal" in value:
+        return _object(value, _HYPERPRIOR, where)["normal"]
+    return _sequence(value, where)
 
 
 def _standard_method(method_id: str, where: str, what: str) -> Method:
@@ -219,59 +276,56 @@ def _standard_method(method_id: str, where: str, what: str) -> Method:
 
     methods = {method.method_id: method for method in standard_methods()}
     if method_id not in methods:
-        raise ConfigError(
-            f"{where}: unknown {what} id {method_id!r}; standard ids: {list(methods)}"
-        )
+        raise ConfigError(f"{where}: unknown {what} id {method_id!r}; standard ids: {list(methods)}")
     return methods[method_id]
 
 
-def _parse_rule(spec, where: str) -> FiltrationRule:
-    from .procedure import ChiSquarePValue, MinPValue, NoFilter, ProductThreshold
-
-    if isinstance(spec, str):
-        return _standard_method(spec, where, "rule").rule
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{where}: rule must be a standard id or an object with a 'kind'")
-    kind = _string(spec["kind"], f"{where}.kind")
-    try:
-        if kind == "nofilter":
-            _check_keys(spec, {"kind"}, where)
-            return NoFilter()
-        if kind in ("minp", "chisq2"):
-            _check_keys(spec, {"kind", "threshold"}, where)
-            return (MinPValue if kind == "minp" else ChiSquarePValue)(_finite(spec["threshold"], "threshold"))
-        if kind == "product":
-            _check_keys(spec, {"kind", "c", "delta"}, where)
-            return ProductThreshold(_finite(spec["c"], "c"), _finite(spec["delta"], "delta"))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown rule kind {kind!r}")
+def _rule(value, where: str) -> FiltrationRule:
+    """A rule: a standard method id, or a {"kind": ...} object."""
+    if isinstance(value, str):
+        return _standard_method(value, where, "rule").rule
+    values = _object(value, _RULES, where)
+    return _make(_RULES[values.pop("kind")][0], where, **values)
 
 
-def _parse_adjustment(spec, where: str, rule: FiltrationRule, scenario: ScenarioMixture):
-    """An adjustment object; ``filtration_aware`` without ``p0`` takes the rule's exact p0."""
-    from .procedure import BonferroniOverUnfiltered, FiltrationAware, survival_prob_at_theta0
-
-    if spec is None:
-        return BonferroniOverUnfiltered()
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in ("bonferroni", "filtration_aware"):
-        raise ConfigError(f"{where}: adjustment must be an object with a 'kind' of bonferroni or filtration_aware")
-    _check_keys(spec, {"kind", "p0"} if kind == "filtration_aware" else {"kind"}, where)
-    if kind == "bonferroni":
-        return BonferroniOverUnfiltered()
-    if spec.get("p0") is None:
-        p0 = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)
-        if p0 == 0.0:
-            raise ConfigError(f"{where}: the exact p0 of {rule.label} at n = {scenario.n} underflows to 0")
-        return FiltrationAware(p0)
-    try:
-        return FiltrationAware(_finite(spec["p0"], "p0"))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+# The nested objects of a config.  A kind table maps each kind to its class and fields.
+_SEQUENCE = _Kind(_sequence)
+_TERMS = (_Field("offset", _NUMBER, "constant", 0.0), _Field("terms", _array_of(_array_of(_NUMBER, 2)), "pairs", []))
+_PRIOR = (_Field("mean", _SEQUENCE, "mean", required=True), _Field("variance", _SEQUENCE, "variance", required=True))
+_HYPERPRIOR = (_Field("normal", _built("simulate.NormalMeanPrior", _PRIOR), "normal hyperprior", required=True),)
+_ROW = (
+    _Field("gamma", _Kind(_coordinate), "gamma coordinate", "0"),
+    _Field("beta", _Kind(_coordinate), "beta coordinate", "0"),
+    _Field("proportion", _NUMBER, "mixture weight", 0.0),
+    _Field("truth", _member("simulate.Truth"), "ground truth", required=True),
+)
+# An inline scenario; its sizes come from the top-level settings alone.
+_SCENARIO = (
+    _Field("name", _NAME, "report name", "inline"),
+    _Field("rows", _array_of(_built("simulate.MixtureRow", _ROW)), "mixture rows", required=True),
+    _Field("assignment", _member("simulate.Assignment"), "row assignment", "deterministic"),
+)
+_THRESHOLD = (_Field("threshold", _NUMBER, "p-value threshold", required=True),)
+_RULES = {
+    "nofilter": ("procedure.NoFilter", ()),
+    "minp": ("procedure.MinPValue", _THRESHOLD),
+    "chisq2": ("procedure.ChiSquarePValue", _THRESHOLD),
+    "product": ("procedure.ProductThreshold", (
+        _Field("c", _NUMBER, "constant", required=True), _Field("delta", _NUMBER, "exponent", required=True))),
+}
+_ADJUSTMENTS = {
+    "bonferroni": ("procedure.BonferroniOverUnfiltered", ()),
+    "filtration_aware": ("procedure.FiltrationAware", (_Field("p0", _NUMBER, "default: the rule's exact p0"),)),
+}
+_METHOD = (
+    _Field("rule", _Kind(_rule), "standard id or rule object", required=True),
+    _Field("adjustment", _Kind(lambda value, where: _object(value, _ADJUSTMENTS, where)), "", {"kind": "bonferroni"}),
+    _Field("id", _NAME, "report label"),
+)
 
 
 def _parse_methods(spec, where: str, scenario: ScenarioMixture) -> tuple[Method, ...]:
+    from .procedure import survival_prob_at_theta0
     from .simulate import Method, standard_methods
 
     if spec is None or spec == "all":
@@ -282,64 +336,31 @@ def _parse_methods(spec, where: str, scenario: ScenarioMixture) -> tuple[Method,
         raise ConfigError(f"{where}: methods must be 'all' or a nonempty list")
     methods = []
     for i, item in enumerate(spec):
-        item_where = f"{where}[{i}]"
+        at = f"{where}[{i}]"
         if isinstance(item, str):
-            methods.append(_standard_method(item, item_where, "method"))
-        elif isinstance(item, dict):
-            _check_keys(item, {"rule", "adjustment", "id"}, item_where)
-            rule = _parse_rule(item.get("rule"), f"{item_where}.rule")
-            adjustment = _parse_adjustment(item.get("adjustment"), f"{item_where}.adjustment", rule, scenario)
-            method_id = item.get("id")
-            if method_id is not None:
-                _string(method_id, f"{item_where}.id")
-            methods.append(Method(rule, adjustment, id=method_id))
-        else:
-            raise ConfigError(f"{item_where}: expected method id or object")
+            methods.append(_standard_method(item, at, "method"))
+            continue
+        item = _object(item, _METHOD, at)
+        rule, adjustment = item["rule"], item["adjustment"]
+        if adjustment.get("p0", 1.0) is None:  # filtration_aware without a p0 takes the rule's exact p0
+            adjustment["p0"] = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)
+            if adjustment["p0"] == 0.0:
+                raise ConfigError(f"{at}.adjustment: the exact p0 of {rule.label} at n = {scenario.n} underflows to 0")
+        adjustment = _make(_ADJUSTMENTS[adjustment.pop("kind")][0], f"{at}.adjustment", **adjustment)
+        methods.append(Method(rule, adjustment, id=item["id"]))
     return tuple(methods)
 
 
 def _parse_scenario(spec, settings: dict, where: str) -> ScenarioMixture:
-    """A builtin scenario by name, or an inline one; the size (and simulate's pi) settings win."""
-    from .simulate import Assignment, MixtureRow, ScenarioMixture, Truth, builtin_scenario
-
-    overrides = {f.name: settings[f.name] for f in _SIZES if settings[f.name] is not None}
+    """A builtin scenario by name, or an inline one; the sizes (and simulate's pi) come from ``settings``."""
+    sizes = {f.name: settings[f.name] for f in _SIZES if settings[f.name] is not None}
     if settings.get("pi") is not None:
         if spec != "hierarchical":
             raise ConfigError("pi applies only to the hierarchical scenario")
-        overrides["pi"] = settings["pi"]
+        sizes["pi"] = settings["pi"]
     if isinstance(spec, str):
-        try:
-            return builtin_scenario(spec, **overrides)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    _check_keys(spec, {"name", "rows", "assignment", *(f.name for f in _SIZES)}, where)
-    if not isinstance(spec.get("rows"), list):
-        raise ConfigError(f"{where}.rows must be a list of row objects, got {spec.get('rows')!r}")
-    rows = []
-    for i, row in enumerate(spec["rows"]):
-        row_where = f"{where}.rows[{i}]"
-        _check_keys(row, {"gamma", "beta", "proportion", "truth"}, row_where)
-        try:
-            truth = Truth(row["truth"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{row_where}: truth must be one of {[t.value for t in Truth]}") from exc
-        rows.append(
-            MixtureRow(
-                gamma=_parse_sequence(row.get("gamma", "0"), f"{row_where}.gamma", allow_prior=True),
-                beta=_parse_sequence(row.get("beta", "0"), f"{row_where}.beta", allow_prior=True),
-                proportion=_finite(row.get("proportion", 0.0), f"{row_where}.proportion"),
-                truth=truth,
-            )
-        )
-    sizes = [f for f in _SIZES if f.name in spec]
-    params = {f.name: f.kind.check(spec[f.name], f"{where}.{f.name}") for f in sizes}
-    params.update(overrides)
-    name = _string(spec.get("name", "inline"), f"{where}.name")
-    try:
-        assignment = Assignment(spec.get("assignment", "deterministic"))
-        return ScenarioMixture(name, tuple(rows), assignment=assignment, **params)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        return _make("simulate.builtin_scenario", where, spec, **sizes)
+    return _make("simulate.ScenarioMixture", where, **_object(spec, _SCENARIO, where), **sizes)
 
 
 @contextmanager
@@ -349,10 +370,6 @@ def _memory_for(setting: str, value: int):
         yield
     except MemoryError as exc:
         raise ConfigError(f"{setting} = {value} needs more memory than is available ({exc})") from None
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, separators=(", ", ": "))
 
 
 def _nan_to_zero(value: float) -> float:
@@ -374,7 +391,7 @@ _SEED_FIELD = _Field("seed", _SEED, "master seed (default: TWOSTAGE_SEED or draw
 _OUT = _Field("out", _STRING, "output path")
 _SCENARIO_RUN = (
     _CONFIG,
-    _Field("scenario", _SPEC, "builtin scenario: {scenarios}", required=True),
+    _Field("scenario", _SPEC, "builtin scenario: {scenarios}; or inline JSON", required=True),
     *_SIZES,
     _SEED_FIELD,
     _OUT,
@@ -383,7 +400,7 @@ _SCENARIO_RUN = (
 _SIMULATE = (
     *_SCENARIO_RUN,
     _Field("pi", _NUMBERS, "hierarchical scenario's row weights, e.g. 0.65,0.30,0.05"),
-    _Field("methods", _SPEC, "'all' (default) or comma-separated method ids"),
+    _Field("methods", _SPEC, "'all' (default), comma-separated method ids, or a JSON list"),
     _FORMAT_FIELD,
     _Field("svg", _STRING, "also write an SVG chart to this path"),
     _Field("threads", _COUNT, "checked, but ignored: the engine runs in one thread"),
@@ -485,9 +502,7 @@ def _cmd_mse_ratio(s: dict) -> int:
     else:
         if len(custom) < 4:
             raise ConfigError("mse-ratio needs --preset or all of --gamma/--beta/--c/--delta")
-        seq = ParamSequence(
-            _parse_sequence(s["gamma"], "gamma"), _parse_sequence(s["beta"], "beta")
-        )
+        seq = ParamSequence(_sequence(s["gamma"], "gamma"), _sequence(s["beta"], "beta"))
         c, delta = s["c"], s["delta"]
     out = s["out"] or f"mse-ratio-{preset_name or 'custom'}.{s['format']}"
 
@@ -538,22 +553,17 @@ def _cmd_classify(s: dict) -> int:
     from .asymptotics import DEFAULT_N_GRID, ParamSequence, classify_product_regime
     from .jsonsafe import strict
 
-    seq = ParamSequence(_parse_sequence(s["gamma"], "gamma"), _parse_sequence(s["beta"], "beta"))
+    seq = ParamSequence(_sequence(s["gamma"], "gamma"), _sequence(s["beta"], "beta"))
     n_grid = DEFAULT_N_GRID if s["n_grid"] is None else s["n_grid"]
     result = classify_product_regime(seq, s["c"], s["delta"], n_grid)
     diagnostics = {"A": result.a_value, "mean_term": result.a_mean_term, "sd_term": result.a_sd_term}
-    print(
-        _json_line(
-            strict(
-                {
-                    "L_region": result.L_region.value,
-                    "K": result.K_value,
-                    "efficiency_class": result.efficiency_class.value,
-                    "A_diagnostics": diagnostics,
-                }
-            )
-        )
-    )
+    payload = {
+        "L_region": result.L_region.value,
+        "K": result.K_value,
+        "efficiency_class": result.efficiency_class.value,
+        "A_diagnostics": diagnostics,
+    }
+    print(json.dumps(strict(payload)))
     return EXIT_OK
 
 
@@ -572,21 +582,18 @@ def _cmd_fit(s: dict) -> int:
         sobel = None
     # sobel_z divides by the fitted standard errors (sigma / sqrt(n)), giving
     # the usual z-form of the normalized product statistic.
-    print(
-        _json_line(
-            {
-                "gamma_hat": pair.gamma_hat,
-                "beta_hat": pair.beta_hat,
-                "sigma_gamma": pair.sigma_gamma,
-                "sigma_beta": pair.sigma_beta,
-                "n": pair.n,
-                "product": product_stat(pair),
-                "sobel": sobel,
-                "sobel_z": None if sobel is None else math.sqrt(pair.n) * sobel,
-                "joint_pvalue": joint_pvalue(pair),
-            }
-        )
-    )
+    payload = {
+        "gamma_hat": pair.gamma_hat,
+        "beta_hat": pair.beta_hat,
+        "sigma_gamma": pair.sigma_gamma,
+        "sigma_beta": pair.sigma_beta,
+        "n": pair.n,
+        "product": product_stat(pair),
+        "sobel": sobel,
+        "sobel_z": None if sobel is None else math.sqrt(pair.n) * sobel,
+        "joint_pvalue": joint_pvalue(pair),
+    }
+    print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -598,13 +605,7 @@ def _cmd_fwer_bound(s: dict) -> int:
     from .simulate import Method, conditional_rejection_stats
 
     scenario = _parse_scenario(s["scenario"], s, "scenario")
-    rule_spec = s["rule"]
-    if isinstance(rule_spec, str) and rule_spec.lstrip().startswith("{"):
-        try:
-            rule_spec = json.loads(rule_spec)  # inline JSON rule text
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"rule: invalid JSON at column {exc.colno}: {exc.msg}") from exc
-    rule = _parse_rule(rule_spec, "rule")
+    rule = _rule(s["rule"], "rule")
 
     p0 = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)
     with _memory_for("m", scenario.m):
@@ -627,7 +628,7 @@ def _cmd_fwer_bound(s: dict) -> int:
         from .report import write_json
 
         write_json(payload, s["out"])
-    print(_json_line(payload))
+    print(json.dumps(payload))
     if s["out"]:
         print(f"wrote {s['out']}")
     return EXIT_OK
@@ -690,18 +691,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(getattr(args, "config", None), table, f"{args.command} config")
         return run(_resolve(args, cfg, table))
-    except InconsistentRegimeError as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:  # ValueError: ConfigError and DataFormatError among them
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (SingularDesignError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:  # ConfigError and DataFormatError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, InconsistentRegimeError):
+            return EXIT_DOMAIN
+        if isinstance(exc, (SingularDesignError, FloatingPointError)):
+            return EXIT_NUMERIC
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -145,15 +145,16 @@ def filter_mask(rule: FiltrationRule, gamma_hat, beta_hat, sigma_gamma, sigma_be
     beta_hat = np.asarray(beta_hat, dtype=float)
     if isinstance(rule, NoFilter):
         return np.zeros(gamma_hat.shape, dtype=bool)
-    if isinstance(rule, MinPValue):
-        # min(p_gamma, p_beta) >= threshold, decided on |z| (see _z_critical).
-        z_max = np.maximum(_abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n))
-        return z_max <= _z_critical(rule.threshold)
-    if isinstance(rule, ChiSquarePValue):
-        w = n * (np.square(gamma_hat) / sigma_gamma**2 + np.square(beta_hat) / sigma_beta**2)
-        return np.exp(-w / 2.0) >= rule.threshold  # the chi-square(2df) survivor p-value of w
-    if isinstance(rule, ProductThreshold):
-        return np.abs(gamma_hat * beta_hat) < rule.c * np.asarray(n, dtype=float) ** (-rule.delta)
+    with np.errstate(over="ignore"):  # a statistic beyond float range is inf, and survives
+        if isinstance(rule, MinPValue):
+            # min(p_gamma, p_beta) >= threshold, decided on |z| (see _z_critical).
+            z_max = np.maximum(_abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n))
+            return z_max <= _z_critical(rule.threshold)
+        if isinstance(rule, ChiSquarePValue):
+            w = _abs_z(gamma_hat, sigma_gamma, n) ** 2 + _abs_z(beta_hat, sigma_beta, n) ** 2
+            return np.exp(-w / 2.0) >= rule.threshold  # the chi-square(2df) survivor p-value of w
+        if isinstance(rule, ProductThreshold):
+            return np.abs(gamma_hat * beta_hat) < rule.c * np.asarray(n, dtype=float) ** (-rule.delta)
     raise TypeError(f"unknown filtration rule: {rule!r}")
 
 

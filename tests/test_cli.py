@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import os
 import re
 import subprocess
@@ -67,15 +70,15 @@ class TestSimulateCommand:
                 {
                     "scenario": {
                         "name": "tiny",
-                        "m": 30,
-                        "reps": 10,
-                        "n": 100,
                         "rows": [
                             {"gamma": "0", "beta": "0", "proportion": 0.8, "truth": "null00"},
                             {"gamma": "3n^-0.5", "beta": "3n^-0.5", "proportion": 0.2, "truth": "alternative"},
                         ],
                     },
                     "methods": ["nofilter", {"rule": {"kind": "product", "c": 2.0, "delta": 0.9}, "id": "custom"}],
+                    "m": 30,
+                    "reps": 10,
+                    "n": 100,
                     "seed": 5,
                 }
             )
@@ -201,6 +204,11 @@ class TestClassifyCommand:
         assert run_cli("classify", "--gamma", gamma, "--beta", "0", "--c", "1", "--delta", "0.8") == 2
         assert capsys.readouterr().err.startswith("error: gamma: ")
 
+    def test_hyperprior_only_in_scenario_rows_exit_2(self, capsys):
+        gamma = json.dumps({"normal": {"mean": "0", "variance": "1"}})
+        assert run_cli("classify", "--gamma", gamma, "--beta", "0", "--c", "1", "--delta", "0.8") == 2
+        assert capsys.readouterr().err.startswith("error: unknown key(s) ['normal'] in gamma")
+
 
 class TestFitCommand:
     def _write_synthetic(self, tmp_path, noise=0.0, n=300):
@@ -308,9 +316,37 @@ class TestFwerBoundCommand:
             assert payload["p0"] == payload["adjusted_threshold_factor"] == p0
             assert "p0_se" not in payload
 
-    def test_inline_rule_json_error_names_rule_exit_2(self, capsys):
-        assert run_cli("fwer-bound", "--scenario", "config1", "--rule", "{bad", "--seed", "1") == 2
-        assert capsys.readouterr().err.startswith("error: rule: invalid JSON at column 2")
+    # Each structured flag reads text that opens with { or [ as JSON.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fwer-bound", "--scenario", "config1", "--rule"],
+            ["fwer-bound", "--rule", "minp", "--scenario"],
+            ["simulate", "--scenario", "config1", "--methods"],
+            ["classify", "--beta", "0", "--c", "1", "--delta", "0.8", "--gamma"],
+            ["mse-ratio", "--gamma", "0", "--c", "1", "--delta", "0.8", "--beta"],
+        ],
+    )
+    def test_structured_flag_json_error_names_flag_exit_2(self, capsys, argv):
+        flag = argv[-1]
+        for text in ("{bad", "[1,"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv, text, "--seed", "1")
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+    def test_structured_flags_read_json(self, tmp_path, capsys):
+        scenario = {"name": "flagged", "rows": [{"truth": "null00", "proportion": 1.0}]}
+        methods = [{"rule": {"kind": "product", "c": 2.0, "delta": 0.9}, "id": "custom"}]
+        out = tmp_path / "r.csv"
+        argv = ["--scenario", json.dumps(scenario), "--methods", json.dumps(methods), "--reps", "3", "--m", "10"]
+        assert run_cli("simulate", *argv, "--seed", "1", "--out", str(out)) == 0
+        report = read_simulation_report(str(out))
+        assert (report.meta.scenario, [m.method_id for m in report.methods]) == ("flagged", ["custom"])
+        gamma = json.dumps({"offset": 0.0, "terms": [[1.0, 0.6]]})
+        assert run_cli("classify", "--gamma", gamma, "--beta", "n^-0.6", "--c", "1", "--delta", "0.8") == 0
+        assert capsys.readouterr().out.endswith(_CLASSIFY_LINE + "\n")
 
     def test_p0_reps_is_ignored(self, capsys):
         argv = ["fwer-bound", "--scenario", "config2", "--rule", "prod-0.9", "--reps", "5", "--seed", "3"]
@@ -645,23 +681,42 @@ class TestSettingsTable:
             ("simulate", "scenario", {"rows": "ab"}, "scenario.rows"),
             ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"normal": 5})]}, "scenario.rows[0].gamma.normal"),
             ("simulate", "scenario", {"rows": [dict(_ROW, beta={"normal": {"variance": "1"}})]},
-             "scenario.rows[0].beta.normal.mean"),
+             "scenario.rows[0].beta.normal needs a mean"),
             ("simulate", "scenario", {"rows": [_ROW], "name": [1]}, "scenario.name"),
-            ("simulate", "scenario", {"rows": [_ROW], "m": [3]}, "scenario.m"),
+            # An inline scenario's sizes come from the top-level settings alone.
+            ("simulate", "scenario", {"rows": [_ROW], "m": 3}, "unknown key(s) ['m'] in scenario"),
             ("simulate", "methods", [{"rule": "nofilter", "id": 5}], "methods[0].id"),
             ("fwer-bound", "rule", {"kind": 5}, "rule.kind"),
             ("mse-ratio", "preset", [], "preset"),
             ("mse-ratio", "n_grid", {"a": 1}, "n_grid"),
             ("mse-ratio", "n_grid", [100.5, 1000, 10000], "n_grid"),
             # Numbers in inline rules, adjustments and sequences: booleans and text are refused.
-            ("fwer-bound", "rule", {"kind": "product", "c": True, "delta": 0.9}, "rule: c must be a finite number"),
-            ("simulate", "methods", [{"rule": {"kind": "product", "c": 2, "delta": "0.9"}}], "methods[0].rule: delta"),
-            ("simulate", "methods", [{"rule": {"kind": "minp", "threshold": True}}], "methods[0].rule: threshold"),
+            ("fwer-bound", "rule", {"kind": "product", "c": True, "delta": 0.9}, "rule.c must be a finite number"),
+            ("simulate", "methods", [{"rule": {"kind": "product", "c": 2, "delta": "0.9"}}], "methods[0].rule.delta must"),
+            ("simulate", "methods", [{"rule": {"kind": "minp", "threshold": True}}], "methods[0].rule.threshold must"),
             ("simulate", "methods", [{"rule": "minp", "adjustment": {"kind": "filtration_aware", "p0": True}}],
-             "methods[0].adjustment: p0"),
-            ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"offset": True})]}, "scenario.rows[0].gamma: offset"),
+             "methods[0].adjustment.p0 must"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"offset": True})]}, "scenario.rows[0].gamma.offset must"),
             ("simulate", "scenario", {"rows": [dict(_ROW, beta={"terms": [[1, "0.5"]]})]},
-             "scenario.rows[0].beta: exponent"),
+             "scenario.rows[0].beta.terms[0][1] must be a finite number"),
+            # Missing keys and malformed shapes are named by their dotted path.
+            ("fwer-bound", "rule", {"kind": "product", "delta": 0.9}, "rule needs a c\n"),
+            ("simulate", "methods", [{"rule": {"kind": "minp"}}], "methods[0].rule needs a threshold\n"),
+            ("simulate", "methods", [{"adjustment": {"kind": "bonferroni"}}], "methods[0] needs a rule\n"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"terms": [[1]]})]},
+             "scenario.rows[0].gamma.terms[0] must be a list of 2, got [1]"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"terms": 5})]}, "scenario.rows[0].gamma.terms must be a list"),
+            ("simulate", "scenario", {"rows": [_ROW], "assignment": ["foo"]}, "scenario.assignment must be"),
+            ("simulate", "scenario", {"rows": [_ROW], "assignment": "foo"}, "scenario.assignment must be"),
+            ("simulate", "scenario", {"rows": [{"proportion": 1.0}]}, "scenario.rows[0] needs a truth"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, truth="null")]}, "scenario.rows[0].truth must be null00 or"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"terms": [[1, -0.5]]})]},
+             "scenario.rows[0].gamma: exponent must be non-negative"),
+            ("simulate", "scenario", {"rows": [dict(_ROW, proportion=0.5)]}, "scenario: row proportions must sum to 1"),
+            ("simulate", "scenario", {"name": "x"}, "scenario needs a rows"),
+            ("simulate", "methods", [{"rule": {"kind": "product", "c": 2, "delta": 0.9, "threshold": 0.1}}],
+             "unknown key(s) ['threshold'] in methods[0].rule"),
+            ("simulate", "methods", [{"rule": {"c": 2, "delta": 0.9}}], "methods[0].rule must be an object with a kind"),
             # The exact p0 of this rule at n = 200 is below the smallest float.
             ("simulate", "methods", [{"rule": {"kind": "product", "c": 1000, "delta": 0.5},
                                       "adjustment": {"kind": "filtration_aware"}}], "methods[0].adjustment: the exact p0"),
@@ -672,13 +727,15 @@ class TestSettingsTable:
         assert _run_config(tmp_path, command, dict(_BASE[command], **{key: value})) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}") and "Traceback" not in err
+        # No Python-internal text: an unpacking or iteration error, or a bare KeyError key.
+        assert "unpack" not in err and "iterable" not in err and not re.search(r": '[^']*'$", err.strip())
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]  # refused before any report is written
 
     @pytest.mark.parametrize(
         "adjustment, message",
         [
             ({"kind": "bonferroni", "bogus": 1}, "unknown key(s) ['bogus'] in methods[0].adjustment"),
-            ("bonferroni", "methods[0].adjustment: adjustment must be an object with a 'kind'"),
+            ("bonferroni", "methods[0].adjustment must be an object with a kind of bonferroni or filtration_aware"),
         ],
     )
     def test_adjustment_is_an_object_with_known_keys_exit_2(self, tmp_path, capsys, adjustment, message):
@@ -742,11 +799,48 @@ class TestSettingsTable:
             run_cli("fwer-bound", "--scenario", "hierarchical", "--rule", "minp", "--pi", "0.5,0.4,0.1")
         assert exc.value.code == 2
 
+    # A comma or line break (any that str.splitlines splits on) would split a
+    # CSV report's cell or line, a leading # would make a row a comment, and
+    # the reader strips the metadata values.
+    @pytest.mark.parametrize("bad", ["", "a,b", "a\nb", "a\rb", "a\u2028b", "#a", " a", "a\t"])
+    @pytest.mark.parametrize("key", ["methods", "scenario"])
+    def test_report_names_refused_exit_2(self, tmp_path, capsys, monkeypatch, key, bad):
+        monkeypatch.chdir(tmp_path)
+        value = [{"rule": "minp", "id": bad}] if key == "methods" else {"name": bad, "rows": [_ROW]}
+        assert _run_config(tmp_path, "simulate", dict(_BASE["simulate"], **{key: value})) == 2
+        where = "methods[0].id" if key == "methods" else "scenario.name"
+        assert capsys.readouterr().err.startswith(f"error: {where} must be one line of text")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_report_names_round_trip(self, tmp_path):
+        out = tmp_path / "r.csv"
+        cfg = dict(_BASE["simulate"], scenario={"name": "a b=c;#", "rows": [_ROW]}, out=str(out))
+        assert _run_config(tmp_path, "simulate", dict(cfg, methods=[{"rule": "minp", "id": "x=y #z"}])) == 0
+        report = read_simulation_report(str(out))
+        assert (report.meta.scenario, report.methods[0].method_id) == ("a b=c;#", "x=y #z")
+
     def test_config_value_checked_even_when_flag_overrides(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(_BASE["simulate"], reps="abc")))
         assert run_cli("simulate", "--config", str(path), "--reps", "3", "--out", str(tmp_path / "r.csv")) == 2
         assert capsys.readouterr().err.startswith("error: reps must be")
+
+
+# A sigma whose square is beyond float range: the chi-square filter used to
+# square it as a Python float and end in an OverflowError traceback.  Numpy
+# warnings would reach stderr, so they fail the test.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fwer-bound", "--scenario", "hierarchical", "--rule", "chisq2", "--sigma", "1e155", "--reps", "2"],
+        ["simulate", "--scenario", "config2", "--sigma", "1e160", "--reps", "2", "--out", "r.csv"],
+    ],
+)
+def test_huge_sigma_exits_0(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--seed", "1") == 0
+    assert capsys.readouterr().err == ""
 
 
 _HUGE = "1" + "0" * 400  # beyond float range
@@ -780,7 +874,7 @@ class TestOversizedCounts:
         "command, cfg, where",
         [
             ("simulate", {"n": int(_HUGE)}, "n"),
-            ("simulate", {"scenario": {"rows": [_ROW], "n": int(_HUGE)}}, "scenario.n"),
+            ("simulate", {"scenario": {"rows": [dict(_ROW, proportion=int(_HUGE))]}}, "scenario.rows[0].proportion"),
             ("mse-ratio", {"n_grid": [100, 1000, int(_HUGE)]}, "n_grid"),
         ],
     )
@@ -835,19 +929,63 @@ def _allowed(key, value):
     return True
 
 
+# Nested objects with each kind of rule, adjustment, row and sequence object.
+_INLINE = {
+    "name": "s",
+    "assignment": "multinomial",
+    "rows": [
+        {"gamma": {"offset": 0.0, "terms": [[3.0, 0.5]]}, "beta": "0", "proportion": 0.5, "truth": "null10"},
+        {"gamma": "0", "beta": {"normal": {"mean": "n^-0.5", "variance": "n^-1"}}, "proportion": 0.5, "truth": "null01"},
+    ],
+}
+_NESTED = {
+    "simulate": {
+        "scenario": _INLINE,
+        "methods": [
+            "nofilter",
+            {"rule": {"kind": "minp", "threshold": 0.001}, "adjustment": {"kind": "filtration_aware"}, "id": "a"},
+            {"rule": {"kind": "product", "c": 2.0, "delta": 0.9}, "adjustment": {"kind": "bonferroni"}},
+        ],
+    },
+    "fwer-bound": {"scenario": _INLINE, "rule": {"kind": "chisq2", "threshold": 0.001}},
+    "mse-ratio": {"preset": None, "gamma": {"offset": 0.0, "terms": [[2.0, 0.5]]}, "beta": "2n^-0.5", "c": 4.0, "delta": 0.7},
+}
+
+
+def _slots(obj, path=()):
+    """The path of each key and list entry inside ``obj``, and of one unknown key in each object."""
+    if isinstance(obj, dict):
+        items = [*obj.items(), ("nosuchkey", None)]
+    else:
+        items = list(enumerate(obj)) if isinstance(obj, list) else []
+    return [slot for key, value in items for slot in [(*path, key), *_slots(value, (*path, key))]]
+
+
 @pytest.mark.parametrize("command", sorted(_BASE))
-@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_config_value_exits_cleanly(tmp_path, capsys, monkeypatch, command, data):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("TWOSTAGE_SEED", raising=False)
-    base = dict(_BASE[command], out=str(tmp_path / "report"))
-    key = data.draw(st.sampled_from([*_KEYS[command], "nosuchkey"]))
-    value = data.draw(_JSON.filter(lambda v: _allowed(key, v)))
+    cfg = dict(_BASE[command], out=str(tmp_path / "report"))
+    if data.draw(st.booleans()):  # a value inside one of the nested objects
+        cfg.update(copy.deepcopy(_NESTED[command]))
+        *path, key = data.draw(st.sampled_from(_slots(_NESTED[command])))
+        value = data.draw(_JSON)
+    else:
+        path, key = [], data.draw(st.sampled_from([*_KEYS[command], "nosuchkey"]))
+        value = data.draw(_JSON.filter(lambda v: _allowed(key, v)))
+    functools.reduce(operator.getitem, path, cfg)[key] = value
     try:
-        code = _run_config(tmp_path, command, dict(base, **{key: value}))
+        code = _run_config(tmp_path, command, cfg)
     except SystemExit as exc:
         code = exc.code
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_nested_base_configs_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for command, nested in _NESTED.items():
+        assert _run_config(tmp_path, command, dict(_BASE[command], **nested, out=str(tmp_path / "report"))) == 0

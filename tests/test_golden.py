@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twostage.asymptotics import MSE_RATIO_PRESETS
 from twostage.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -64,7 +65,34 @@ def _cases() -> dict:
         for rule in ("nofilter", "minp", "chisq2", "prod-0.9"):
             argv = ["fwer-bound", "--scenario", scenario, "--rule", rule, "--seed", "30", "--out", "bound.json"]
             cases[f"fwer-bound-{scenario}-{rule}"] = (argv, {})
-    cases["mse-ratio-k-4over3"] = (["mse-ratio", "--preset", "k-4over3", "--seed", "2", "--out", "ratio.csv"], {})
+    for preset in MSE_RATIO_PRESETS:
+        cases[f"mse-ratio-{preset}"] = (["mse-ratio", "--preset", preset, "--seed", "2", "--out", "ratio.csv"], {})
+    classify = {
+        "benchmark": ["n^-0.6", "n^-0.6", "1", "0.8"],
+        "interior": ["1.075n^-0.5", "1.075n^-0.5", "2.5", "1"],
+        "unreachable": ["n^-1", "n^-1", "2.5", "1.2"],  # exit 4
+    }
+    for name, (gamma, beta, c, delta) in classify.items():
+        cases[f"classify-{name}"] = (["classify", "--gamma", gamma, "--beta", beta, "--c", c, "--delta", delta], {})
+    cases["error-exit-3-missing-config"] = (["simulate", "--config", "missing.json"], {})
+    cases["error-exit-5-plain-mse"] = (
+        ["mse-ratio", "--preset", "k-4over3", "--reps", "100", "--seed", "1", "--n-grid", f"100,1000,{10**300}"], {}
+    )
+    # Nested-schema errors: exit 2, with the dotted path of the fault.
+    row = {"truth": "null00", "proportion": 1.0}
+    for name, scenario in {
+        "terms-pair": {"rows": [dict(row, gamma={"terms": [[1]]})]},
+        "terms-list": {"rows": [dict(row, gamma={"terms": 5})]},
+        "assignment": {"rows": [row], "assignment": ["foo"]},
+        "inline-size": {"rows": [row], "m": 30},
+    }.items():
+        cases[f"error-exit-2-{name}"] = (["simulate", "--config", "config.json"], {"config.json": {"scenario": scenario, "seed": 1}})
+    cases["error-exit-2-rule-needs-c"] = (
+        ["fwer-bound", "--scenario", "config2", "--seed", "1", "--rule", '{"kind": "product", "delta": 0.9}'], {}
+    )
+    cases["error-exit-2-method-id"] = (
+        ["simulate", "--scenario", "config1", "--seed", "1", "--methods", '[{"rule": "minp", "id": "a,b"}]'], {}
+    )
     return cases
 
 

@@ -71,6 +71,17 @@ class TestEvaluateFilter:
     def test_chisq_filters_origin(self):
         assert evaluate_filter(ChiSquarePValue(0.001), pair(0.0, 0.0)) is True
 
+    # The chi-square statistic is formed from the standardized coordinates, so
+    # a scale whose square is beyond float range changes nothing.  2**520 scales
+    # exactly; its square would overflow.
+    @pytest.mark.filterwarnings("error")
+    def test_chisq_mask_is_scale_free(self):
+        g, b = np.random.default_rng(5).normal(scale=0.3, size=(2, 500))
+        rule, scale = ChiSquarePValue(0.001), 2.0**520
+        want = filter_mask(rule, g, b, 1.0, 1.0, 50)
+        assert 0 < want.sum() < want.size
+        np.testing.assert_array_equal(filter_mask(rule, g * scale, b * scale, scale, scale, 50), want)
+
     def test_product_monotone_in_c(self):
         rng = np.random.default_rng(3)
         es = [pair(g, b, n=50) for g, b in rng.normal(scale=0.3, size=(100, 2))]
