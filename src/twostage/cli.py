@@ -111,11 +111,13 @@ def _array_of(item: _Kind, size: int | None = None) -> _Kind:
     return _Kind(check)
 
 
-def _name(value, where: str) -> str:
-    """A label that a CSV report's cell or metadata line holds, and reads back, as it is."""
+def _name(value, where: str, also: str = "") -> str:
+    """A label that a CSV report's cell or metadata line holds, and reads back, as it is, with none of ``also``."""
     text = _string(value, where)
-    if text.splitlines() != [text] or "," in text or text.strip() != text or text.startswith("#"):
-        raise ConfigError(f"{where} must be one line of text with no comma, outer space or leading #, got {value!r}")
+    plain = text.splitlines() == [text] and "," not in text and text.strip() == text and not text.startswith("#")
+    if not plain or set(text) & set(also):
+        shown = f", leading # or any of {also}" if also else " or leading #"
+        raise ConfigError(f"{where} must be one line of text with no comma, outer space{shown}, got {value!r}")
     return text
 
 
@@ -137,6 +139,8 @@ _FORMAT = _Kind(lambda value, where: _string(value, where, ("csv", "json")))
 _SAMPLE_SIZES = _list_of(_SAMPLE_SIZE, "integers from 1 to the largest float")
 _NUMBERS = _list_of(_NUMBER, "finite numbers")
 _NAME = _Kind(_name)
+# simulate writes simulate-<scenario name>.csv in the working directory when given no --out.
+_FILE_NAME = _Kind(lambda value, where: _name(value, where, "/\\"))
 # A name or a JSON spec, parsed by the handler that knows its shape (scenario, methods, ...).
 _SPEC = _Kind(lambda value, where: value, _json_text)
 
@@ -301,7 +305,7 @@ _ROW = (
 )
 # An inline scenario; its sizes come from the top-level settings alone.
 _SCENARIO = (
-    _Field("name", _NAME, "report name", "inline"),
+    _Field("name", _FILE_NAME, "report name", "inline"),
     _Field("rows", _array_of(_built("simulate.MixtureRow", _ROW)), "mixture rows", required=True),
     _Field("assignment", _member("simulate.Assignment"), "row assignment", "deterministic"),
 )
@@ -620,7 +624,7 @@ def _cmd_fwer_bound(s: dict) -> int:
         "survivor_bound": bound,
         "simulated_fwer": stats.fwer,
         "fwer_se": stats.fwer_se,
-        "mean_F": sum(stats.F_samples) / len(stats.F_samples),
+        "mean_F": stats.mean_F,
         "seed": s["seed"],
     }
     # The file comes first, so a run that cannot write it prints no result.

@@ -170,7 +170,8 @@ def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_bet
     A survivor is rejected iff its joint p-value is <= the threshold, decided
     as ``joint |z| >= _z_critical(threshold)``, so no p-value is computed.
     """
-    joint_z = _joint_abs_z(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)
+    with np.errstate(over="ignore"):  # as in filter_mask: a |z| beyond float range is inf
+        joint_z = _joint_abs_z(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)
     outcomes = []
     for rule, adjustment in methods:
         survivors = ~filter_mask(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)

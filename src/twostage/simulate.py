@@ -56,7 +56,6 @@ __all__ = [
     "ReportMeta",
     "SimulationReport",
     "run_experiment",
-    "RowConditional",
     "ConditionalRejectionStats",
     "conditional_rejection_stats",
 ]
@@ -132,6 +131,14 @@ class ScenarioMixture:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        for i, row in enumerate(self.rows):
+            # A coordinate is zero at n when its mean and prior sd both are; the
+            # label nullGB marks each nonzero coordinate with a 1.
+            nonzero = [_coordinate_params(coord, self.n) != (0.0, 0.0) for coord in (row.gamma, row.beta)]
+            derived = Truth.ALTERNATIVE if all(nonzero) else Truth("null%d%d" % tuple(nonzero))
+            if row.truth is not derived:
+                at = f"rows[{i}] has truth {row.truth.value!r}, but its coordinates at n = {self.n}"
+                raise ValueError(f"{at} make it {derived.value!r}")
 
 
 @dataclass(frozen=True)
@@ -354,10 +361,29 @@ def _replication_blocks(scenario, methods, stream, reps: range):
         yield row_idx, truth_null, [(survivors, rejected) for survivors, _, rejected in outcomes]
 
 
-def _tally(truth_null, survivors, rejected):
-    """Per-replication (V, S, n_alt, F) arrays from one block of kernel output."""
-    alt = ~truth_null
-    return (rejected & truth_null).sum(1), (rejected & alt).sum(1), alt.sum(1), survivors.sum(1)
+def _tallies(scenario: ScenarioMixture, methods: Sequence[Method], stream: RandomStream, reps: range):
+    """Every method's tallies over the replications in ``reps``, in one pass.
+
+    Per method, ``(V, S, n_alt, F, row_survived, row_rejected)``: one entry
+    per replication of false and true rejections, alternatives drawn and
+    survivors, then the survivors and rejections of each mixture row over
+    the whole run.  Each block of kernel output is reduced before the next
+    is drawn.
+    """
+    n_rows = len(scenario.rows)
+    per_block = [[] for _ in methods]
+    for row_idx, truth_null, outcomes in _replication_blocks(scenario, methods, stream, reps):
+        alt, rows = ~truth_null, row_idx.ravel()
+        for acc, (survivors, rejected) in zip(per_block, outcomes):
+            # flatnonzero picks the rows of a mask's hypotheses about 2x faster than row_idx[mask] does.
+            row_counts = [np.bincount(rows[np.flatnonzero(mask)], minlength=n_rows) for mask in (survivors, rejected)]
+            acc.append(((rejected & truth_null).sum(1), (rejected & alt).sum(1), alt.sum(1), survivors.sum(1),
+                        *row_counts))
+    tallies = []
+    for acc in per_block:
+        v, s, n_alt, f, survived, rejected = zip(*acc)
+        tallies.append((*map(np.concatenate, (v, s, n_alt, f)), sum(survived), sum(rejected)))
+    return tallies
 
 
 @dataclass(frozen=True)
@@ -379,8 +405,8 @@ def run_replication(
     """Draw one replication and apply every method to the same draws."""
     if not methods:
         raise ValueError("methods must be nonempty")
-    [(_, truth_null, outcomes)] = _replication_blocks(scenario, methods, stream, range(rep_index, rep_index + 1))
-    return [MethodCounts(*(int(c[0]) for c in _tally(truth_null, *o))) for o in outcomes]
+    tallies = _tallies(scenario, methods, stream, range(rep_index, rep_index + 1))
+    return [MethodCounts(*(int(c[0]) for c in t[:4])) for t in tallies]
 
 
 @dataclass(frozen=True)
@@ -391,6 +417,21 @@ class MethodResult:
     power: float
     power_se: float
     mean_F: float
+
+
+def _method_result(method_id: str, v, s, n_alt, f, *_) -> MethodResult:
+    """FWER, power and mean F from one method's :func:`_tallies`, as :func:`run_experiment` defines them."""
+    fwer = float((v >= 1).mean())
+    fwer_se = math.sqrt(fwer * (1.0 - fwer) / v.size)
+    has_alt = n_alt > 0
+    if has_alt.any():
+        ratios = s[has_alt] / n_alt[has_alt]
+        power = float(ratios.mean())
+        power_se = float(ratios.std(ddof=1) / math.sqrt(ratios.size)) if ratios.size > 1 else 0.0
+    else:
+        power = math.nan
+        power_se = math.nan
+    return MethodResult(method_id, fwer, fwer_se, power, power_se, float(f.mean()))
 
 
 @dataclass(frozen=True)
@@ -429,74 +470,40 @@ def run_experiment(
     ids = [mth.method_id for mth in methods]
     if len(set(ids)) != len(ids):
         raise ValueError(f"method ids must be unique, got {ids}")
-    reps = scenario.reps
-    tallies = [[] for _ in methods]
-    for _, truth_null, outcomes in _replication_blocks(
-        scenario, methods, RandomStream(master_seed, 0), range(reps)
-    ):
-        for acc, outcome in zip(tallies, outcomes):
-            acc.append(_tally(truth_null, *outcome))
-
-    results = []
-    for method, acc in zip(methods, tallies):
-        v, s, n_alt, f = (np.concatenate(col) for col in zip(*acc))
-        fwer = float((v >= 1).mean())
-        fwer_se = math.sqrt(fwer * (1.0 - fwer) / reps)
-        has_alt = n_alt > 0
-        if has_alt.any():
-            ratios = s[has_alt] / n_alt[has_alt]
-            power = float(ratios.mean())
-            power_se = float(ratios.std(ddof=1) / math.sqrt(ratios.size)) if ratios.size > 1 else 0.0
-        else:
-            power = math.nan
-            power_se = math.nan
-        results.append(
-            MethodResult(method.method_id, fwer, fwer_se, power, power_se, float(f.mean()))
-        )
-
+    tallies = _tallies(scenario, methods, RandomStream(master_seed, 0), range(scenario.reps))
     meta = ReportMeta(
         seed=master_seed,
         scenario=scenario.name,
         m=scenario.m,
-        reps=reps,
+        reps=scenario.reps,
         n=scenario.n,
         sigma=scenario.sigma,
         alpha=scenario.alpha,
         assignment=scenario.assignment.value,
         renormalized=scenario.renormalized,
     )
-    return SimulationReport(meta, tuple(results))
+    return SimulationReport(meta, tuple(_method_result(i, *t) for i, t in zip(ids, tallies)))
 
 
-@dataclass(frozen=True)
-class RowConditional:
-    """Survival/rejection tallies for one mixture row across all replications."""
-
-    row_index: int
-    truth: Truth
-    unfiltered: int
-    rejected: int
-
-    @property
-    def conditional_rejection(self) -> float:
-        return self.rejected / self.unfiltered if self.unfiltered else 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalRejectionStats:
     """Inputs for the survivor-count FWER bound, estimated by simulation.
 
-    ``q_max`` is the largest observed per-row probability of rejection given
-    survival among null rows; ``F_samples`` collects the survivor count of
-    every replication.  ``fwer``/``fwer_se`` give the matching empirical
-    FWER for self-consistency checks against the bound.
+    ``F_samples`` holds the survivor count of every replication, and
+    ``row_survived``/``row_rejected`` the survivors and rejections of each
+    mixture row over all of them.  ``q_max`` is the largest of their ratios,
+    the rejection rate given survival, among null rows that kept a survivor.
+    ``fwer``, ``fwer_se`` and ``mean_F`` come from the same replications,
+    for self-consistency checks against the bound.
     """
 
-    F_samples: tuple[int, ...]
+    F_samples: np.ndarray
     q_max: float
-    per_row: tuple[RowConditional, ...]
+    row_survived: np.ndarray
+    row_rejected: np.ndarray
     fwer: float
     fwer_se: float
+    mean_F: float
 
 
 def conditional_rejection_stats(
@@ -505,30 +512,12 @@ def conditional_rejection_stats(
     master_seed: int,
 ) -> ConditionalRejectionStats:
     """Estimate the survivor-count bound's ingredients for one method."""
-    n_rows = len(scenario.rows)
-    unfiltered = np.zeros(n_rows, dtype=int)
-    rejected = np.zeros(n_rows, dtype=int)
-    f_samples = []
-    any_false = 0
-    for row_idx, truth_null, [(survivors, rej)] in _replication_blocks(
-        scenario, [method], RandomStream(master_seed, 0), range(scenario.reps)
-    ):
-        v, _, _, f = _tally(truth_null, survivors, rej)
-        f_samples.extend(f.tolist())
-        any_false += int((v >= 1).sum())
-        unfiltered += np.bincount(row_idx[survivors], minlength=n_rows)
-        rejected += np.bincount(row_idx[rej], minlength=n_rows)
-
-    per_row = tuple(
-        RowConditional(k, scenario.rows[k].truth, int(unfiltered[k]), int(rejected[k]))
-        for k in range(n_rows)
-    )
-    null_rates = [rc.conditional_rejection for rc in per_row if rc.truth.is_null and rc.unfiltered]
-    fwer = any_false / scenario.reps
+    [tallies] = _tallies(scenario, [method], RandomStream(master_seed, 0), range(scenario.reps))
+    result = _method_result(method.method_id, *tallies)
+    f, row_survived, row_rejected = tallies[3:]
+    kept = np.array([row.truth.is_null for row in scenario.rows]) & (row_survived > 0)
+    rates = row_rejected[kept] / row_survived[kept]
+    q_max = float(rates.max()) if rates.size else 0.0
     return ConditionalRejectionStats(
-        F_samples=tuple(f_samples),
-        q_max=max(null_rates) if null_rates else 0.0,
-        per_row=per_row,
-        fwer=fwer,
-        fwer_se=math.sqrt(fwer * (1.0 - fwer) / scenario.reps),
+        f, q_max, row_survived, row_rejected, result.empirical_fwer, result.fwer_se, result.mean_F
     )

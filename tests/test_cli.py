@@ -812,6 +812,26 @@ class TestSettingsTable:
         assert capsys.readouterr().err.startswith(f"error: {where} must be one line of text")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
+    # Without --out, simulate writes simulate-<name>.csv in the working directory.
+    @pytest.mark.parametrize("bad", ["a/b", "x/../../y", "a\\b"])
+    def test_scenario_name_with_a_path_separator_exit_2(self, tmp_path, capsys, monkeypatch, bad):
+        monkeypatch.chdir(tmp_path)
+        assert _run_config(tmp_path, "simulate", dict(_BASE["simulate"], scenario={"name": bad, "rows": [_ROW]})) == 2
+        assert capsys.readouterr().err.startswith("error: scenario.name must be one line of text with no comma")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    # The truth labels decide which rejections count as false, so a label
+    # that contradicts the coordinates would report a wrong FWER.
+    @pytest.mark.parametrize("command", ["simulate", "fwer-bound"])
+    def test_row_truth_contradicting_its_coordinates_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        row = {"gamma": "0", "beta": "0", "proportion": 1, "truth": "alternative"}
+        assert _run_config(tmp_path, command, dict(_BASE[command], scenario={"name": "mislabel", "rows": [row]})) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario: rows[0] has truth 'alternative', but its coordinates at n = 200 make it 'null00'\n"
+        )
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
     def test_report_names_round_trip(self, tmp_path):
         out = tmp_path / "r.csv"
         cfg = dict(_BASE["simulate"], scenario={"name": "a b=c;#", "rows": [_ROW]}, out=str(out))
@@ -827,17 +847,20 @@ class TestSettingsTable:
 
 
 # A sigma whose square is beyond float range: the chi-square filter used to
-# square it as a Python float and end in an OverflowError traceback.  Numpy
-# warnings would reach stderr, so they fail the test.
+# square it as a Python float and end in an OverflowError traceback.  A
+# subnormal sigma makes |z| overflow, which must come out inf without a
+# warning.  Numpy warnings would reach stderr, so they fail the test.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
     [
         ["fwer-bound", "--scenario", "hierarchical", "--rule", "chisq2", "--sigma", "1e155", "--reps", "2"],
         ["simulate", "--scenario", "config2", "--sigma", "1e160", "--reps", "2", "--out", "r.csv"],
+        ["fwer-bound", "--scenario", "hierarchical", "--rule", "minp", "--sigma", "1e-320", "--reps", "2"],
+        ["simulate", "--scenario", "config2", "--sigma", "1e-320", "--reps", "2", "--out", "r.csv"],
     ],
 )
-def test_huge_sigma_exits_0(tmp_path, capsys, monkeypatch, argv):
+def test_extreme_sigma_exits_0(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv, "--seed", "1") == 0
     assert capsys.readouterr().err == ""

@@ -205,13 +205,24 @@ class TestEngine:
 
     @pytest.mark.parametrize("name", ["config2", "hierarchical"])
     def test_callers_agree(self, name):
+        # fwer-bound's statistics and simulate's report reduce the same pass,
+        # over replications that cross a block boundary.
         sc = builtin_scenario(name, m=40, reps=_BLOCK_REPS + 6)
         method = Method(ProductThreshold(2.0, 0.9), id="prod")
         stats = conditional_rejection_stats(sc, method, 37)
+        [res] = run_experiment(sc, [method], master_seed=37).methods
         per_rep = [run_replication(sc, [method], r, RandomStream(37, 0))[0] for r in range(sc.reps)]
-        assert stats.F_samples == tuple(c.F for c in per_rep)
-        assert stats.fwer == run_experiment(sc, [method], master_seed=37).methods[0].empirical_fwer
-        assert sum(rc.unfiltered for rc in stats.per_row) == sum(stats.F_samples)
+        np.testing.assert_array_equal(stats.F_samples, [c.F for c in per_rep])
+        assert (stats.fwer, stats.fwer_se, stats.mean_F) == (res.empirical_fwer, res.fwer_se, res.mean_F)
+        assert stats.row_survived.sum() == stats.F_samples.sum()
+        assert stats.row_rejected.sum() == sum(c.V + c.S for c in per_rep)
+        assert (stats.row_rejected <= stats.row_survived).all()
+        null_rates = [
+            rej / surv
+            for rej, surv, row in zip(stats.row_rejected, stats.row_survived, sc.rows)
+            if row.truth.is_null and surv
+        ]
+        assert stats.q_max == max(null_rates, default=0.0)
 
 
 class TestScenarioValidation:
@@ -219,6 +230,20 @@ class TestScenarioValidation:
         rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 0.5, Truth.NULL00),)
         with pytest.raises(ValueError):
             ScenarioMixture("bad", rows)
+
+    @pytest.mark.parametrize(
+        "gamma, beta, truth",
+        [
+            (PowerSequence(0.0), PowerSequence(0.0), Truth.ALTERNATIVE),
+            (PowerSequence(0.0), PowerSequence(0.0, ((3.0, 0.5),)), Truth.NULL10),
+            (NormalMeanPrior(PowerSequence(0.0), PowerSequence(0.0, ((1.0, 1.0),))), PowerSequence(0.0), Truth.NULL00),
+            # 3 n^-200 underflows to 0 at n = 1e4, so the row is a double null there.
+            (PowerSequence(0.0, ((3.0, 200.0),)), PowerSequence(0.0), Truth.NULL10),
+        ],
+    )
+    def test_truth_must_match_the_coordinates(self, gamma, beta, truth):
+        with pytest.raises(ValueError, match=r"rows\[0\] has truth .* at n = 10000 make it"):
+            ScenarioMixture("bad", (MixtureRow(gamma, beta, 1.0, truth),), n=10_000)
 
     def test_alpha_range(self):
         rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0, Truth.NULL00),)
