@@ -33,13 +33,7 @@ _EXPORTS = {
         "mse_ratio_experiment",
         "rate_probe",
     ),
-    "dist": (
-        "RandomStream",
-        "chisq2_cdf",
-        "sample_normal",
-        "std_normal_cdf",
-        "std_normal_quantile",
-    ),
+    "dist": ("RandomStream", "sample_normal"),
     "estimators": (
         "EstimatePair",
         "coord_pvalue",
@@ -71,8 +65,6 @@ _EXPORTS = {
         "NoFilter",
         "ProductThreshold",
         "TwoStageOutcome",
-        "evaluate_filter",
-        "filtration_prob_at_theta0",
         "fwer_bound_from_survivors",
         "run_two_stage",
         "survival_prob_at_theta0",
@@ -91,7 +83,6 @@ _EXPORTS = {
         "builtin_scenario",
         "conditional_rejection_stats",
         "run_experiment",
-        "run_replication",
         "standard_methods",
     ),
 }

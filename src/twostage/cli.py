@@ -619,7 +619,6 @@ def _cmd_fwer_bound(s: dict) -> int:
         "rule": rule.label,
         "scenario": scenario.name,
         "p0": p0,
-        "adjusted_threshold_factor": p0,
         "q_max": stats.q_max,
         "survivor_bound": bound,
         "simulated_fwer": stats.fwer,

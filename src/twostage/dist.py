@@ -1,10 +1,8 @@
-"""Probability kernel: standard-normal and chi-square(2df) distributions plus
-seedable, splittable random streams.
+"""Probability kernel: the normal tail function and seedable, splittable
+random streams.
 
-The CDF/quantile functions accept scalars or numpy arrays and are pure, so
-they are safe to call from any thread.  The normal ones apply the standard
-library's ``math.erfc`` and ``statistics.NormalDist`` elementwise, so the
-package needs numpy and nothing else; the arrays on those paths are small.
+``_erfc`` applies the standard library's ``math.erfc`` elementwise, so the
+package needs numpy and nothing else; the arrays on that path are small.
 
 Randomness goes through :class:`RandomStream`, a thin wrapper over numpy's
 counter-based Philox generator: every ``(master_seed, stream_index)`` pair
@@ -24,13 +22,7 @@ import numpy as np
 if TYPE_CHECKING:
     from numpy.random import Generator
 
-__all__ = [
-    "RandomStream",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "chisq2_cdf",
-    "sample_normal",
-]
+__all__ = ["RandomStream", "sample_normal"]
 
 _UINT64 = 2**64
 
@@ -76,46 +68,8 @@ class RandomStream:
         return RandomStream(self.master_seed, self.stream_index + k)
 
 
-def _as_float(x, name: str):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
-def _scalar_or_array(result, *inputs):
-    if all(np.isscalar(x) or np.ndim(x) == 0 for x in inputs):
-        return float(result)
-    return result
-
-
 # math.erfc over an array; stays accurate in the far tail, where 1 - erf(x) cancels.
 _erfc = np.vectorize(math.erfc, otypes=[float])
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF, accurate to better than 1e-12 in both tails."""
-    arr = _as_float(x, "x")
-    return _scalar_or_array(0.5 * _erfc(-arr / np.sqrt(2.0)), x)
-
-
-def std_normal_quantile(p):
-    """Inverse of :func:`std_normal_cdf` on the open interval (0, 1)."""
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("p must lie strictly inside (0, 1)")
-    from statistics import NormalDist  # deferred: import twostage.cli does not need it
-
-    return _scalar_or_array(np.vectorize(NormalDist().inv_cdf, otypes=[float])(arr), p)
-
-
-def chisq2_cdf(x):
-    """Chi-square CDF with 2 degrees of freedom: 1 - exp(-x/2)."""
-    arr = _as_float(x, "x")
-    if np.any(arr < 0.0):
-        raise ValueError("x must be non-negative")
-    # -expm1 keeps full precision for small x where 1 - exp(-x/2) cancels.
-    return _scalar_or_array(-np.expm1(-arr / 2.0), x)
 
 
 def sample_normal(stream: RandomStream, mean: float, sd: float, size: int | None = None):

@@ -18,7 +18,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dist import RandomStream
 from .estimators import EstimatePair, _abs_z, _joint_abs_z, _joint_pvalues, _z_critical
 
 __all__ = [
@@ -31,11 +30,9 @@ __all__ = [
     "FiltrationAware",
     "Adjustment",
     "TwoStageOutcome",
-    "evaluate_filter",
     "two_stage",
     "run_two_stage",
     "survival_prob_at_theta0",
-    "filtration_prob_at_theta0",
     "fwer_bound_from_survivors",
 ]
 
@@ -184,11 +181,6 @@ def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_bet
     return outcomes
 
 
-def evaluate_filter(rule: FiltrationRule, e: EstimatePair) -> bool:
-    """True when the hypothesis is filtered (set aside as null) by the rule."""
-    return bool(filter_mask(rule, e.gamma_hat, e.beta_hat, e.sigma_gamma, e.sigma_beta, e.n))
-
-
 @dataclass(frozen=True, eq=False)
 class TwoStageOutcome:
     """Result of one two-stage run over a list of hypotheses.
@@ -270,37 +262,14 @@ def survival_prob_at_theta0(rule: FiltrationRule, sigma_gamma: float, sigma_beta
     return min(1.0, 2.0 * h / math.pi * math.fsum(terms) * scale)  # rounding can pass 1 at tiny s
 
 
-def filtration_prob_at_theta0(
-    rule: FiltrationRule,
-    sigma_gamma: float,
-    sigma_beta: float,
-    n: int,
-    reps: int,
-    stream: RandomStream,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the survival probability p0 at the double null.
-
-    Simulates ``reps`` estimate pairs at gamma = beta = 0 and returns the
-    fraction not filtered with its binomial standard error, a check of
-    :func:`survival_prob_at_theta0`.
-    """
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
-    gen = stream.generator
-    gamma_hat = gen.normal(0.0, sigma_gamma / math.sqrt(n), reps)
-    beta_hat = gen.normal(0.0, sigma_beta / math.sqrt(n), reps)
-    unfiltered = ~filter_mask(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)
-    p0 = float(unfiltered.mean())
-    mc_se = math.sqrt(p0 * (1.0 - p0) / reps)
-    return p0, mc_se
-
-
 def fwer_bound_from_survivors(max_conditional_reject: float, F_samples: Sequence[int]) -> float:
     """Finite-sample FWER bound from survivor counts.
 
     Evaluates ``mean((1 - (1 - q)^F) * 1{F > 0})`` over the supplied samples
     of F, where q bounds the per-hypothesis probability of rejection given
-    survival, maximized over null parameter points.
+    survival.  :func:`~twostage.simulate.conditional_rejection_stats`
+    supplies q as the largest simulated rate over the scenario's null rows,
+    not as a maximum over every null parameter point.
     """
     q = float(max_conditional_reject)
     if not (0.0 <= q <= 1.0):

@@ -50,8 +50,6 @@ __all__ = [
     "standard_methods",
     "builtin_scenario",
     "BUILTIN_SCENARIOS",
-    "MethodCounts",
-    "run_replication",
     "MethodResult",
     "ReportMeta",
     "SimulationReport",
@@ -384,29 +382,6 @@ def _tallies(scenario: ScenarioMixture, methods: Sequence[Method], stream: Rando
         v, s, n_alt, f, survived, rejected = zip(*acc)
         tallies.append((*map(np.concatenate, (v, s, n_alt, f)), sum(survived), sum(rejected)))
     return tallies
-
-
-@dataclass(frozen=True)
-class MethodCounts:
-    """One method's tallies for a single replication."""
-
-    V: int
-    S: int
-    n_alt: int
-    F: int
-
-
-def run_replication(
-    scenario: ScenarioMixture,
-    methods: Sequence[Method],
-    rep_index: int,
-    stream: RandomStream,
-) -> list[MethodCounts]:
-    """Draw one replication and apply every method to the same draws."""
-    if not methods:
-        raise ValueError("methods must be nonempty")
-    tallies = _tallies(scenario, methods, stream, range(rep_index, rep_index + 1))
-    return [MethodCounts(*(int(c[0]) for c in t[:4])) for t in tallies]
 
 
 @dataclass(frozen=True)

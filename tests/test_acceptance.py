@@ -13,11 +13,11 @@ import pytest
 from scipy import integrate
 
 from twostage import (
+    ChiSquarePValue,
     ParamPoint,
     ParamSequence,
     RandomStream,
     builtin_scenario,
-    chisq2_cdf,
     coord_pvalue,
     irregularity_probe,
     ks_critical_value,
@@ -27,9 +27,9 @@ from twostage import (
     run_experiment,
     sample_normal,
     standard_methods,
-    std_normal_cdf,
 )
 from twostage.cli import main as cli_main
+from twostage.procedure import filter_mask
 
 SEED = 20260809
 FILTRATION_IDS = ("minp", "chisq2", "prod-0.8", "prod-0.9", "prod-1.0")
@@ -228,28 +228,37 @@ def test_criterion_08_sobel_irregularity():
 
 
 def test_criterion_09_distribution_kernel_oracles():
+    # Normal half: coord_pvalue's two-sided erfc tail against twice the quadrature upper tail.
     xs = np.linspace(-7.0, 7.0, 1000)
-    worst_normal = 0.0
-    for x in xs:
+    oracle = np.empty_like(xs)
+    for i, x in enumerate(xs):
         tail, _ = integrate.quad(
             lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi), 0.0, abs(x),
             epsabs=1e-13, limit=200,
         )
-        oracle = 0.5 + math.copysign(tail, x)
-        worst_normal = max(worst_normal, abs(std_normal_cdf(float(x)) - oracle))
+        oracle[i] = 2.0 * (0.5 - tail)
+    worst_normal = float(np.max(np.abs(coord_pvalue(xs, 1.0, 1) - oracle)))
 
+    # Chi-square half: at gamma_hat = sqrt(w), beta_hat = 0 and unit scales the
+    # chisq2 rule filters when its exp(-w/2) is >= the threshold.  It filters
+    # at survivor - tol and keeps at survivor + tol exactly when that value
+    # lies within tol of the quadrature survivor function.  ChiSquarePValue
+    # refuses a threshold >= 1, and exp(-w/2) <= 1 is below it anyway.
     ws = np.linspace(0.0, 40.0, 1000)
-    worst_chi = 0.0
+    tol_chi = 1e-10
+    wrong = 0
     for w in ws:
-        oracle, _ = integrate.quad(lambda t: 0.5 * math.exp(-t / 2.0), 0.0, w, epsabs=1e-13, limit=200)
-        worst_chi = max(worst_chi, abs(chisq2_cdf(float(w)) - oracle))
+        cdf, _ = integrate.quad(lambda t: 0.5 * math.exp(-t / 2.0), 0.0, w, epsabs=1e-13, limit=200)
+        survivor = 1.0 - cdf
+        decide = lambda threshold: bool(filter_mask(ChiSquarePValue(threshold), math.sqrt(w), 0.0, 1.0, 1.0, 1))
+        wrong += not decide(survivor - tol_chi) or (survivor + tol_chi < 1.0 and decide(survivor + tol_chi))
 
-    ok = worst_normal < 1e-8 and worst_chi < 1e-10
+    ok = worst_normal < 1e-8 and wrong == 0
     _report(
         9,
         ok,
-        f"vs quadrature oracles on 1000-point grids: normal CDF max err {worst_normal:.2e} "
-        f"(need < 1e-8), chi-square(2) max err {worst_chi:.2e} (need < 1e-10)",
+        f"vs quadrature oracles on 1000-point grids: two-sided normal p-value max err {worst_normal:.2e} "
+        f"(need < 1e-8); chi-square(2) survivor value off by >= {tol_chi:g} at {wrong} points (need 0)",
     )
 
 

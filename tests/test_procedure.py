@@ -23,11 +23,8 @@ from twostage import (
     PowerSequence,
     Truth,
     conditional_rejection_stats,
-    evaluate_filter,
-    filtration_prob_at_theta0,
     fwer_bound_from_survivors,
     builtin_scenario,
-    chisq2_cdf,
     coord_pvalue,
     run_experiment,
     run_two_stage,
@@ -54,22 +51,21 @@ class TestRuleValidation:
             ProductThreshold(2.0, 0.0)
 
 
-class TestEvaluateFilter:
+class TestFilterMask:
     def test_nofilter_never_filters(self):
-        assert evaluate_filter(NoFilter(), pair(0.0, 0.0)) is False
+        assert not filter_mask(NoFilter(), 0.0, 0.0, 1.0, 1.0, 100)
 
     def test_product_threshold_arithmetic(self):
         # |0.01| < 2.5 * 100**-1 = 0.025 -> filtered
-        e = pair(0.1, 0.1, n=100)
-        assert evaluate_filter(ProductThreshold(2.5, 1.0), e) is True
-        e2 = pair(0.2, 0.2, n=100)  # product 0.04 >= 0.025
-        assert evaluate_filter(ProductThreshold(2.5, 1.0), e2) is False
+        assert filter_mask(ProductThreshold(2.5, 1.0), 0.1, 0.1, 1.0, 1.0, 100)
+        # product 0.04 >= 0.025
+        assert not filter_mask(ProductThreshold(2.5, 1.0), 0.2, 0.2, 1.0, 1.0, 100)
 
     def test_minp_filters_double_null_origin(self):
-        assert evaluate_filter(MinPValue(0.0004), pair(0.0, 0.0)) is True
+        assert filter_mask(MinPValue(0.0004), 0.0, 0.0, 1.0, 1.0, 100)
 
     def test_chisq_filters_origin(self):
-        assert evaluate_filter(ChiSquarePValue(0.001), pair(0.0, 0.0)) is True
+        assert filter_mask(ChiSquarePValue(0.001), 0.0, 0.0, 1.0, 1.0, 100)
 
     # The chi-square statistic is formed from the standardized coordinates, so
     # a scale whose square is beyond float range changes nothing.  2**520 scales
@@ -83,11 +79,10 @@ class TestEvaluateFilter:
         np.testing.assert_array_equal(filter_mask(rule, g * scale, b * scale, scale, scale, 50), want)
 
     def test_product_monotone_in_c(self):
-        rng = np.random.default_rng(3)
-        es = [pair(g, b, n=50) for g, b in rng.normal(scale=0.3, size=(100, 2))]
-        small = {i for i, e in enumerate(es) if evaluate_filter(ProductThreshold(1.0, 0.9), e)}
-        large = {i for i, e in enumerate(es) if evaluate_filter(ProductThreshold(2.0, 0.9), e)}
-        assert small <= large
+        g, b = np.random.default_rng(3).normal(scale=0.3, size=(100, 2)).T
+        small = filter_mask(ProductThreshold(1.0, 0.9), g, b, 1.0, 1.0, 50)
+        large = filter_mask(ProductThreshold(2.0, 0.9), g, b, 1.0, 1.0, 50)
+        assert not (small & ~large).any()
 
 
 class TestRunTwoStage:
@@ -164,6 +159,15 @@ def survival_prob_k0_oracle(s: float) -> float:
         return float(1 - head)
 
 
+def monte_carlo_survival_prob(rule, sigma_gamma, sigma_beta, n, reps, stream):
+    """The fraction of ``reps`` double-null draws that ``filter_mask`` keeps, with its binomial se."""
+    gen = stream.generator
+    gamma_hat = gen.normal(0.0, sigma_gamma / math.sqrt(n), reps)
+    beta_hat = gen.normal(0.0, sigma_beta / math.sqrt(n), reps)
+    p0 = float((~filter_mask(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)).mean())
+    return p0, math.sqrt(p0 * (1.0 - p0) / reps)
+
+
 class TestExactSurvivalProb:
     @pytest.mark.parametrize("sigma_gamma, sigma_beta, n", [(1.0, 1.0, 200), (0.3, 4.0, 17), (2.0, 2.0, 10**9)])
     def test_closed_forms(self, sigma_gamma, sigma_beta, n):
@@ -202,20 +206,29 @@ class TestExactSurvivalProb:
         assert p0(ProductThreshold(1.0, 0.5), 1e300) == 0.0  # s = 1e150
         assert p0(ProductThreshold(1.0, 3.0), 1e300) == pytest.approx(1.0, rel=3e-15)  # s underflows to 0
 
-    def test_monte_carlo_estimates_within_3_se(self):
-        # the TestFiltrationProb estimates below, at their seeds and sizes
-        for rule, reps, seed in [(ProductThreshold(2.5, 1.0), 200_000, 3), (ChiSquarePValue(0.001), 400_000, 4)]:
-            p0, se = filtration_prob_at_theta0(rule, 1.0, 1.0, 100, reps, RandomStream(seed, 0))
-            assert abs(p0 - survival_prob_at_theta0(rule, 1.0, 1.0, 100)) < 3.0 * se
+    @pytest.mark.parametrize(
+        "rule, sigma_gamma, sigma_beta, n, reps, seed",
+        [
+            # the TestFiltrationProb estimates below, at their seeds and sizes
+            (ProductThreshold(2.5, 1.0), 1.0, 1.0, 100, 200_000, 3),
+            (ChiSquarePValue(0.001), 1.0, 1.0, 100, 400_000, 4),
+            # unequal scales, where p0 must not depend on them
+            (ProductThreshold(2.0, 0.9), 0.3, 4.0, 17, 200_000, 5),
+            (MinPValue(0.0004), 0.3, 4.0, 17, 400_000, 6),
+        ],
+    )
+    def test_monte_carlo_estimates_within_3_se(self, rule, sigma_gamma, sigma_beta, n, reps, seed):
+        p0, se = monte_carlo_survival_prob(rule, sigma_gamma, sigma_beta, n, reps, RandomStream(seed, 0))
+        assert abs(p0 - survival_prob_at_theta0(rule, sigma_gamma, sigma_beta, n)) < 3.0 * se
 
 
 class TestFiltrationProb:
     def test_nofilter_is_one(self):
-        p0, se = filtration_prob_at_theta0(NoFilter(), 1.0, 1.0, 100, 1000, RandomStream(1, 0))
+        p0, se = monte_carlo_survival_prob(NoFilter(), 1.0, 1.0, 100, 1000, RandomStream(1, 0))
         assert p0 == 1.0 and se == 0.0
 
     def test_loose_minp_approaches_one(self):
-        p0, _ = filtration_prob_at_theta0(
+        p0, _ = monte_carlo_survival_prob(
             MinPValue(1.0 - 1e-9), 1.0, 1.0, 100, 5000, RandomStream(2, 0)
         )
         assert p0 > 0.999
@@ -223,14 +236,14 @@ class TestFiltrationProb:
     def test_product_threshold_matches_quadrature(self):
         # |g*b| >= 2.5/n at theta0 is |Z1*Z2| >= 2.5 on the z scale
         rule = ProductThreshold(2.5, 1.0)
-        p0, se = filtration_prob_at_theta0(rule, 1.0, 1.0, 100, 200_000, RandomStream(3, 0))
+        p0, se = monte_carlo_survival_prob(rule, 1.0, 1.0, 100, 200_000, RandomStream(3, 0))
         oracle = survival_prob_product_oracle(2.5)
         assert abs(p0 - oracle) < 3.0 * max(se, 1e-12)
 
     def test_chisq_survival_matches_threshold(self):
         # survive iff exp(-W/2) < tau, i.e. with probability tau at theta0
         rule = ChiSquarePValue(0.001)
-        p0, se = filtration_prob_at_theta0(rule, 1.0, 1.0, 100, 400_000, RandomStream(4, 0))
+        p0, se = monte_carlo_survival_prob(rule, 1.0, 1.0, 100, 400_000, RandomStream(4, 0))
         assert abs(p0 - 0.001) < 4.0 * max(se, 1e-12)
 
 
@@ -287,7 +300,7 @@ def _pvalue_filter_reference(rule, g, b, sg, sb, n):
         return np.minimum(coord_pvalue(g, sg, n), coord_pvalue(b, sb, n)) >= rule.threshold
     if isinstance(rule, ChiSquarePValue):
         w = n * (np.square(g) / sg**2 + np.square(b) / sb**2)
-        return 1.0 - chisq2_cdf(w) >= rule.threshold
+        return 1.0 + np.expm1(-w / 2.0) >= rule.threshold  # 1 - the chi-square(2df) CDF
     return filter_mask(rule, g, b, sg, sb, n)
 
 

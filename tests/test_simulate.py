@@ -18,10 +18,15 @@ from twostage import (
     builtin_scenario,
     conditional_rejection_stats,
     run_experiment,
-    run_replication,
     standard_methods,
 )
-from twostage.simulate import _BLOCK_REPS, _deterministic_counts, _draw_hypotheses
+from twostage.simulate import _BLOCK_REPS, _deterministic_counts, _draw_hypotheses, _tallies
+
+
+def one_replication(sc, methods, r, seed):
+    """Each method's ``(V, S, n_alt, F)`` in replication ``r`` alone, drawn under ``seed``."""
+    tallies = _tallies(sc, methods, RandomStream(seed, 0), range(r, r + 1))
+    return [tuple(int(a[0]) for a in t[:4]) for t in tallies]
 
 
 class TestBuiltinScenarios:
@@ -85,14 +90,14 @@ class TestDeterministicCounts:
 class TestReplication:
     def test_common_draws_across_methods(self):
         sc = builtin_scenario("config1", reps=1)
-        counts = run_replication(sc, list(standard_methods()), 0, RandomStream(3, 0))
-        assert counts[0].F == sc.m  # NoFilter keeps everything
-        assert all(c.n_alt == counts[0].n_alt for c in counts)
+        counts = one_replication(sc, list(standard_methods()), 0, 3)
+        assert counts[0][3] == sc.m  # NoFilter keeps everything
+        assert len({n_alt for _, _, n_alt, _ in counts}) == 1
 
     def test_replication_reproducible(self):
         sc = builtin_scenario("config1", reps=1)
-        a = run_replication(sc, [Method(ProductThreshold(3.0, 1.0))], 4, RandomStream(9, 0))
-        b = run_replication(sc, [Method(ProductThreshold(3.0, 1.0))], 4, RandomStream(9, 0))
+        a = one_replication(sc, [Method(ProductThreshold(3.0, 1.0))], 4, 9)
+        b = one_replication(sc, [Method(ProductThreshold(3.0, 1.0))], 4, 9)
         assert a == b
 
     def test_hierarchical_means_redrawn(self):
@@ -105,14 +110,14 @@ class TestReplication:
         sc = builtin_scenario("hierarchical", m=60)
         alt_counts = set()
         for r in range(6):
-            counts = run_replication(sc, [Method(NoFilter())], r, RandomStream(13, 0))
-            alt_counts.add(counts[0].n_alt)
+            [(_, _, n_alt, _)] = one_replication(sc, [Method(NoFilter())], r, 13)
+            alt_counts.add(n_alt)
         assert len(alt_counts) > 1
 
     def test_methods_required(self):
         sc = builtin_scenario("config1", reps=1)
         with pytest.raises(ValueError):
-            run_replication(sc, [], 0, RandomStream(1, 0))
+            run_experiment(sc, [], master_seed=1)
 
 
 class TestExperiment:
@@ -191,16 +196,16 @@ class TestEngine:
     @pytest.mark.parametrize("reps", [1, _BLOCK_REPS - 1, 2 * _BLOCK_REPS + 2])
     @pytest.mark.parametrize("name", ["config2", "hierarchical"])
     def test_block_size_independence(self, name, reps):
-        # run_experiment works in blocks; run_replication runs one replication.
+        # run_experiment works in blocks; one_replication draws one replication alone.
         sc = builtin_scenario(name, m=40, reps=reps)
         methods = list(standard_methods()) + [Method(ProductThreshold(2.0, 0.9), FiltrationAware(0.5), id="aware")]
         report = run_experiment(sc, methods, master_seed=29)
-        per_rep = [run_replication(sc, methods, r, RandomStream(29, 0)) for r in range(reps)]
+        per_rep = [one_replication(sc, methods, r, 29) for r in range(reps)]
         for j, res in enumerate(report.methods):
             counts = [rep[j] for rep in per_rep]
-            assert res.empirical_fwer == np.mean([c.V >= 1 for c in counts])
-            assert res.mean_F == np.mean([c.F for c in counts])
-            ratios = [c.S / c.n_alt for c in counts if c.n_alt]
+            assert res.empirical_fwer == np.mean([v >= 1 for v, _, _, _ in counts])
+            assert res.mean_F == np.mean([f for _, _, _, f in counts])
+            ratios = [s / n_alt for _, s, n_alt, _ in counts if n_alt]
             assert res.power == (np.mean(ratios) if ratios else pytest.approx(math.nan, nan_ok=True))
 
     @pytest.mark.parametrize("name", ["config2", "hierarchical"])
@@ -211,11 +216,11 @@ class TestEngine:
         method = Method(ProductThreshold(2.0, 0.9), id="prod")
         stats = conditional_rejection_stats(sc, method, 37)
         [res] = run_experiment(sc, [method], master_seed=37).methods
-        per_rep = [run_replication(sc, [method], r, RandomStream(37, 0))[0] for r in range(sc.reps)]
-        np.testing.assert_array_equal(stats.F_samples, [c.F for c in per_rep])
+        per_rep = [one_replication(sc, [method], r, 37)[0] for r in range(sc.reps)]
+        np.testing.assert_array_equal(stats.F_samples, [f for _, _, _, f in per_rep])
         assert (stats.fwer, stats.fwer_se, stats.mean_F) == (res.empirical_fwer, res.fwer_se, res.mean_F)
         assert stats.row_survived.sum() == stats.F_samples.sum()
-        assert stats.row_rejected.sum() == sum(c.V + c.S for c in per_rep)
+        assert stats.row_rejected.sum() == sum(v + s for v, s, _, _ in per_rep)
         assert (stats.row_rejected <= stats.row_survived).all()
         null_rates = [
             rej / surv
