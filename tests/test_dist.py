@@ -31,6 +31,15 @@ class TestRandomStream:
         b = sample_normal(RandomStream(11, 1), 0.0, 1.0, size=20000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
+    @pytest.mark.parametrize("seed", [1.5, "3"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            RandomStream(seed, 0)
+
+    def test_generator_is_made_once(self):
+        stream = RandomStream(9, 4)
+        assert stream.generator is stream.generator
+
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             RandomStream(1, -1)
@@ -61,3 +70,19 @@ class TestSampleNormal:
     def test_rejects_negative_sd(self):
         with pytest.raises(ValueError):
             sample_normal(RandomStream(1, 0), 0.0, -1.0)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mean(self, mean):
+        with pytest.raises(ValueError, match="mean"):
+            sample_normal(RandomStream(1, 0), mean, 1.0)
+
+    @pytest.mark.parametrize("sd", [math.nan, math.inf])
+    def test_rejects_non_finite_sd(self, sd):
+        with pytest.raises(ValueError, match="sd"):
+            sample_normal(RandomStream(1, 0), 0.0, sd)
+
+    def test_scalar_draw_is_a_float(self):
+        assert type(sample_normal(RandomStream(1, 0), 0.0, 1.0)) is float
+
+    def test_degenerate_sd_with_size_is_a_constant_array(self):
+        np.testing.assert_array_equal(sample_normal(RandomStream(1, 0), -2.5, 0.0, size=3), np.full(3, -2.5))

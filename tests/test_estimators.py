@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.stats import kstest
 
 from twostage import (
@@ -112,6 +113,52 @@ class TestCoordPvalue:
         with pytest.raises(ValueError):
             coord_pvalue(1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, np.array([1.0, 0.0])])
+    def test_rejects_negative_nan_or_partly_zero_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            coord_pvalue(np.array([1.0, 2.0]), sigma, 10)
+
+    def test_even_in_the_estimate(self):
+        xs = np.linspace(-6.0, 6.0, 201)
+        np.testing.assert_array_equal(coord_pvalue(-xs, 1.0, 1), coord_pvalue(xs, 1.0, 1))
+
+    def test_depends_only_on_the_z_statistic(self):
+        rng = np.random.default_rng(17)
+        est = rng.normal(scale=0.5, size=200)
+        sigma = rng.uniform(0.1, 5.0, size=200)
+        n = rng.integers(1, 10_000, size=200)
+        np.testing.assert_allclose(
+            coord_pvalue(est, sigma, n), coord_pvalue(np.sqrt(n) * est / sigma, 1.0, 1), rtol=1e-12, atol=0.0
+        )
+
+    def test_derived_point_against_quadrature(self):
+        # oracle: twice the upper tail, 1/2 minus the integral of the density over [0, z]
+        z = 1.959964
+        tail, _ = integrate.quad(
+            lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi), 0.0, z, epsabs=1e-14, limit=200
+        )
+        assert abs(coord_pvalue(z, 1.0, 1) - 2.0 * (0.5 - tail)) < 1e-12
+
+    def test_deep_tail_stays_positive(self):
+        # 1 - erf(z / sqrt 2) is 0.0 in double precision from z ~ 8.3; erfc keeps
+        # the relative accuracy down to 2 * Phi(-37) ~ 1e-299.
+        z = np.array([10.0, 20.0, 30.0, 37.0])
+        with mpmath.workdps(40):
+            want = np.array([float(2 * mpmath.ncdf(-mpmath.mpf(v))) for v in z])
+        got = coord_pvalue(z, 1.0, 1)
+        assert np.all(got > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_scalar_in_float_out(self):
+        assert type(coord_pvalue(1.0, 1.0, 4)) is float
+        assert type(coord_pvalue(np.float64(1.0), 1.0, 4)) is float
+
+    def test_array_keeps_its_shape(self):
+        ps = coord_pvalue(np.zeros((3, 4)), 1.0, 4)
+        assert isinstance(ps, np.ndarray)
+        assert ps.shape == (3, 4)
+        assert np.all(ps == 1.0)
+
     def test_uniform_under_null(self):
         # calibration: null coordinate p-values are Uniform(0,1)
         draws = sample_normal(RandomStream(2024, 0), 0.0, 1.0 / math.sqrt(50), size=100_000)
@@ -129,6 +176,36 @@ class TestZCritical:
 
     def test_zero_threshold_is_infinite(self):
         assert _z_critical(0.0) == math.inf
+
+    def test_threshold_one_is_zero(self):
+        assert _z_critical(1.0) == 0.0
+
+    def test_five_percent_point(self):
+        # oracle: bisection on the quadrature CDF gives 1.9599639845...
+        assert abs(_z_critical(0.05) - 1.959964) < 1e-5
+
+    def test_decreasing_in_the_threshold(self):
+        z = np.array([_z_critical(t) for t in np.linspace(1e-6, 1.0, 201)])
+        assert np.all(np.diff(z) < 0.0)
+
+    def test_matches_mpmath_from_1e_300(self):
+        # t/2 is the one-sided tail; the oracle solves log Phi(-z) = log(t/2) at 40 digits.
+        half = np.logspace(-300.0, math.log10(0.49), 300)
+        with mpmath.workdps(40):
+            want = np.array([
+                float(mpmath.findroot(
+                    lambda x: mpmath.log(mpmath.ncdf(-x)) - mpmath.log(mpmath.mpf(h)),
+                    mpmath.sqrt(-2 * mpmath.log(mpmath.mpf(h))),
+                ))
+                for h in half
+            ])
+        got = np.array([_z_critical(2.0 * h) for h in half])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_round_trip_from_z(self):
+        z = np.linspace(0.5, 30.0, 119)
+        got = np.array([_z_critical(p) for p in coord_pvalue(z, 1.0, 1)])
+        np.testing.assert_allclose(got, z, rtol=1e-12, atol=0.0)
 
 
 class TestJointPvalue:

@@ -78,6 +78,21 @@ class TestFilterMask:
         assert 0 < want.sum() < want.size
         np.testing.assert_array_equal(filter_mask(rule, g * scale, b * scale, scale, scale, 50), want)
 
+    # The chisq2 rule's survivor exp(-w/2) at two closed-form points: 1/2 at
+    # w = 2 ln 2 (the median of chi-square(2)) and 0.05 at w = 2 ln 20.
+    @pytest.mark.parametrize("survivor", [0.5, 0.05])
+    def test_chisq_threshold_at_a_closed_form_point(self, survivor):
+        g = math.sqrt(-2.0 * math.log(survivor))  # w = g^2 at unit scales, n = 1, beta_hat = 0
+        assert filter_mask(ChiSquarePValue(survivor - 1e-12), g, 0.0, 1.0, 1.0, 1)
+        assert not filter_mask(ChiSquarePValue(survivor + 1e-12), g, 0.0, 1.0, 1.0, 1)
+
+    def test_minp_keeps_a_single_strong_coordinate(self):
+        # |z| = 4 on one coordinate: its p-value 6.3e-5 is below 0.0004, so min p survives
+        assert not filter_mask(MinPValue(0.0004), 0.4, 0.0, 1.0, 1.0, 100)
+        assert not filter_mask(MinPValue(0.0004), 0.0, -0.4, 1.0, 1.0, 100)
+        # |z| = 3 on both: p = 0.0027 each, so the hypothesis is filtered
+        assert filter_mask(MinPValue(0.0004), 0.3, -0.3, 1.0, 1.0, 100)
+
     def test_product_monotone_in_c(self):
         g, b = np.random.default_rng(3).normal(scale=0.3, size=(100, 2)).T
         small = filter_mask(ProductThreshold(1.0, 0.9), g, b, 1.0, 1.0, 50)
