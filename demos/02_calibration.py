@@ -8,7 +8,7 @@
 
 import numpy as np
 
-from twostage import RandomStream, coord_pvalue, sample_normal
+from twostage import RandomStream, coord_pvalue
 
 n, reps, alpha = 1_000, 200_000, 0.05
 sd = 1.0 / np.sqrt(n)
@@ -16,8 +16,8 @@ sd = 1.0 / np.sqrt(n)
 
 def rejection_rate(gamma, beta, stream_index):
     stream = RandomStream(101, stream_index)
-    g = sample_normal(stream, gamma, sd, size=reps)
-    b = sample_normal(stream, beta, sd, size=reps)
+    g = stream.generator.normal(gamma, sd, size=reps)
+    b = stream.generator.normal(beta, sd, size=reps)
     p_joint = np.maximum(coord_pvalue(g, 1.0, n), coord_pvalue(b, 1.0, n))
     return (p_joint <= alpha).mean()
 

@@ -33,7 +33,7 @@ _EXPORTS = {
         "mse_ratio_experiment",
         "rate_probe",
     ),
-    "dist": ("RandomStream", "sample_normal"),
+    "dist": ("RandomStream",),
     "estimators": (
         "EstimatePair",
         "coord_pvalue",

@@ -329,6 +329,12 @@ def _efficiency(region: LRegion, k: float | None) -> EfficiencyClass:
     return EfficiencyClass.INDETERMINATE
 
 
+def _check_rule(c: float, delta: float) -> None:
+    """The filtration rule ``|T| < c * n**-delta`` needs a positive c and delta."""
+    if c <= 0.0 or delta <= 0.0:
+        raise ValueError("c and delta must be positive")
+
+
 def classify_product_regime(
     seq: ParamSequence,
     c: float,
@@ -347,8 +353,7 @@ def classify_product_regime(
     The constant c shifts finite-n filtration frequencies but not the limit,
     so it does not enter the region.
     """
-    if c <= 0.0 or delta <= 0.0:
-        raise ValueError("c and delta must be positive")
+    _check_rule(c, delta)
     means, sds = [], []
     for n in _check_grid(n_grid):
         g, b = seq.gamma.at(n), seq.beta.at(n)
@@ -441,6 +446,7 @@ def mse_ratio_experiment(
     """
     import numpy as np
 
+    _check_rule(c, delta)
     if reps < 100:
         raise ValueError(f"reps must be at least 100, got {reps}")
     grid = _check_grid(n_grid)

@@ -7,8 +7,9 @@ package needs numpy and nothing else; the arrays on that path are small.
 Randomness goes through :class:`RandomStream`, a thin wrapper over numpy's
 counter-based Philox generator: every ``(master_seed, stream_index)`` pair
 names one reproducible stream, and distinct indices give statistically
-independent streams that are O(1) to construct.  Parallel code owns one
-stream per work unit and never shares generator state.
+independent streams that are O(1) to construct.  Every draw is a method of
+a stream's ``generator``.  Parallel code owns one stream per work unit and
+never shares generator state.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 if TYPE_CHECKING:
     from numpy.random import Generator
 
-__all__ = ["RandomStream", "sample_normal"]
+__all__ = ["RandomStream"]
 
 _UINT64 = 2**64
 
@@ -71,18 +72,3 @@ class RandomStream:
 # math.erfc over an array; stays accurate in the far tail, where 1 - erf(x) cancels.
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
-
-def sample_normal(stream: RandomStream, mean: float, sd: float, size: int | None = None):
-    """Draw from N(mean, sd^2) on the given stream.
-
-    ``sd == 0`` is the degenerate point mass at ``mean``.  With ``size=None``
-    a single float is returned, otherwise an ndarray of that shape.
-    """
-    if not math.isfinite(mean):
-        raise ValueError("mean must be finite")
-    if not (math.isfinite(sd) and sd >= 0.0):
-        raise ValueError(f"sd must be non-negative, got {sd}")
-    if sd == 0.0:
-        return mean if size is None else np.full(size, float(mean))
-    draw = stream.generator.normal(mean, sd, size=size)
-    return float(draw) if size is None else draw

@@ -120,7 +120,17 @@ def _z_critical(t: float) -> float:
         return math.inf
     from statistics import NormalDist  # deferred: only the decision paths need it
 
-    return -NormalDist().inv_cdf(t / 2.0)
+    half = t / 2.0
+    if half * 2.0 == t:
+        return -NormalDist().inv_cdf(half)
+    # t is an odd multiple of the smallest subnormal, so t / 2 rounds (to 0
+    # for the smallest itself).  That far out, the tail is exp(-z^2/2) /
+    # (z sqrt(2 pi)) to a relative 1/z^2, so halving the tail at the quantile
+    # z of t solves y^2 + 2 log y = z^2 + 2 log z + 2 log 2; one fixed-point
+    # step from y = z gives y within 3e-8.
+    z = -NormalDist().inv_cdf(t)
+    w = z * z + 2.0 * math.log(2.0)
+    return math.sqrt(w - math.log(w / (z * z)))
 
 
 def coord_pvalue(estimate, sigma, n):

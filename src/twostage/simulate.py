@@ -115,7 +115,6 @@ class ScenarioMixture:
     alpha: float = 0.05
     assignment: Assignment = Assignment.DETERMINISTIC
     renormalized: bool = False
-    raw_proportions: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not self.rows:
@@ -232,8 +231,7 @@ def builtin_scenario(
     """
     if name in _CONFIG_COLUMNS:
         column = _CONFIG_COLUMNS[name]
-        raw = tuple(p for _, p in column)
-        total = sum(raw)
+        total = sum(p for _, p in column)
         renormalized = abs(total - 1.0) > 1e-9
         rows = tuple(
             MixtureRow(*_ROW_POOL[idx][:2], proportion=p / total, truth=_ROW_POOL[idx][2])
@@ -248,7 +246,6 @@ def builtin_scenario(
             sigma=sigma,
             alpha=alpha,
             renormalized=renormalized,
-            raw_proportions=raw if renormalized else None,
         )
     if name == "hierarchical":
         if len(pi) != 3 or any(p < 0 for p in pi) or abs(sum(pi) - 1.0) > 1e-9:
@@ -312,7 +309,7 @@ def _scenario_layout(scenario: ScenarioMixture):
     return params, row_null, np.repeat(np.arange(len(rows)), _deterministic_counts(props, m))
 
 
-def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomStream, layout=None):
+def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomStream, layout):
     """All m hypotheses of replication ``rep_index``, from ``stream.offset(rep_index)``.
 
     Fixed draw order on that generator: for multinomial scenarios only,
@@ -320,10 +317,10 @@ def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomSt
     proportion is >= ``u[i]``; then ``z = standard_normal((4, m))`` gives
     ``gamma_hat = gamma_mean + gamma_prior_sd*z[0] + sigma/sqrt(n)*z[2]`` and
     ``beta_hat`` likewise from ``z[1]`` and ``z[3]`` (prior sd 0 without a
-    hyperprior).  ``layout`` is ``_scenario_layout(scenario)``, computed here
-    when not given.  Returns ``(gamma_hat, beta_hat, row_idx, truth_null)``.
+    hyperprior).  ``layout`` is ``_scenario_layout(scenario)``.  Returns
+    ``(gamma_hat, beta_hat, row_idx, truth_null)``.
     """
-    params, row_null, rows_of = _scenario_layout(scenario) if layout is None else layout
+    params, row_null, rows_of = layout
     m, gen = scenario.m, stream.offset(rep_index).generator
     multinomial = scenario.assignment is Assignment.MULTINOMIAL
     row_idx = np.searchsorted(rows_of, gen.random(m), side="left") if multinomial else rows_of

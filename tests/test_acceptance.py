@@ -25,7 +25,6 @@ from twostage import (
     mse_ratio_experiment,
     rate_probe,
     run_experiment,
-    sample_normal,
     standard_methods,
 )
 from twostage.cli import main as cli_main
@@ -127,8 +126,8 @@ def test_criterion_04_mse_closed_form_grid():
         for j, beta in enumerate((0.0, 0.5, 1.0)):
             for k, n in enumerate((100, 1_000, 10_000)):
                 cell = stream.offset(i * 9 + j * 3 + k)
-                g = sample_normal(cell, gamma, 1.0 / math.sqrt(n), size=reps)
-                b = sample_normal(cell, beta, 1.0 / math.sqrt(n), size=reps)
+                g = cell.generator.normal(gamma, 1.0 / math.sqrt(n), size=reps)
+                b = cell.generator.normal(beta, 1.0 / math.sqrt(n), size=reps)
                 sq = (g * b - gamma * beta) ** 2
                 mc_se = sq.std(ddof=1) / math.sqrt(reps)
                 dev = abs(sq.mean() - mse_product_closed(gamma, beta, n)) / mc_se
@@ -191,15 +190,15 @@ def test_criterion_07_joint_significance_calibration():
     sd = 1.0 / math.sqrt(n)
 
     stream = RandomStream(SEED, 40_000)
-    g = sample_normal(stream, 0.0, sd, size=reps)
-    b = sample_normal(stream, 0.0, sd, size=reps)
+    g = stream.generator.normal(0.0, sd, size=reps)
+    b = stream.generator.normal(0.0, sd, size=reps)
     pj = np.maximum(coord_pvalue(g, 1.0, n), coord_pvalue(b, 1.0, n))
     rate_00 = float((pj <= 0.05).mean())
     se_00 = math.sqrt(0.0025 * 0.9975 / reps)
 
     stream = RandomStream(SEED, 41_000)
-    g = sample_normal(stream, 1.0, sd, size=reps)
-    b = sample_normal(stream, 0.0, sd, size=reps)
+    g = stream.generator.normal(1.0, sd, size=reps)
+    b = stream.generator.normal(0.0, sd, size=reps)
     pj = np.maximum(coord_pvalue(g, 1.0, n), coord_pvalue(b, 1.0, n))
     rate_10 = float((pj <= 0.05).mean())
     se_10 = math.sqrt(0.05 * 0.95 / reps)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import functools
 import json
 import operator
@@ -16,11 +17,17 @@ from hypothesis import strategies as st
 
 import twostage
 from twostage.cli import main
-from twostage.report import read_simulation_report
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _csv_report(path):
+    """A CSV report's ``# key=value`` block as a dict of text, and its rows as lists of cells."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    return meta, list(csv.reader(line for line in lines if not line.startswith("#")))[1:]
 
 
 def _reject_constant(name):
@@ -35,9 +42,9 @@ class TestSimulateCommand:
             "--seed", "7", "--reps", "40", "--out", out,
         )
         assert code == 0
-        report = read_simulation_report(out)
+        _, rows = _csv_report(out)
         # no-filter plus the five filtration methods
-        assert [m.method_id for m in report.methods] == [
+        assert [row[0] for row in rows] == [
             "nofilter", "minp", "chisq2", "prod-0.8", "prod-0.9", "prod-1.0",
         ]
         body = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
@@ -85,9 +92,10 @@ class TestSimulateCommand:
         )
         out = str(tmp_path / "r.json")
         assert run_cli("simulate", "--config", str(cfg), "--out", out, "--format", "json") == 0
-        report = read_simulation_report(out)
-        assert [m.method_id for m in report.methods] == ["nofilter", "custom"]
-        assert report.meta.scenario == "tiny"
+        with open(out, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert [m["method_id"] for m in payload["methods"]] == ["nofilter", "custom"]
+        assert payload["meta"]["scenario"] == "tiny"
 
     def test_filtration_aware_without_p0_takes_the_exact_p0(self, tmp_path):
         rule = {"kind": "product", "c": 2.0, "delta": 0.9}
@@ -156,6 +164,18 @@ class TestMseRatioCommand:
         assert code == 0
         assert [p["n"] for p in json.loads(out.read_text(), parse_constant=_reject_constant)["points"]] == grid
         assert f"n={10**24} ratio=" in capsys.readouterr().out
+
+    # A c or delta <= 0 filters nothing, or everything, at every n; mse-ratio
+    # refuses it with classify's error.
+    @pytest.mark.parametrize("c, delta", [("-1", "0.7"), ("0", "0.7"), ("1", "-2"), ("1", "0")])
+    def test_nonpositive_c_or_delta_exit_2(self, tmp_path, capsys, c, delta):
+        out = tmp_path / "mr.csv"
+        argv = ["--gamma", "n^-0.5", "--beta", "n^-0.5", "--c", c, "--delta", delta]
+        assert run_cli("mse-ratio", *argv, "--reps", "100", "--seed", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: c and delta must be positive\n"
+        assert not out.exists()
+        assert run_cli("classify", *argv) == 2
+        assert capsys.readouterr().err == "error: c and delta must be positive\n"
 
     # The plain MSE underflows at a huge n, and its square overflows (or the
     # draws themselves do) at a huge parameter.  A numpy warning would be
@@ -342,8 +362,8 @@ class TestFwerBoundCommand:
         out = tmp_path / "r.csv"
         argv = ["--scenario", json.dumps(scenario), "--methods", json.dumps(methods), "--reps", "3", "--m", "10"]
         assert run_cli("simulate", *argv, "--seed", "1", "--out", str(out)) == 0
-        report = read_simulation_report(str(out))
-        assert (report.meta.scenario, [m.method_id for m in report.methods]) == ("flagged", ["custom"])
+        meta, rows = _csv_report(out)
+        assert (meta["scenario"], [row[0] for row in rows]) == ("flagged", ["custom"])
         gamma = json.dumps({"offset": 0.0, "terms": [[1.0, 0.6]]})
         assert run_cli("classify", "--gamma", gamma, "--beta", "n^-0.6", "--c", "1", "--delta", "0.8") == 0
         assert capsys.readouterr().out.endswith(_CLASSIFY_LINE + "\n")
@@ -836,8 +856,8 @@ class TestSettingsTable:
         out = tmp_path / "r.csv"
         cfg = dict(_BASE["simulate"], scenario={"name": "a b=c;#", "rows": [_ROW]}, out=str(out))
         assert _run_config(tmp_path, "simulate", dict(cfg, methods=[{"rule": "minp", "id": "x=y #z"}])) == 0
-        report = read_simulation_report(str(out))
-        assert (report.meta.scenario, report.methods[0].method_id) == ("a b=c;#", "x=y #z")
+        meta, rows = _csv_report(out)
+        assert (meta["scenario"], rows[0][0]) == ("a b=c;#", "x=y #z")
 
     def test_config_value_checked_even_when_flag_overrides(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -863,6 +883,32 @@ class TestSettingsTable:
 def test_extreme_sigma_exits_0(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv, "--seed", "1") == 0
+    assert capsys.readouterr().err == ""
+
+
+# At alpha = 1e-321 the threshold alpha/F reaches the smallest subnormal,
+# whose half rounds to 0 in the critical-value computation.
+_TINY_ALPHA_P0 = {
+    "name": "tiny-alpha",
+    "rows": [
+        {"truth": "null00", "proportion": 0.5},
+        {"gamma": "3", "beta": "3", "proportion": 0.5, "truth": "alternative"},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "config2", "--alpha", "1e-321", "--methods", "nofilter", "--out", "r.csv"],
+        ["fwer-bound", "--scenario", "config2", "--rule", "nofilter", "--alpha", "1e-321"],
+        ["simulate", "--scenario", json.dumps(_TINY_ALPHA_P0), "--m", "4", "--out", "r.csv", "--methods",
+         json.dumps([{"rule": {"kind": "product", "c": 434, "delta": 0.9}, "adjustment": {"kind": "filtration_aware"}}])],
+    ],
+)
+def test_smallest_subnormal_threshold_exits_0(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--reps", "2", "--seed", "1") == 0
     assert capsys.readouterr().err == ""
 
 

@@ -3,32 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from twostage import RandomStream, sample_normal
+from twostage import RandomStream
 
 
 class TestRandomStream:
     def test_equal_streams_replay(self):
-        a = sample_normal(RandomStream(7, 42), 0.0, 1.0, size=16)
-        b = sample_normal(RandomStream(7, 42), 0.0, 1.0, size=16)
+        a = RandomStream(7, 42).generator.normal(0.0, 1.0, size=16)
+        b = RandomStream(7, 42).generator.normal(0.0, 1.0, size=16)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_indices_differ(self):
-        a = sample_normal(RandomStream(7, 1), 0.0, 1.0, size=16)
-        b = sample_normal(RandomStream(7, 2), 0.0, 1.0, size=16)
+        a = RandomStream(7, 1).generator.normal(0.0, 1.0, size=16)
+        b = RandomStream(7, 2).generator.normal(0.0, 1.0, size=16)
         assert not np.array_equal(a, b)
 
     def test_offset_indexing(self):
         base = RandomStream(3, 10)
         assert base.offset(5).stream_index == 15
         np.testing.assert_array_equal(
-            sample_normal(base.offset(5), 0.0, 1.0, size=4),
-            sample_normal(RandomStream(3, 15), 0.0, 1.0, size=4),
+            base.offset(5).generator.normal(0.0, 1.0, size=4),
+            RandomStream(3, 15).generator.normal(0.0, 1.0, size=4),
         )
 
     def test_independence_of_adjacent_streams(self):
         # adjacent indices should be uncorrelated for practical purposes
-        a = sample_normal(RandomStream(11, 0), 0.0, 1.0, size=20000)
-        b = sample_normal(RandomStream(11, 1), 0.0, 1.0, size=20000)
+        a = RandomStream(11, 0).generator.normal(0.0, 1.0, size=20000)
+        b = RandomStream(11, 1).generator.normal(0.0, 1.0, size=20000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
     @pytest.mark.parametrize("seed", [1.5, "3"])
@@ -53,36 +53,11 @@ class TestRandomStream:
     def test_seeds_at_the_top_of_64_bits_stay_distinct(self):
         seeds = [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
         with np.errstate(all="raise"):
-            draws = {seed: tuple(sample_normal(RandomStream(seed, 5), 0.0, 1.0, size=4)) for seed in seeds}
+            draws = {seed: tuple(RandomStream(seed, 5).generator.normal(0.0, 1.0, size=4)) for seed in seeds}
         assert len(set(draws.values())) == len(seeds)
 
-
-class TestSampleNormal:
-    def test_degenerate_sd(self):
-        assert sample_normal(RandomStream(1, 0), 3.0, 0.0) == 3.0
-
-    def test_moments(self):
-        draws = sample_normal(RandomStream(123, 0), 0.0, 1.0, size=100_000)
+    def test_normal_draw_moments(self):
+        draws = RandomStream(123, 0).generator.normal(0.0, 1.0, size=100_000)
         assert abs(draws.mean()) < 4.0 / math.sqrt(100_000)
         # chi-square concentration keeps the sample variance this close
         assert abs(draws.var(ddof=1) - 1.0) < 0.05
-
-    def test_rejects_negative_sd(self):
-        with pytest.raises(ValueError):
-            sample_normal(RandomStream(1, 0), 0.0, -1.0)
-
-    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_mean(self, mean):
-        with pytest.raises(ValueError, match="mean"):
-            sample_normal(RandomStream(1, 0), mean, 1.0)
-
-    @pytest.mark.parametrize("sd", [math.nan, math.inf])
-    def test_rejects_non_finite_sd(self, sd):
-        with pytest.raises(ValueError, match="sd"):
-            sample_normal(RandomStream(1, 0), 0.0, sd)
-
-    def test_scalar_draw_is_a_float(self):
-        assert type(sample_normal(RandomStream(1, 0), 0.0, 1.0)) is float
-
-    def test_degenerate_sd_with_size_is_a_constant_array(self):
-        np.testing.assert_array_equal(sample_normal(RandomStream(1, 0), -2.5, 0.0, size=3), np.full(3, -2.5))

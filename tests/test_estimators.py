@@ -17,7 +17,6 @@ from twostage import (
     mse_product_closed,
     norm2_stat,
     product_stat,
-    sample_normal,
     shrink,
     shrink_general,
     sobel_stat,
@@ -161,7 +160,7 @@ class TestCoordPvalue:
 
     def test_uniform_under_null(self):
         # calibration: null coordinate p-values are Uniform(0,1)
-        draws = sample_normal(RandomStream(2024, 0), 0.0, 1.0 / math.sqrt(50), size=100_000)
+        draws = RandomStream(2024, 0).generator.normal(0.0, 1.0 / math.sqrt(50), size=100_000)
         ps = coord_pvalue(draws, 1.0, 50)
         assert kstest(ps, "uniform").pvalue > 0.01
 
@@ -202,6 +201,23 @@ class TestZCritical:
         got = np.array([_z_critical(2.0 * h) for h in half])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    def test_subnormal_thresholds(self):
+        # t / 2 rounds for odd multiples of the smallest subnormal (to 0 at
+        # t = 5e-324); the oracle solves for the exact half.
+        assert math.isfinite(_z_critical(5e-324)) and _z_critical(5e-324) >= _z_critical(1e-323)
+        multiples = [1, 2, 3, 4, 5, 7, 9, 2**20 + 1, 2**51 - 1]
+        t = [k * 5e-324 for k in multiples]
+        with mpmath.workdps(40):
+            want = np.array([
+                float(mpmath.findroot(
+                    lambda x: mpmath.log(mpmath.ncdf(-x)) - mpmath.log(mpmath.mpf(2) ** -1075 * k), 38.0
+                ))
+                for k in multiples
+            ])
+        got = np.array([_z_critical(v) for v in t])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        assert np.all(np.diff(got) < 0.0)
+
     def test_round_trip_from_z(self):
         z = np.linspace(0.5, 30.0, 119)
         got = np.array([_z_critical(p) for p in coord_pvalue(z, 1.0, 1)])
@@ -216,8 +232,8 @@ class TestJointPvalue:
         # only the beta coordinate is null: P(p_joint <= a) -> a
         n, reps = 1000, 60_000
         stream = RandomStream(99, 0)
-        g = sample_normal(stream, 1.0, 1.0 / math.sqrt(n), size=reps)
-        b = sample_normal(stream, 0.0, 1.0 / math.sqrt(n), size=reps)
+        g = stream.generator.normal(1.0, 1.0 / math.sqrt(n), size=reps)
+        b = stream.generator.normal(0.0, 1.0 / math.sqrt(n), size=reps)
         pj = np.maximum(coord_pvalue(g, 1.0, n), coord_pvalue(b, 1.0, n))
         rate = (pj <= 0.05).mean()
         se = math.sqrt(0.05 * 0.95 / reps)
@@ -226,8 +242,8 @@ class TestJointPvalue:
     def test_alpha_squared_calibration_double_null(self):
         n, reps = 1000, 60_000
         stream = RandomStream(100, 0)
-        g = sample_normal(stream, 0.0, 1.0 / math.sqrt(n), size=reps)
-        b = sample_normal(stream, 0.0, 1.0 / math.sqrt(n), size=reps)
+        g = stream.generator.normal(0.0, 1.0 / math.sqrt(n), size=reps)
+        b = stream.generator.normal(0.0, 1.0 / math.sqrt(n), size=reps)
         pj = np.maximum(coord_pvalue(g, 1.0, n), coord_pvalue(b, 1.0, n))
         rate = (pj <= 0.05).mean()
         se = math.sqrt(0.0025 * 0.9975 / reps)
@@ -273,8 +289,8 @@ class TestProductMse:
         # Monte-Carlo MSE against the closed form at unit scales
         gamma, beta, n, reps = 0.5, 0.5, 400, 100_000
         stream = RandomStream(7, 0)
-        g = sample_normal(stream, gamma, 1.0 / math.sqrt(n), size=reps)
-        b = sample_normal(stream, beta, 1.0 / math.sqrt(n), size=reps)
+        g = stream.generator.normal(gamma, 1.0 / math.sqrt(n), size=reps)
+        b = stream.generator.normal(beta, 1.0 / math.sqrt(n), size=reps)
         sq = (g * b - gamma * beta) ** 2
         mc_se = sq.std(ddof=1) / math.sqrt(reps)
         assert abs(sq.mean() - mse_product_closed(gamma, beta, n)) < 4.0 * mc_se

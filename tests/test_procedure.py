@@ -32,7 +32,7 @@ from twostage import (
     survival_prob_at_theta0,
 )
 from twostage.procedure import filter_mask, two_stage
-from twostage.simulate import _BLOCK_REPS, _draw_hypotheses, _replication_blocks
+from twostage.simulate import _BLOCK_REPS, _draw_hypotheses, _replication_blocks, _scenario_layout
 
 
 def pair(g, b, sg=1.0, sb=1.0, n=100):
@@ -345,7 +345,7 @@ class TestZDomainDecisions:
         methods = list(standard_methods()) + [Method(MinPValue(0.01), FiltrationAware(0.3), id="aware")]
         stream = RandomStream(41, 0)
         blocks = list(_replication_blocks(sc, methods, stream, range(sc.reps)))
-        draws = [_draw_hypotheses(sc, r, stream) for r in range(sc.reps)]
+        draws = [_draw_hypotheses(sc, r, stream, _scenario_layout(sc)) for r in range(sc.reps)]
         g, b = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
         sigma, n = sc.sigma, sc.n
         pjoint = np.maximum(coord_pvalue(g, sigma, n), coord_pvalue(b, sigma, n))
