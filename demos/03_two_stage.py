@@ -22,9 +22,9 @@ n, m = 400, 120
 sd = 1.0 / np.sqrt(n)
 
 # 100 double nulls, 12 single nulls, 8 alternatives
-truths = [(0.0, 0.0)] * 100 + [(0.25, 0.0)] * 12 + [(0.2, 0.2)] * 8
+means = [(0.0, 0.0)] * 100 + [(0.25, 0.0)] * 12 + [(0.2, 0.2)] * 8
 estimates = [
-    EstimatePair(rng.normal(g, sd), rng.normal(b, sd), 1.0, 1.0, n) for g, b in truths
+    EstimatePair(rng.normal(g, sd), rng.normal(b, sd), 1.0, 1.0, n) for g, b in means
 ]
 
 rule = ProductThreshold(c=2.0, delta=0.9)

@@ -79,7 +79,6 @@ _EXPORTS = {
         "NormalMeanPrior",
         "ScenarioMixture",
         "SimulationReport",
-        "Truth",
         "builtin_scenario",
         "conditional_rejection_stats",
         "run_experiment",

@@ -8,7 +8,9 @@ adjustment factor p0, exact from the rule, and the survivor-count FWER bound).
 Exit codes are a stable contract: 0 ok, 2 configuration problem, 3 I/O
 failure, 4 domain inconsistency, 5 numerical failure.  ``--seed`` pins all
 randomness; when absent the TWOSTAGE_SEED environment variable is honored,
-and otherwise a fresh seed is drawn and printed so the run can be replayed.
+and otherwise a fresh seed is drawn.  Every command that draws prints the seed
+it ran with (``simulate`` and ``mse-ratio`` in their ``wrote`` line and report,
+``fwer-bound`` in its ``seed`` field), so any run can be replayed.
 
 Each handler imports the library code it runs when it is called, so a call
 loads only its own subcommand's modules (``fit`` never loads the simulation
@@ -200,15 +202,13 @@ def _resolve(args: argparse.Namespace, cfg: dict, table: Sequence[_Field]) -> di
 
 
 def _default_seed() -> int:
-    """The seed when no flag or config sets one: TWOSTAGE_SEED, else a drawn seed, printed."""
+    """The seed when no flag or config sets one: TWOSTAGE_SEED, else a drawn one, which each command prints."""
     env = os.environ.get("TWOSTAGE_SEED")
     if env is not None:
         return _SEED.check(env, "TWOSTAGE_SEED")
     import secrets
 
-    drawn = secrets.randbits(63)
-    print(f"seed: {drawn} (drawn; pass --seed {drawn} to reproduce)")
-    return drawn
+    return secrets.randbits(63)
 
 
 def _object(spec, fields: Sequence[_Field] | dict, where: str) -> dict:
@@ -301,7 +301,6 @@ _ROW = (
     _Field("gamma", _Kind(_coordinate), "gamma coordinate", "0"),
     _Field("beta", _Kind(_coordinate), "beta coordinate", "0"),
     _Field("proportion", _NUMBER, "mixture weight", 0.0),
-    _Field("truth", _member("simulate.Truth"), "ground truth", required=True),
 )
 # An inline scenario; its sizes come from the top-level settings alone.
 _SCENARIO = (

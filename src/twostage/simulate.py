@@ -2,7 +2,8 @@
 
 A :class:`ScenarioMixture` assigns each of m hypotheses to one row of a
 mixture; a row carries the drifting coordinate pair (or a normal hyperprior
-over it), its mixture proportion, and its ground-truth label.  Every
+over it) and its mixture proportion.  A row is null when some coordinate is
+zero at n, and that decides which rejections count as false.  Every
 replication draws one estimate pair per hypothesis and then applies every
 method (filtration rule + adjustment) to the *same* draws, so method
 comparisons use common random numbers.
@@ -41,7 +42,6 @@ from .procedure import (
 )
 
 __all__ = [
-    "Truth",
     "Assignment",
     "NormalMeanPrior",
     "MixtureRow",
@@ -57,17 +57,6 @@ __all__ = [
     "ConditionalRejectionStats",
     "conditional_rejection_stats",
 ]
-
-
-class Truth(Enum):
-    NULL00 = "null00"
-    NULL10 = "null10"
-    NULL01 = "null01"
-    ALTERNATIVE = "alternative"
-
-    @property
-    def is_null(self) -> bool:
-        return self is not Truth.ALTERNATIVE
 
 
 class Assignment(Enum):
@@ -95,7 +84,6 @@ class MixtureRow:
     gamma: CoordinateModel
     beta: CoordinateModel
     proportion: float
-    truth: Truth
 
     def __post_init__(self):
         if not (0.0 <= self.proportion <= 1.0):
@@ -128,14 +116,6 @@ class ScenarioMixture:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        for i, row in enumerate(self.rows):
-            # A coordinate is zero at n when its mean and prior sd both are; the
-            # label nullGB marks each nonzero coordinate with a 1.
-            nonzero = [_coordinate_params(coord, self.n) != (0.0, 0.0) for coord in (row.gamma, row.beta)]
-            derived = Truth.ALTERNATIVE if all(nonzero) else Truth("null%d%d" % tuple(nonzero))
-            if row.truth is not derived:
-                at = f"rows[{i}] has truth {row.truth.value!r}, but its coordinates at n = {self.n}"
-                raise ValueError(f"{at} make it {derived.value!r}")
 
 
 @dataclass(frozen=True)
@@ -180,15 +160,15 @@ def _seq(offset: float, coef: float, exp: float) -> PowerSequence:
 
 
 # The eight mixture rows shared by the built-in configurations.
-_ROW_POOL: tuple[tuple[PowerSequence, PowerSequence, Truth], ...] = (
-    (_const(0.0), _const(0.0), Truth.NULL00),
-    (_seq(0.0, 3.0, 0.75), _const(0.0), Truth.NULL10),
-    (_seq(0.0, 3.0, 0.5), _const(0.0), Truth.NULL10),
-    (_seq(0.0, 3.0, 1.0 / 3.0), _const(0.0), Truth.NULL10),
-    (_seq(1.0, 3.0, 0.5), _const(0.0), Truth.NULL10),
-    (_seq(0.0, 3.0, 0.5), _seq(0.0, 3.0, 0.5), Truth.ALTERNATIVE),
-    (_seq(0.0, 3.0, 1.0 / 3.0), _seq(0.0, 3.0, 0.5), Truth.ALTERNATIVE),
-    (_seq(1.0, 3.0, 0.5), _seq(0.0, 3.0, 0.5), Truth.ALTERNATIVE),
+_ROW_POOL: tuple[tuple[PowerSequence, PowerSequence], ...] = (
+    (_const(0.0), _const(0.0)),
+    (_seq(0.0, 3.0, 0.75), _const(0.0)),
+    (_seq(0.0, 3.0, 0.5), _const(0.0)),
+    (_seq(0.0, 3.0, 1.0 / 3.0), _const(0.0)),
+    (_seq(1.0, 3.0, 0.5), _const(0.0)),
+    (_seq(0.0, 3.0, 0.5), _seq(0.0, 3.0, 0.5)),
+    (_seq(0.0, 3.0, 1.0 / 3.0), _seq(0.0, 3.0, 0.5)),
+    (_seq(1.0, 3.0, 0.5), _seq(0.0, 3.0, 0.5)),
 )
 
 # (row index into _ROW_POOL, raw proportion); config3's column sums to 0.85
@@ -233,10 +213,7 @@ def builtin_scenario(
         column = _CONFIG_COLUMNS[name]
         total = sum(p for _, p in column)
         renormalized = abs(total - 1.0) > 1e-9
-        rows = tuple(
-            MixtureRow(*_ROW_POOL[idx][:2], proportion=p / total, truth=_ROW_POOL[idx][2])
-            for idx, p in column
-        )
+        rows = tuple(MixtureRow(*_ROW_POOL[idx], proportion=p / total) for idx, p in column)
         return ScenarioMixture(
             name=name,
             rows=rows,
@@ -255,9 +232,9 @@ def builtin_scenario(
         rows = tuple(
             row
             for row in (
-                MixtureRow(_const(0.0), _const(0.0), pi[0], Truth.NULL00),
-                MixtureRow(gamma_prior, _const(0.0), pi[1], Truth.NULL10),
-                MixtureRow(gamma_prior, beta_prior, pi[2], Truth.ALTERNATIVE),
+                MixtureRow(_const(0.0), _const(0.0), pi[0]),
+                MixtureRow(gamma_prior, _const(0.0), pi[1]),
+                MixtureRow(gamma_prior, beta_prior, pi[2]),
             )
             if row.proportion > 0.0
         )
@@ -294,14 +271,15 @@ def _scenario_layout(scenario: ScenarioMixture):
     """The draw's constants, shared by all replications: ``(params, row_null, rows_of)``.
 
     ``params`` is the (rows, 4) table of gamma mean, gamma prior sd, beta mean
-    and beta prior sd at n, and ``row_null`` each row's null label.
-    ``rows_of`` is the fixed row of every hypothesis, or for multinomial
-    scenarios the cumulative proportions that ``u`` is searched in.
+    and beta prior sd at n.  ``row_null`` marks each row where gamma*beta = 0:
+    some coordinate has mean 0 and prior sd 0 at n.  ``rows_of`` is the fixed
+    row of every hypothesis, or for multinomial scenarios the cumulative
+    proportions that ``u`` is searched in.
     """
     m, n, rows = scenario.m, scenario.n, scenario.rows
     props = [row.proportion for row in rows]
     params = np.array([[*_coordinate_params(r.gamma, n), *_coordinate_params(r.beta, n)] for r in rows])
-    row_null = np.array([row.truth.is_null for row in rows])
+    row_null = ~(params[:, :2].any(1) & params[:, 2:].any(1))
     if scenario.assignment is Assignment.MULTINOMIAL:
         # Searching only the first len(rows)-1 cumulative proportions maps u
         # past a last one rounded below 1 to the last row, not past the end.
@@ -318,7 +296,7 @@ def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomSt
     ``gamma_hat = gamma_mean + gamma_prior_sd*z[0] + sigma/sqrt(n)*z[2]`` and
     ``beta_hat`` likewise from ``z[1]`` and ``z[3]`` (prior sd 0 without a
     hyperprior).  ``layout`` is ``_scenario_layout(scenario)``.  Returns
-    ``(gamma_hat, beta_hat, row_idx, truth_null)``.
+    ``(gamma_hat, beta_hat, row_idx, is_null)``.
     """
     params, row_null, rows_of = layout
     m, gen = scenario.m, stream.offset(rep_index).generator
@@ -341,7 +319,7 @@ _BLOCK_REPS = 64
 def _replication_blocks(scenario, methods, stream, reps: range):
     """The two-stage kernel over the replications in ``reps``, block by block.
 
-    Yields ``(row_idx, truth_null, outcomes)`` per block of at most
+    Yields ``(row_idx, is_null, outcomes)`` per block of at most
     ``_BLOCK_REPS`` replications: ``(block, m)`` arrays, and one
     ``(survivors, rejected)`` pair of ``(block, m)`` masks per method.
     """
@@ -351,9 +329,9 @@ def _replication_blocks(scenario, methods, stream, reps: range):
     for start in range(reps.start, reps.stop, _BLOCK_REPS):
         block = range(start, min(start + _BLOCK_REPS, reps.stop))
         draws = [_draw_hypotheses(scenario, r, stream, layout) for r in block]
-        gamma_hat, beta_hat, row_idx, truth_null = (np.stack(col) for col in zip(*draws))
+        gamma_hat, beta_hat, row_idx, is_null = (np.stack(col) for col in zip(*draws))
         outcomes = two_stage(pairs, scenario.alpha, gamma_hat, beta_hat, sigma, sigma, n)
-        yield row_idx, truth_null, [(survivors, rejected) for survivors, _, rejected in outcomes]
+        yield row_idx, is_null, [(survivors, rejected) for survivors, _, rejected in outcomes]
 
 
 def _tallies(scenario: ScenarioMixture, methods: Sequence[Method], stream: RandomStream, reps: range):
@@ -367,12 +345,12 @@ def _tallies(scenario: ScenarioMixture, methods: Sequence[Method], stream: Rando
     """
     n_rows = len(scenario.rows)
     per_block = [[] for _ in methods]
-    for row_idx, truth_null, outcomes in _replication_blocks(scenario, methods, stream, reps):
-        alt, rows = ~truth_null, row_idx.ravel()
+    for row_idx, is_null, outcomes in _replication_blocks(scenario, methods, stream, reps):
+        alt, rows = ~is_null, row_idx.ravel()
         for acc, (survivors, rejected) in zip(per_block, outcomes):
             # flatnonzero picks the rows of a mask's hypotheses about 2x faster than row_idx[mask] does.
             row_counts = [np.bincount(rows[np.flatnonzero(mask)], minlength=n_rows) for mask in (survivors, rejected)]
-            acc.append(((rejected & truth_null).sum(1), (rejected & alt).sum(1), alt.sum(1), survivors.sum(1),
+            acc.append(((rejected & is_null).sum(1), (rejected & alt).sum(1), alt.sum(1), survivors.sum(1),
                         *row_counts))
     tallies = []
     for acc in per_block:
@@ -464,7 +442,8 @@ class ConditionalRejectionStats:
     ``F_samples`` holds the survivor count of every replication, and
     ``row_survived``/``row_rejected`` the survivors and rejections of each
     mixture row over all of them.  ``q_max`` is the largest of their ratios,
-    the rejection rate given survival, among null rows that kept a survivor.
+    the rejection rate given survival, among the null rows (some coordinate
+    zero at n, as ``_scenario_layout`` derives them) that kept a survivor.
     ``fwer``, ``fwer_se`` and ``mean_F`` come from the same replications,
     for self-consistency checks against the bound.
     """
@@ -487,7 +466,7 @@ def conditional_rejection_stats(
     [tallies] = _tallies(scenario, [method], RandomStream(master_seed, 0), range(scenario.reps))
     result = _method_result(method.method_id, *tallies)
     f, row_survived, row_rejected = tallies[3:]
-    kept = np.array([row.truth.is_null for row in scenario.rows]) & (row_survived > 0)
+    kept = _scenario_layout(scenario)[1] & (row_survived > 0)
     rates = row_rejected[kept] / row_survived[kept]
     q_max = float(rates.max()) if rates.size else 0.0
     return ConditionalRejectionStats(

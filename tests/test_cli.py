@@ -78,8 +78,8 @@ class TestSimulateCommand:
                     "scenario": {
                         "name": "tiny",
                         "rows": [
-                            {"gamma": "0", "beta": "0", "proportion": 0.8, "truth": "null00"},
-                            {"gamma": "3n^-0.5", "beta": "3n^-0.5", "proportion": 0.2, "truth": "alternative"},
+                            {"gamma": "0", "beta": "0", "proportion": 0.8},
+                            {"gamma": "3n^-0.5", "beta": "3n^-0.5", "proportion": 0.2},
                         ],
                     },
                     "methods": ["nofilter", {"rule": {"kind": "product", "c": 2.0, "delta": 0.9}, "id": "custom"}],
@@ -357,7 +357,7 @@ class TestFwerBoundCommand:
             assert f"error: argument {flag}: " in err and "Traceback" not in err
 
     def test_structured_flags_read_json(self, tmp_path, capsys):
-        scenario = {"name": "flagged", "rows": [{"truth": "null00", "proportion": 1.0}]}
+        scenario = {"name": "flagged", "rows": [{"proportion": 1.0}]}
         methods = [{"rule": {"kind": "product", "c": 2.0, "delta": 0.9}, "id": "custom"}]
         out = tmp_path / "r.csv"
         argv = ["--scenario", json.dumps(scenario), "--methods", json.dumps(methods), "--reps", "3", "--m", "10"]
@@ -448,7 +448,7 @@ class TestSeedHandling:
         assert err.startswith(f"error: {key} must be") and "Traceback" not in err
 
     def test_bad_inline_scenario_types_exit_2(self, tmp_path, capsys):
-        row = {"truth": "null00", "proportion": 1.0}
+        row = {"proportion": 1.0}
         for scenario in ({"rows": [row], "m": [3]}, {"rows": [dict(row, proportion="1")]}):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"scenario": scenario, "reps": 2, "seed": 1}))
@@ -466,11 +466,44 @@ class TestSeedHandling:
         assert from_config == capsys.readouterr().out
         assert json.loads(from_config)["mean_F"] <= 30
 
-    def test_drawn_seed_announced(self, tmp_path, capsys, monkeypatch):
+    def test_drawn_seed_reported_in_the_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("TWOSTAGE_SEED", raising=False)
-        out = str(tmp_path / "r.csv")
-        assert run_cli("simulate", "--scenario", "config1", "--reps", "2", "--out", out) == 0
-        assert "drawn; pass --seed" in capsys.readouterr().out
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--scenario", "config1", "--reps", "2", "--out", str(out)) == 0
+        stdout = capsys.readouterr().out
+        seed = re.match(r"wrote \S+ \(6 methods, seed (\d+), reps 2\)\n", stdout).group(1)
+        assert _csv_report(out)[0]["seed"] == seed
+        report = out.read_bytes()
+        assert run_cli("simulate", "--scenario", "config1", "--reps", "2", "--out", str(out), "--seed", seed) == 0
+        assert (capsys.readouterr().out, out.read_bytes()) == (stdout, report)
+
+    def test_seedless_fwer_bound_prints_one_json_line(self, capsys, monkeypatch):
+        monkeypatch.delenv("TWOSTAGE_SEED", raising=False)
+        argv = ["fwer-bound", "--scenario", "config1", "--rule", "minp", "--reps", "2", "--m", "20"]
+        assert run_cli(*argv) == 0
+        stdout = capsys.readouterr().out
+        [line] = stdout.splitlines()
+        seed = json.loads(line)["seed"]
+        assert run_cli(*argv, "--seed", str(seed)) == 0
+        assert capsys.readouterr().out == stdout
+
+    # A seed is drawn before the settings are checked; a run refused for its
+    # settings never ran, so it offers no seed to reproduce it.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", "config7", "--reps", "2"],
+            ["fwer-bound", "--scenario", "config7", "--rule", "minp"],
+            ["mse-ratio", "--gamma", "n^-0.5", "--beta", "n^-0.5", "--c", "-1", "--delta", "0.7"],
+        ],
+    )
+    def test_settings_error_after_a_drawn_seed_prints_no_stdout(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.delenv("TWOSTAGE_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 _SIZE = ["--m", "40", "--reps", "5", "--seed", "1"]
@@ -678,7 +711,7 @@ def test_help_lists_scenarios_and_presets(capsys, command):
 
 
 # Smallest valid config per subcommand; each test below changes one key.
-_ROW = {"truth": "null00", "proportion": 1.0}
+_ROW = {"proportion": 1.0}
 _BASE = {
     "simulate": {"scenario": "config1", "reps": 2, "m": 20, "seed": 1},
     "fwer-bound": {"scenario": "config1", "rule": "nofilter", "reps": 2, "m": 20, "p0_reps": 10, "seed": 1},
@@ -728,8 +761,9 @@ class TestSettingsTable:
             ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"terms": 5})]}, "scenario.rows[0].gamma.terms must be a list"),
             ("simulate", "scenario", {"rows": [_ROW], "assignment": ["foo"]}, "scenario.assignment must be"),
             ("simulate", "scenario", {"rows": [_ROW], "assignment": "foo"}, "scenario.assignment must be"),
-            ("simulate", "scenario", {"rows": [{"proportion": 1.0}]}, "scenario.rows[0] needs a truth"),
-            ("simulate", "scenario", {"rows": [dict(_ROW, truth="null")]}, "scenario.rows[0].truth must be null00 or"),
+            # A row's null status follows from its coordinates, so no row states it.
+            ("simulate", "scenario", {"rows": [dict(_ROW, truth="null00")]},
+             "unknown key(s) ['truth'] in scenario.rows[0]; allowed: ['beta', 'gamma', 'proportion']"),
             ("simulate", "scenario", {"rows": [dict(_ROW, gamma={"terms": [[1, -0.5]]})]},
              "scenario.rows[0].gamma: exponent must be non-negative"),
             ("simulate", "scenario", {"rows": [dict(_ROW, proportion=0.5)]}, "scenario: row proportions must sum to 1"),
@@ -840,17 +874,19 @@ class TestSettingsTable:
         assert capsys.readouterr().err.startswith("error: scenario.name must be one line of text with no comma")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
-    # The truth labels decide which rejections count as false, so a label
-    # that contradicts the coordinates would report a wrong FWER.
-    @pytest.mark.parametrize("command", ["simulate", "fwer-bound"])
-    def test_row_truth_contradicting_its_coordinates_exit_2(self, tmp_path, capsys, monkeypatch, command):
+    # A row where some coordinate is zero is null, so its rejections count as
+    # false: at alpha = 0.9 and m = 2, some double null is rejected in about a third of replications.
+    def test_double_null_row_rejections_count_toward_fwer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        row = {"gamma": "0", "beta": "0", "proportion": 1, "truth": "alternative"}
-        assert _run_config(tmp_path, command, dict(_BASE[command], scenario={"name": "mislabel", "rows": [row]})) == 2
-        assert capsys.readouterr().err == (
-            "error: scenario: rows[0] has truth 'alternative', but its coordinates at n = 200 make it 'null00'\n"
-        )
-        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+        scenario = {"name": "double-null", "rows": [{"gamma": "0", "beta": "0", "proportion": 1}]}
+        sizes = {"scenario": scenario, "alpha": 0.9, "m": 2, "reps": 20}
+        assert _run_config(tmp_path, "fwer-bound", dict(_BASE["fwer-bound"], **sizes)) == 0
+        bound = json.loads(capsys.readouterr().out)
+        assert bound["simulated_fwer"] > 0 and bound["q_max"] > 0
+        cfg = dict(_BASE["simulate"], **sizes, methods=["nofilter"], out="r.csv")
+        assert _run_config(tmp_path, "simulate", cfg) == 0
+        [[method, fwer, _, power, *_]] = _csv_report(tmp_path / "r.csv")[1]
+        assert (method, float(fwer) > 0, power) == ("nofilter", True, "nan")
 
     def test_report_names_round_trip(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -891,8 +927,8 @@ def test_extreme_sigma_exits_0(tmp_path, capsys, monkeypatch, argv):
 _TINY_ALPHA_P0 = {
     "name": "tiny-alpha",
     "rows": [
-        {"truth": "null00", "proportion": 0.5},
-        {"gamma": "3", "beta": "3", "proportion": 0.5, "truth": "alternative"},
+        {"proportion": 0.5},
+        {"gamma": "3", "beta": "3", "proportion": 0.5},
     ],
 }
 
@@ -1003,8 +1039,8 @@ _INLINE = {
     "name": "s",
     "assignment": "multinomial",
     "rows": [
-        {"gamma": {"offset": 0.0, "terms": [[3.0, 0.5]]}, "beta": "0", "proportion": 0.5, "truth": "null10"},
-        {"gamma": "0", "beta": {"normal": {"mean": "n^-0.5", "variance": "n^-1"}}, "proportion": 0.5, "truth": "null01"},
+        {"gamma": {"offset": 0.0, "terms": [[3.0, 0.5]]}, "beta": "0", "proportion": 0.5},
+        {"gamma": "0", "beta": {"normal": {"mean": "n^-0.5", "variance": "n^-1"}}, "proportion": 0.5},
     ],
 }
 _NESTED = {

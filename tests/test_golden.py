@@ -11,7 +11,10 @@ only.  Rewrite them with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and name in CHANGES.md which cases moved and why.
+which takes no arguments.  It writes every case into a sibling directory
+first and swaps that in only when all of them have run, so a run that
+stops early leaves the fixtures as they were.  Name in CHANGES.md which
+cases moved and why.
 """
 
 import contextlib
@@ -19,17 +22,18 @@ import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twostage import cli
 from twostage.asymptotics import MSE_RATIO_PRESETS
-from twostage.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-VERSION_FILE = GOLDEN / "NUMPY_VERSION"
+USAGE = "usage: PYTHONPATH=src python tests/test_golden.py  (no arguments: rewrites every fixture)"
 
 _INLINE_AWARE = {
     "scenario": "config2",
@@ -79,7 +83,7 @@ def _cases() -> dict:
         ["mse-ratio", "--preset", "k-4over3", "--reps", "100", "--seed", "1", "--n-grid", f"100,1000,{10**300}"], {}
     )
     # Nested-schema errors: exit 2, with the dotted path of the fault.
-    row = {"truth": "null00", "proportion": 1.0}
+    row = {"proportion": 1.0}
     for name, scenario in {
         "terms-pair": {"rows": [dict(row, gamma={"terms": [[1]]})]},
         "terms-list": {"rows": [dict(row, gamma={"terms": 5})]},
@@ -109,7 +113,7 @@ def run_case(name: str, workdir: Path) -> dict:
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            code = cli.main(argv)
     finally:
         os.chdir(cwd)
     result = {
@@ -125,7 +129,7 @@ def run_case(name: str, workdir: Path) -> dict:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path):
-    recorded = VERSION_FILE.read_text().strip()
+    recorded = (GOLDEN / "NUMPY_VERSION").read_text().strip()
     if np.__version__ != recorded:
         pytest.fail(f"the golden reports were written with numpy {recorded}, and this is numpy {np.__version__}")
     want = {path.name: path.read_bytes() for path in sorted((GOLDEN / name).iterdir())}
@@ -136,18 +140,66 @@ def test_golden_report(name, tmp_path):
 
 
 def rewrite() -> None:
-    """Run every case and replace the fixtures with what it writes."""
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    GOLDEN.mkdir()
-    VERSION_FILE.write_text(np.__version__ + "\n")
+    """Run every case into a sibling directory, then swap it in for the fixtures."""
+    fresh, old = (GOLDEN.with_name(f"{GOLDEN.name}.{suffix}") for suffix in ("new", "old"))
+    for path in (fresh, old):
+        shutil.rmtree(path, ignore_errors=True)
+    fresh.mkdir()
+    (fresh / "NUMPY_VERSION").write_text(np.__version__ + "\n")
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             result = run_case(name, Path(tmp))
-        (GOLDEN / name).mkdir()
+        (fresh / name).mkdir()
         for file_name, content in result.items():
-            (GOLDEN / name / file_name).write_bytes(content)
-        print(f"wrote {GOLDEN / name}")
+            (fresh / name / file_name).write_bytes(content)
+    GOLDEN.rename(old)
+    fresh.rename(GOLDEN)
+    shutil.rmtree(old)
+    print(f"wrote {len(CASES)} cases to {GOLDEN}")
+
+
+def main(argv: list[str]) -> int:
+    """Rewrite the fixtures; refuse any argument before touching them."""
+    if argv:
+        print(USAGE, file=sys.stderr)
+        return 2
+    rewrite()
+    return 0
+
+
+def _tree(root: Path) -> dict:
+    """Every file under ``root``, as relative path -> bytes."""
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _golden_copy(tmp_path: Path, monkeypatch) -> Path:
+    """A copy of the fixtures under ``tmp_path``, which ``GOLDEN`` then names."""
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", copy)
+    return copy
+
+
+def test_script_refuses_arguments(tmp_path, monkeypatch, capsys):
+    copy = _golden_copy(tmp_path, monkeypatch)
+    before = _tree(copy)
+    assert main(["--help"]) == 2
+    assert capsys.readouterr().err == USAGE + "\n"
+    assert _tree(copy) == before
+    assert [path.name for path in tmp_path.iterdir()] == ["golden"]
+
+
+def test_rewrite_swaps_in_the_new_fixtures(tmp_path, monkeypatch):
+    kept = {name: CASES[name] for name in ("classify-benchmark", "error-exit-3-missing-config")}
+    copy = _golden_copy(tmp_path, monkeypatch)
+    want = {path: data for path, data in _tree(copy).items() if path.parts[0] in {*kept, "NUMPY_VERSION"}}
+    (copy / "stale-case").mkdir()
+    (copy / "stale-case" / "stdout").write_bytes(b"stale\n")
+    monkeypatch.setattr(sys.modules[__name__], "CASES", kept)
+    assert main([]) == 0
+    assert _tree(copy) == want
+    assert [path.name for path in tmp_path.iterdir()] == ["golden"]
 
 
 if __name__ == "__main__":
-    rewrite()
+    sys.exit(main(sys.argv[1:]))

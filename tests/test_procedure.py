@@ -21,7 +21,6 @@ from twostage import (
     ScenarioMixture,
     MixtureRow,
     PowerSequence,
-    Truth,
     conditional_rejection_stats,
     fwer_bound_from_survivors,
     builtin_scenario,
@@ -284,8 +283,8 @@ class TestFwerBound:
 
 def _all_null_scenario(reps=400):
     rows = (
-        MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 0.7, Truth.NULL00),
-        MixtureRow(PowerSequence(0.0, ((3.0, 0.5),)), PowerSequence(0.0), 0.3, Truth.NULL10),
+        MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 0.7),
+        MixtureRow(PowerSequence(0.0, ((3.0, 0.5),)), PowerSequence(0.0), 0.3),
     )
     return ScenarioMixture("all-null", rows, m=100, reps=reps, n=200, sigma=1.0, alpha=0.05)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twostage import (
+    BUILTIN_SCENARIOS,
     Assignment,
     FiltrationAware,
     Method,
@@ -14,13 +15,21 @@ from twostage import (
     ProductThreshold,
     RandomStream,
     ScenarioMixture,
-    Truth,
     builtin_scenario,
     conditional_rejection_stats,
     run_experiment,
     standard_methods,
 )
 from twostage.simulate import _BLOCK_REPS, _deterministic_counts, _draw_hypotheses, _scenario_layout, _tallies
+
+# Each builtin row's null status: config2 is five nulls (a double null, then
+# four with gamma alone nonzero), then three alternatives.
+_BUILTIN_NULL = {
+    "config1": [True, True, False],
+    "config2": [True] * 5 + [False] * 3,
+    "config3": [True, True, True, False],
+    "hierarchical": [True, True, False],
+}
 
 
 def one_replication(sc, methods, r, seed):
@@ -33,7 +42,6 @@ class TestBuiltinScenarios:
     def test_config1_composition(self):
         sc = builtin_scenario("config1")
         assert [r.proportion for r in sc.rows] == [0.65, 0.30, 0.05]
-        assert [r.truth for r in sc.rows] == [Truth.NULL00, Truth.NULL10, Truth.ALTERNATIVE]
         assert sc.rows[1].gamma == PowerSequence(0.0, ((3.0, 0.5),))
         assert not sc.renormalized
 
@@ -44,7 +52,6 @@ class TestBuiltinScenarios:
         last = sc.rows[-1]
         assert last.gamma == PowerSequence(1.0, ((3.0, 0.5),))
         assert last.beta == PowerSequence(0.0, ((3.0, 0.5),))
-        assert last.truth is Truth.ALTERNATIVE
 
     def test_config3_renormalized(self):
         sc = builtin_scenario("config3")
@@ -62,7 +69,7 @@ class TestBuiltinScenarios:
 
     def test_hierarchical_degenerate_pi(self):
         sc = builtin_scenario("hierarchical", pi=(0.7, 0.3, 0.0))
-        assert all(r.truth is not Truth.ALTERNATIVE for r in sc.rows)
+        assert _scenario_layout(sc)[1].all()
         report = run_experiment(sc, [Method(NoFilter())], master_seed=5)
         assert math.isnan(report.methods[0].power)
 
@@ -126,7 +133,7 @@ class TestExperiment:
         assert report.methods[0].empirical_fwer in (0.0, 1.0)
 
     def test_bonferroni_guarantee_all_null(self):
-        rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0, Truth.NULL00),)
+        rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0),)
         sc = ScenarioMixture("null00-only", rows, m=100, reps=300, n=200)
         report = run_experiment(sc, [Method(NoFilter())], master_seed=41)
         res = report.methods[0]
@@ -135,7 +142,7 @@ class TestExperiment:
     def test_conservative_at_double_null(self):
         # with every hypothesis at the double null, plain Bonferroni on the
         # joint p-value operates at roughly alpha^2/m scale, far below alpha
-        rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0, Truth.NULL00),)
+        rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0),)
         sc = ScenarioMixture("null00-only", rows, m=200, reps=400, n=200)
         report = run_experiment(sc, [Method(NoFilter())], master_seed=42)
         assert report.methods[0].empirical_fwer <= 0.01
@@ -190,7 +197,7 @@ class TestEngine:
         np.testing.assert_array_equal(got[0], gamma_hat)
         np.testing.assert_array_equal(got[1], beta_hat)
         np.testing.assert_array_equal(got[2], row_idx)
-        np.testing.assert_array_equal(got[3], [sc.rows[k].truth.is_null for k in row_idx])
+        np.testing.assert_array_equal(got[3], np.array(_BUILTIN_NULL[name])[row_idx])
 
     @pytest.mark.parametrize("reps", [1, _BLOCK_REPS - 1, 2 * _BLOCK_REPS + 2])
     @pytest.mark.parametrize("name", ["config2", "hierarchical"])
@@ -223,33 +230,46 @@ class TestEngine:
         assert (stats.row_rejected <= stats.row_survived).all()
         null_rates = [
             rej / surv
-            for rej, surv, row in zip(stats.row_rejected, stats.row_survived, sc.rows)
-            if row.truth.is_null and surv
+            for rej, surv, null in zip(stats.row_rejected, stats.row_survived, _BUILTIN_NULL[name])
+            if null and surv
         ]
         assert stats.q_max == max(null_rates, default=0.0)
 
 
+_ROOT_N = PowerSequence(0.0, ((3.0, 0.5),))  # 3 n^-1/2: nonzero at every n
+
+
+class TestDerivedNullStatus:
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_builtin_rows_keep_their_declared_status(self, name):
+        assert _scenario_layout(builtin_scenario(name))[1].tolist() == _BUILTIN_NULL[name]
+
+    # A coordinate is zero at n when its mean is 0 and its prior sd, if it has one, is 0.
+    @pytest.mark.parametrize(
+        "gamma, beta, null",
+        [
+            (_ROOT_N, _ROOT_N, False),
+            (PowerSequence(0.0), _ROOT_N, True),
+            (_ROOT_N, PowerSequence(0.0), True),
+            # 3 n^-200 underflows to 0 at n = 1e4, so the row is null there.
+            (PowerSequence(0.0, ((3.0, 200.0),)), _ROOT_N, True),
+            # A hyperprior of mean 0 and positive variance spreads the mean away from 0.
+            (NormalMeanPrior(PowerSequence(0.0), PowerSequence(0.0, ((1.0, 1.0),))), _ROOT_N, False),
+            (NormalMeanPrior(PowerSequence(0.0), PowerSequence(0.0)), _ROOT_N, True),
+        ],
+    )
+    def test_null_when_some_coordinate_is_zero_at_n(self, gamma, beta, null):
+        sc = ScenarioMixture("inline", (MixtureRow(gamma, beta, 1.0),), n=10_000)
+        assert _scenario_layout(sc)[1].tolist() == [null]
+
+
 class TestScenarioValidation:
     def test_proportions_must_sum_to_one(self):
-        rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 0.5, Truth.NULL00),)
+        rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 0.5),)
         with pytest.raises(ValueError):
             ScenarioMixture("bad", rows)
 
-    @pytest.mark.parametrize(
-        "gamma, beta, truth",
-        [
-            (PowerSequence(0.0), PowerSequence(0.0), Truth.ALTERNATIVE),
-            (PowerSequence(0.0), PowerSequence(0.0, ((3.0, 0.5),)), Truth.NULL10),
-            (NormalMeanPrior(PowerSequence(0.0), PowerSequence(0.0, ((1.0, 1.0),))), PowerSequence(0.0), Truth.NULL00),
-            # 3 n^-200 underflows to 0 at n = 1e4, so the row is a double null there.
-            (PowerSequence(0.0, ((3.0, 200.0),)), PowerSequence(0.0), Truth.NULL10),
-        ],
-    )
-    def test_truth_must_match_the_coordinates(self, gamma, beta, truth):
-        with pytest.raises(ValueError, match=r"rows\[0\] has truth .* at n = 10000 make it"):
-            ScenarioMixture("bad", (MixtureRow(gamma, beta, 1.0, truth),), n=10_000)
-
     def test_alpha_range(self):
-        rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0, Truth.NULL00),)
+        rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0),)
         with pytest.raises(ValueError):
             ScenarioMixture("bad", rows, alpha=1.5)
