@@ -264,8 +264,8 @@ def _member(path: str) -> _Kind:
 def _sequence(value, where: str):
     """A sequence: text such as '1+3n^-0.5', or an object of an offset and [coefficient, exponent] terms."""
     if isinstance(value, str):
-        return _make("asymptotics.PowerSequence.parse", where, value)
-    return _make("asymptotics.PowerSequence", where, **_object(value, _TERMS, where))
+        return _make("sequence.PowerSequence.parse", where, value)
+    return _make("sequence.PowerSequence", where, **_object(value, _TERMS, where))
 
 
 def _coordinate(value, where: str):

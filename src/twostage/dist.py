@@ -8,15 +8,16 @@ Randomness goes through :class:`RandomStream`, a thin wrapper over numpy's
 counter-based Philox generator: every ``(master_seed, stream_index)`` pair
 names one reproducible stream, and distinct indices give statistically
 independent streams that are O(1) to construct.  Every draw is a method of
-a stream's ``generator``.  Parallel code owns one stream per work unit and
-never shares generator state.
+a stream's ``generator``, or of ``generators(ks)``, which re-keys one
+Philox to each stream in turn.  Parallel code owns one stream per work unit
+and never shares generator state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -58,15 +59,33 @@ class RandomStream:
             # the commands that draw need it.
             from numpy.random import Generator, Philox
 
-            # An explicit uint64 key: numpy would turn a list holding a value
-            # >= 2**63 into float64, and nearby seeds would share one stream.
-            key = np.array([int(self.master_seed), int(self.stream_index)], dtype=np.uint64)
-            self._gen = Generator(Philox(key=key))
+            self._gen = Generator(Philox(key=self._key))
         return self._gen
+
+    @property
+    def _key(self) -> np.ndarray:
+        # An explicit uint64 key: numpy would turn a list holding a value
+        # >= 2**63 into float64, and nearby seeds would share one stream.
+        return np.array([int(self.master_seed), int(self.stream_index)], dtype=np.uint64)
 
     def offset(self, k: int) -> "RandomStream":
         """A fresh stream at index ``stream_index + k`` (same master seed)."""
         return RandomStream(self.master_seed, self.stream_index + k)
+
+    def generators(self, ks: Iterable[int]) -> Iterator[Generator]:
+        """For each k in ``ks``, a Generator that draws what ``offset(k).generator`` draws.
+
+        One Generator, its Philox re-keyed for each k: each is valid until the next is yielded.
+        """
+        from numpy.random import Generator, Philox
+
+        bits = Philox(key=self._key)
+        # A new Philox's state (counter and buffer zeroed, no uint32 half-word); only its key changes.
+        gen, fresh = Generator(bits), bits.state
+        for k in ks:
+            fresh["state"]["key"] = self.offset(k)._key
+            bits.state = fresh
+            yield gen
 
 
 # math.erfc over an array; stays accurate in the far tail, where 1 - erf(x) cancels.

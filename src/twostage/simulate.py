@@ -10,12 +10,13 @@ comparisons use common random numbers.
 
 Randomness is allocated as one stream per replication: replication r draws
 all m hypotheses from stream index ``r`` under the experiment's master seed.
-One vectorized kernel, ``procedure.two_stage`` (the one ``run_two_stage``
-runs), applies every method to blocks of replications, and results are
-identical for any block size on one numpy version (NEP 19 promises no
-stable ``Generator`` streams across releases).  The kernel computes no
-p-value: both stages compare ``|z|`` with the critical value of each
-threshold.
+A block of replications is drawn into one array, on one Philox re-keyed to
+each replication's stream in turn.  One vectorized kernel,
+``procedure.two_stage`` (the one ``run_two_stage`` runs), applies every
+method to the block, and results are identical for any block size on one
+numpy version (NEP 19 promises no stable ``Generator`` streams across
+releases).  The kernel computes no p-value: both stages compare ``|z|``
+with the critical value of each threshold.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .asymptotics import PowerSequence
+from .sequence import PowerSequence
 from .dist import RandomStream
 from .procedure import (
     Adjustment,
@@ -116,6 +117,12 @@ class ScenarioMixture:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        for i, row in enumerate(self.rows):
+            for name, coord in (("gamma", row.gamma), ("beta", row.beta)):
+                variance = coord.variance.at(self.n) if isinstance(coord, NormalMeanPrior) else 0.0
+                if not 0.0 <= variance < math.inf:
+                    raise ValueError(f"rows[{i}].{name}.normal.variance is {variance!r} at n = {self.n}; "
+                                     "a variance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -263,7 +270,7 @@ def _deterministic_counts(proportions: Sequence[float], m: int) -> np.ndarray:
 def _coordinate_params(coord: CoordinateModel, n: int) -> tuple[float, float]:
     """(mean, prior sd) of one coordinate at sample size n; sd 0 for a fixed mean."""
     if isinstance(coord, NormalMeanPrior):
-        return coord.mean.at(n), math.sqrt(max(coord.variance.at(n), 0.0))
+        return coord.mean.at(n), math.sqrt(coord.variance.at(n))
     return coord.at(n), 0.0
 
 
@@ -287,32 +294,40 @@ def _scenario_layout(scenario: ScenarioMixture):
     return params, row_null, np.repeat(np.arange(len(rows)), _deterministic_counts(props, m))
 
 
-def _draw_hypotheses(scenario: ScenarioMixture, rep_index: int, stream: RandomStream, layout):
-    """All m hypotheses of replication ``rep_index``, from ``stream.offset(rep_index)``.
+def _draw_hypotheses(scenario: ScenarioMixture, reps: range, stream: RandomStream, layout):
+    """All m hypotheses of each replication r in ``reps``, from ``stream.offset(r)``.
 
-    Fixed draw order on that generator: for multinomial scenarios only,
-    ``u = random(m)`` gives hypothesis i the first row whose cumulative
-    proportion is >= ``u[i]``; then ``z = standard_normal((4, m))`` gives
-    ``gamma_hat = gamma_mean + gamma_prior_sd*z[0] + sigma/sqrt(n)*z[2]`` and
-    ``beta_hat`` likewise from ``z[1]`` and ``z[3]`` (prior sd 0 without a
-    hyperprior).  ``layout`` is ``_scenario_layout(scenario)``.  Returns
-    ``(gamma_hat, beta_hat, row_idx, is_null)``.
+    Fixed draw order on each replication's generator: for multinomial
+    scenarios only, ``u = random(m)`` gives hypothesis i the first row whose
+    cumulative proportion is >= ``u[i]``; then ``z = standard_normal((4, m))``
+    gives ``gamma_hat = gamma_mean + gamma_prior_sd*z[0] + sigma/sqrt(n)*z[2]``
+    and ``beta_hat`` likewise from ``z[1]`` and ``z[3]`` (prior sd 0 without
+    a hyperprior).  Each r fills one row of a ``(len(reps), 4, m)`` array,
+    where the estimates are then formed in place.  Returns ``(gamma_hat,
+    beta_hat, row_idx, is_null)``, each ``(len(reps), m)``; ``layout`` is
+    ``_scenario_layout(scenario)``.
     """
     params, row_null, rows_of = layout
-    m, gen = scenario.m, stream.offset(rep_index).generator
-    multinomial = scenario.assignment is Assignment.MULTINOMIAL
-    row_idx = np.searchsorted(rows_of, gen.random(m), side="left") if multinomial else rows_of
-    g_mean, g_sd, b_mean, b_sd = params[row_idx].T
-    z = gen.standard_normal((4, m))
-    sd = scenario.sigma / math.sqrt(scenario.n)
-    gamma_hat = g_mean + g_sd * z[0] + sd * z[2]
-    beta_hat = b_mean + b_sd * z[1] + sd * z[3]
-    return gamma_hat, beta_hat, row_idx, row_null[row_idx]
+    shape, multinomial = (len(reps), scenario.m), scenario.assignment is Assignment.MULTINOMIAL
+    z = np.empty((shape[0], 4, shape[1]))
+    u = np.empty(shape) if multinomial else None
+    for i, gen in enumerate(stream.generators(reps)):
+        if multinomial:
+            gen.random(out=u[i])
+        gen.standard_normal(out=z[i])
+    row_idx = np.searchsorted(rows_of, u, side="left") if multinomial else np.broadcast_to(rows_of, shape)
+    z[:, 2:] *= scenario.sigma / math.sqrt(scenario.n)
+    for coord in (0, 1):  # gamma, beta: mean + prior_sd*z_prior + noise, in that order
+        estimate = z[:, coord]
+        estimate *= params[row_idx, 2 * coord + 1]
+        estimate += params[row_idx, 2 * coord]
+        estimate += z[:, coord + 2]
+    return z[:, 0], z[:, 1], row_idx, row_null[row_idx]
 
 
-# Replications per kernel pass.  At the CLI defaults, one pass over all 500
-# replications raised peak RSS by about 6%; blocks of 64 leave it flat.
-# Streams are keyed per replication, so no output depends on the block size.
+# Replications per kernel pass and per draw array.  At the CLI defaults, one
+# pass over all 500 replications raised peak RSS by about 6%; blocks of 64
+# leave it flat.  No output depends on the block size.
 _BLOCK_REPS = 64
 
 
@@ -328,8 +343,7 @@ def _replication_blocks(scenario, methods, stream, reps: range):
     layout = _scenario_layout(scenario)
     for start in range(reps.start, reps.stop, _BLOCK_REPS):
         block = range(start, min(start + _BLOCK_REPS, reps.stop))
-        draws = [_draw_hypotheses(scenario, r, stream, layout) for r in block]
-        gamma_hat, beta_hat, row_idx, is_null = (np.stack(col) for col in zip(*draws))
+        gamma_hat, beta_hat, row_idx, is_null = _draw_hypotheses(scenario, block, stream, layout)
         outcomes = two_stage(pairs, scenario.alpha, gamma_hat, beta_hat, sigma, sigma, n)
         yield row_idx, is_null, [(survivors, rejected) for survivors, _, rejected in outcomes]
 

@@ -62,6 +62,27 @@ class TestSimulateCommand:
             run_cli("simulate", "--scenario", "config1", "--reps", "0", "--seed", "1")
         assert exc.value.code == 2
 
+    def test_negative_prior_variance_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        row = {"gamma": {"normal": {"mean": "0", "variance": "-1"}}, "beta": "3", "proportion": 1}
+        scenario = json.dumps({"name": "neg", "rows": [row]})
+        assert run_cli("simulate", "--scenario", scenario, "--reps", "3", "--seed", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario: rows[0].gamma.normal.variance is -1.0 at n = 200; a variance must be finite and >= 0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_prior_variance_runs_as_a_null_row(self, tmp_path):
+        # A mean of 0 with variance exactly 0 is a zero coordinate, so the row is null and power is NaN.
+        row = {"gamma": {"normal": {"mean": "0", "variance": "0"}}, "beta": "3", "proportion": 1}
+        out = str(tmp_path / "zero.csv")
+        scenario = json.dumps({"name": "zero", "rows": [row]})
+        assert run_cli("simulate", "--scenario", scenario, "--reps", "3", "--seed", "1", "--out", out) == 0
+        lines = [line for line in Path(out).read_text().splitlines() if not line.startswith("#")]
+        assert {row["power"] for row in csv.DictReader(lines)} == {"nan"}
+
     def test_unknown_scenario_exit_2(self):
         assert run_cli("simulate", "--scenario", "config7", "--seed", "1", "--reps", "2") == 2
 
@@ -510,6 +531,14 @@ _SIZE = ["--m", "40", "--reps", "5", "--seed", "1"]
 _CLASSIFY = ["classify", "--gamma", "n^-0.6", "--beta", "n^-0.6", "--c", "1", "--delta", "0.8"]
 _MSE_RATIO = ["mse-ratio", "--preset", "k-4over3", "--n-grid", "100,1000,10000", "--reps", "200", "--seed", "1"]
 _SIMULATE = ["simulate", "--scenario", "config2", "--methods", "all", *_SIZE]
+# An inline scenario whose coordinates are sequence text, a sequence object and a hyperprior.
+_SEQUENCE_ROWS = {
+    "name": "seq",
+    "rows": [
+        {"gamma": "1+3n^-0.5", "beta": {"offset": 0.0, "terms": [[3.0, 0.5]]}, "proportion": 0.5},
+        {"gamma": {"normal": {"mean": "n^-0.5", "variance": "n^-1"}}, "beta": "0", "proportion": 0.5},
+    ],
+}
 
 
 def _run_python(code, **kwargs):
@@ -535,20 +564,21 @@ def _run_python(code, **kwargs):
         ([_CLASSIFY], 0, ["simulate", "procedure", "ingest", "report", "svgplot", "dist", "estimators", "numpy"]),
         ([_MSE_RATIO], 0, ["simulate", "procedure", "ingest", "svgplot"]),
         ([[*_MSE_RATIO, "--svg", "r.svg"]], 0, ["simulate", "procedure", "ingest"]),
-        ([_SIMULATE], 0, ["ingest", "svgplot"]),
-        ([[*_SIMULATE, "--svg", "r.svg"]], 0, ["ingest"]),
+        ([_SIMULATE], 0, ["ingest", "svgplot", "asymptotics"]),
+        ([[*_SIMULATE, "--svg", "r.svg"]], 0, ["ingest", "asymptotics"]),
+        ([["simulate", "--scenario", json.dumps(_SEQUENCE_ROWS), *_SIZE]], 0, ["ingest", "svgplot", "asymptotics"]),
         (
             [
                 ["fwer-bound", "--scenario", "hierarchical", "--rule", rule, *_SIZE, "--out", "b.json"]
                 for rule in ("nofilter", "minp", "chisq2", "prod-0.9")
             ],
             0,
-            ["ingest", "svgplot"],
+            ["ingest", "svgplot", "asymptotics"],
         ),
     ],
     ids=[
         "import", "help", "classify-help", "usage-error", "fit", "classify", "mse-ratio", "mse-ratio-svg",
-        "simulate", "simulate-svg", "fwer-bound",
+        "simulate", "simulate-svg", "simulate-inline", "fwer-bound",
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, calls, code, forbidden):

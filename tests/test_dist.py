@@ -56,6 +56,32 @@ class TestRandomStream:
             draws = {seed: tuple(RandomStream(seed, 5).generator.normal(0.0, 1.0, size=4)) for seed in seeds}
         assert len(set(draws.values())) == len(seeds)
 
+    @pytest.mark.parametrize("seed, base, ks", [(5, 0, range(62, 67)), (2**63 + 7, 2**64 - 4, range(4))])
+    def test_generators_draw_what_each_offset_draws(self, seed, base, ks):
+        # A uint32 draw first and last: the last leaves a buffered half-word,
+        # which the next k's first must not see.
+        def draws(gen):
+            first = gen.integers(0, 2**32, size=2, dtype=np.uint32)
+            return first, gen.random(5), gen.standard_normal(7), gen.integers(0, 2**32, size=1, dtype=np.uint32)
+
+        stream = RandomStream(seed, base)
+        got = [draws(gen) for gen in stream.generators(ks)]
+        assert len(got) == len(ks)
+        for k, drawn in zip(ks, got):
+            for a, b in zip(drawn, draws(stream.offset(k).generator)):
+                np.testing.assert_array_equal(a, b)
+
+    def test_generators_refuse_an_index_past_64_bits(self):
+        stream = RandomStream(1, 2**64 - 2)
+        with pytest.raises(ValueError) as offset_error:
+            stream.offset(2)
+        gens = stream.generators(range(3))
+        next(gens)
+        next(gens)
+        with pytest.raises(ValueError) as generators_error:
+            next(gens)
+        assert str(generators_error.value) == str(offset_error.value)
+
     def test_normal_draw_moments(self):
         draws = RandomStream(123, 0).generator.normal(0.0, 1.0, size=100_000)
         assert abs(draws.mean()) < 4.0 / math.sqrt(100_000)

@@ -344,8 +344,8 @@ class TestZDomainDecisions:
         methods = list(standard_methods()) + [Method(MinPValue(0.01), FiltrationAware(0.3), id="aware")]
         stream = RandomStream(41, 0)
         blocks = list(_replication_blocks(sc, methods, stream, range(sc.reps)))
-        draws = [_draw_hypotheses(sc, r, stream, _scenario_layout(sc)) for r in range(sc.reps)]
-        g, b = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+        draws = [_draw_hypotheses(sc, range(r, r + 1), stream, _scenario_layout(sc)) for r in range(sc.reps)]
+        g, b = np.concatenate([d[0] for d in draws]), np.concatenate([d[1] for d in draws])
         sigma, n = sc.sigma, sc.n
         pjoint = np.maximum(coord_pvalue(g, sigma, n), coord_pvalue(b, sigma, n))
         kernel = two_stage([(mth.rule, mth.adjustment) for mth in methods], sc.alpha, g, b, sigma, sigma, n)

@@ -108,8 +108,8 @@ class TestReplication:
 
     def test_hierarchical_means_redrawn(self):
         sc = builtin_scenario("hierarchical", m=40)
-        g0, _, _, _ = _draw_hypotheses(sc, 0, RandomStream(11, 0), _scenario_layout(sc))
-        g1, _, _, _ = _draw_hypotheses(sc, 1, RandomStream(11, 0), _scenario_layout(sc))
+        g0, _, _, _ = _draw_hypotheses(sc, range(0, 1), RandomStream(11, 0), _scenario_layout(sc))
+        g1, _, _, _ = _draw_hypotheses(sc, range(1, 2), RandomStream(11, 0), _scenario_layout(sc))
         assert not np.allclose(g0, g1)
 
     def test_multinomial_assignment_varies(self):
@@ -170,34 +170,38 @@ class TestExperiment:
 class TestEngine:
     @pytest.mark.parametrize("name", ["config1", "hierarchical"])
     def test_draw_layout(self, name):
-        # The documented draw order, reproduced by hand on stream (seed, r).
+        # The documented draw order, reproduced by hand on stream (seed, r),
+        # for one replication and for a block that starts mid-way.
         sc = builtin_scenario(name, m=50)
-        seed, r, n = 19, 7, sc.n
-        gen = RandomStream(seed, r).generator
-        if sc.assignment is Assignment.MULTINOMIAL:
-            cum = np.cumsum([row.proportion for row in sc.rows])
-            row_idx = np.array([min(int(np.searchsorted(cum, u)), len(sc.rows) - 1) for u in gen.random(sc.m)])
-        else:
-            counts = _deterministic_counts([row.proportion for row in sc.rows], sc.m)
-            row_idx = np.repeat(np.arange(len(sc.rows)), counts)
-        z = gen.standard_normal((4, sc.m))
-        sd = sc.sigma / math.sqrt(n)
-        gamma_hat, beta_hat = np.empty(sc.m), np.empty(sc.m)
-        for i, k in enumerate(row_idx):
-            row = sc.rows[k]
-            means = []
-            for coord, prior_z in ((row.gamma, z[0, i]), (row.beta, z[1, i])):
-                if isinstance(coord, NormalMeanPrior):
-                    means.append(coord.mean.at(n) + math.sqrt(coord.variance.at(n)) * prior_z)
+        seed, n = 19, sc.n
+        for reps in (range(7, 8), range(62, 67)):
+            got = _draw_hypotheses(sc, reps, RandomStream(seed, 0), _scenario_layout(sc))
+            assert all(a.shape == (len(reps), sc.m) for a in got)
+            for i, r in enumerate(reps):
+                gen = RandomStream(seed, r).generator
+                if sc.assignment is Assignment.MULTINOMIAL:
+                    cum = np.cumsum([row.proportion for row in sc.rows])
+                    row_idx = np.array([min(int(np.searchsorted(cum, u)), len(sc.rows) - 1) for u in gen.random(sc.m)])
                 else:
-                    means.append(coord.at(n))
-            gamma_hat[i] = means[0] + sd * z[2, i]
-            beta_hat[i] = means[1] + sd * z[3, i]
-        got = _draw_hypotheses(sc, r, RandomStream(seed, 0), _scenario_layout(sc))
-        np.testing.assert_array_equal(got[0], gamma_hat)
-        np.testing.assert_array_equal(got[1], beta_hat)
-        np.testing.assert_array_equal(got[2], row_idx)
-        np.testing.assert_array_equal(got[3], np.array(_BUILTIN_NULL[name])[row_idx])
+                    counts = _deterministic_counts([row.proportion for row in sc.rows], sc.m)
+                    row_idx = np.repeat(np.arange(len(sc.rows)), counts)
+                z = gen.standard_normal((4, sc.m))
+                sd = sc.sigma / math.sqrt(n)
+                gamma_hat, beta_hat = np.empty(sc.m), np.empty(sc.m)
+                for j, k in enumerate(row_idx):
+                    row = sc.rows[k]
+                    means = []
+                    for coord, prior_z in ((row.gamma, z[0, j]), (row.beta, z[1, j])):
+                        if isinstance(coord, NormalMeanPrior):
+                            means.append(coord.mean.at(n) + math.sqrt(coord.variance.at(n)) * prior_z)
+                        else:
+                            means.append(coord.at(n))
+                    gamma_hat[j] = means[0] + sd * z[2, j]
+                    beta_hat[j] = means[1] + sd * z[3, j]
+                np.testing.assert_array_equal(got[0][i], gamma_hat)
+                np.testing.assert_array_equal(got[1][i], beta_hat)
+                np.testing.assert_array_equal(got[2][i], row_idx)
+                np.testing.assert_array_equal(got[3][i], np.array(_BUILTIN_NULL[name])[row_idx])
 
     @pytest.mark.parametrize("reps", [1, _BLOCK_REPS - 1, 2 * _BLOCK_REPS + 2])
     @pytest.mark.parametrize("name", ["config2", "hierarchical"])
@@ -273,3 +277,20 @@ class TestScenarioValidation:
         rows = (MixtureRow(PowerSequence(0.0), PowerSequence(0.0), 1.0),)
         with pytest.raises(ValueError):
             ScenarioMixture("bad", rows, alpha=1.5)
+
+    @pytest.mark.parametrize(
+        "variance, n, shown",
+        [
+            (PowerSequence(-1.0), 200, "-1.0"),
+            # 1 - 2 n^-0.5 is -1 at n = 1 and positive from n = 5.
+            (PowerSequence(1.0, ((-2.0, 0.5),)), 1, "-1.0"),
+            # Each term is finite; their sum at n overflows.
+            (PowerSequence(0.0, ((1e308, 0.0), (1e308, 0.0))), 200, "inf"),
+        ],
+    )
+    def test_prior_variance_must_be_finite_and_non_negative_at_n(self, variance, n, shown):
+        prior = NormalMeanPrior(PowerSequence(0.0), variance)
+        rows = (MixtureRow(_ROOT_N, _ROOT_N, 0.5), MixtureRow(_ROOT_N, prior, 0.5))
+        want = rf"^rows\[1\]\.beta\.normal\.variance is {shown} at n = {n}; a variance must be finite and >= 0$"
+        with pytest.raises(ValueError, match=want):
+            ScenarioMixture("bad", rows, n=n)
