@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "asymptotics": (
-        "DEFAULT_N_GRID",
         "MSE_RATIO_PRESETS",
         "EfficiencyClass",
         "LRegion",
@@ -24,10 +23,7 @@ _EXPORTS = {
         "PowerSequence",
         "RegimeClassification",
         "classify_product_regime",
-        "compute_K",
-        "extrapolate_limit",
         "irregularity_probe",
-        "k_upper_bound",
         "ks_critical_value",
         "mse_product_closed",
         "mse_ratio_experiment",
@@ -50,7 +46,6 @@ _EXPORTS = {
         "ConfigError",
         "DataFormatError",
         "DegenerateInputError",
-        "InconsistentRegimeError",
         "SingularDesignError",
         "TwoStageError",
     ),

@@ -12,9 +12,10 @@ sequence:
 
 When L = 1 the MSE-ratio of the shrinkage estimator to the plain product
 tends to K^2, when L = 0 the two estimators are equivalent, and in between
-the ratio is not determined by (L, K) alone.  All limits are evaluated
-numerically on a grid of sample sizes with a stabilization test; the grid is
-capped at 1e8 and the stabilization window is 1% relative change.
+the ratio is not determined by (L, K) alone.  Each limit is exact: it
+follows from the leading term ``a n**-p`` of each coordinate, and exponents
+are compared as fractions, so a boundary such as ``delta = p + q`` is met
+exactly.
 
 The module also hosts empirical probes: an MSE-ratio experiment along a
 sequence, a convergence-rate estimator, and a two-sample check that the
@@ -22,8 +23,8 @@ normalized (Sobel) statistic has direction-dependent limit laws at the
 double null.  Probes fix unit per-observation scales; general scales reduce
 to this case by rescaling.
 
-The limits are plain ``math`` on Python floats, so classifying a sequence
-needs only the standard library; numpy loads when a probe draws.
+Classifying a sequence needs only the standard library (``math`` and, for
+the exponents, ``fractions``); numpy loads when a probe draws.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .exceptions import InconsistentRegimeError
-from .sequence import PowerSequence, _pow
+from .sequence import PowerSequence
 
 if TYPE_CHECKING:
     from .dist import RandomStream
@@ -44,9 +44,6 @@ __all__ = [
     "ParamPoint",
     "PowerSequence",
     "ParamSequence",
-    "extrapolate_limit",
-    "compute_K",
-    "k_upper_bound",
     "LRegion",
     "EfficiencyClass",
     "RegimeClassification",
@@ -59,16 +56,7 @@ __all__ = [
     "ks_critical_value",
     "MseRatioPreset",
     "MSE_RATIO_PRESETS",
-    "DEFAULT_N_GRID",
 ]
-
-# Grid cap and stabilization window for all numeric limits.
-DEFAULT_N_GRID: tuple[int, ...] = (10**2, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8)
-_REL_STABLE = 0.01
-_ZERO_TOL = 0.05
-_ZERO_SOFT = 0.25
-_DECAY_FRACTION = 0.6
-_INF_TOL = 100.0
 
 
 @dataclass(frozen=True)
@@ -107,41 +95,6 @@ def _check_grid(n_grid: Sequence[int]) -> list[float]:
     return grid
 
 
-def extrapolate_limit(values: Sequence[float]) -> float | None:
-    """Extended-real limit guess from values on an increasing grid.
-
-    Returns the last value when the tail has stabilized (successive relative
-    changes below 1%); 0 when the tail magnitudes decay to a small value, or
-    keep losing a solid fraction while already modest; +-inf when the tail
-    grows monotonically past a large cutoff; and None when the grid does not
-    resolve the limit.  The zero and infinity rules are deliberately
-    asymmetric: decaying magnitudes are bounded below by zero so projecting
-    onward is safe, whereas divergence is only declared once the values have
-    actually escaped -- extend the grid to resolve slow divergences.
-    Sequences approaching a small nonzero constant slower than the
-    stabilization window can be reported as 0; widen the grid in doubt.
-    """
-    v = [float(x) for x in values]
-    if len(v) < 3:
-        raise ValueError("need at least 3 grid values to extrapolate")
-    mags = [abs(x) for x in v[-4:]]
-    last = v[-1]
-
-    if all(m < 1e-12 for m in mags):
-        return 0.0
-    if all(abs(b - a) / max(abs(b), 1e-300) < _REL_STABLE for a, b in zip(v[-3:], v[-2:])):
-        return last
-    diffs = [b - a for a, b in zip(mags, mags[1:])]
-    if all(d <= 0 for d in diffs):
-        if abs(last) <= _ZERO_TOL:
-            return 0.0
-        if abs(last) <= _ZERO_SOFT and mags[-1] <= _DECAY_FRACTION * mags[0]:
-            return 0.0
-    if all(d >= 0 for d in diffs) and abs(last) >= _INF_TOL:
-        return math.copysign(math.inf, last)
-    return None
-
-
 def _k_ratio(seq: ParamSequence, n: float) -> float:
     """Finite-n standardized distance: g*b / sqrt(n^-1 (n^-1 + g^2 + b^2))."""
     g = seq.gamma.at(n)
@@ -149,36 +102,10 @@ def _k_ratio(seq: ParamSequence, n: float) -> float:
     return n * g * b / math.sqrt(1.0 + n * (g * g + b * b))
 
 
-def compute_K(seq: ParamSequence, n_grid: Sequence[int] = DEFAULT_N_GRID) -> float | None:
-    """Limit of the standardized distance K along the sequence.
-
-    Returns None when the grid does not resolve the limit; widen the grid for
-    sequences that converge slower than about n**-0.05.
-    """
-    return extrapolate_limit([_k_ratio(seq, n) for n in _check_grid(n_grid)])
-
-
-def k_upper_bound(seq: ParamSequence, n_grid: Sequence[int] = DEFAULT_N_GRID) -> float | None:
-    """Upper bound for K from the coordinate magnitudes alone.
-
-    Evaluates ``s / sqrt(1 + s)`` with ``s = n * (gamma_n^2 + beta_n^2)`` and
-    extrapolates like :func:`compute_K`.  The bound follows from
-    ``2ab <= a^2 + b^2``; it is below 1 exactly when s converges to less than
-    the golden ratio.
-    """
-    values = []
-    for n in _check_grid(n_grid):
-        g, b = seq.gamma.at(n), seq.beta.at(n)
-        s = n * (g * g + b * b)
-        values.append(s / math.sqrt(1.0 + s))
-    return extrapolate_limit(values)
-
-
 class LRegion(Enum):
     ONE = "one"
     INTERIOR = "interior"
     ZERO = "zero"
-    UNDETERMINED = "undetermined"
 
 
 class EfficiencyClass(Enum):
@@ -196,38 +123,29 @@ class RegimeClassification:
 
     ``a_value`` and the two term limits are diagnostics: A is the larger of
     the scaled-mean and scaled-sd limits that drive the L classification.
-    None encodes an unresolved limit.
     """
 
     L_region: LRegion
-    K_value: float | None
+    K_value: float
     efficiency_class: EfficiencyClass
-    a_value: float | None
-    a_mean_term: float | None
-    a_sd_term: float | None
+    a_value: float
+    a_mean_term: float
+    a_sd_term: float
 
 
-def _efficiency(region: LRegion, k: float | None) -> EfficiencyClass:
+def _efficiency(region: LRegion, k: float) -> EfficiencyClass:
     if region is LRegion.ZERO:
         return EfficiencyClass.EQUIVALENT
-    if region is LRegion.ONE:
-        if k is None:
-            return EfficiencyClass.INDETERMINATE
-        mag = abs(k)
-        if mag == 0.0:
-            return EfficiencyClass.MUCH_MORE
-        if math.isinf(mag):
-            return EfficiencyClass.MUCH_LESS
-        if math.isclose(mag, 1.0, rel_tol=1e-9):
-            return EfficiencyClass.EQUIVALENT
-        return EfficiencyClass.MORE if mag < 1.0 else EfficiencyClass.LESS
+    mag = abs(k)
+    if math.isinf(mag):
+        return EfficiencyClass.MUCH_LESS
     if region is LRegion.INTERIOR:
-        if k is not None and k == 0.0:
-            return EfficiencyClass.MORE
-        if k is not None and math.isinf(k):
-            return EfficiencyClass.MUCH_LESS
-        return EfficiencyClass.INDETERMINATE
-    return EfficiencyClass.INDETERMINATE
+        return EfficiencyClass.MORE if mag == 0.0 else EfficiencyClass.INDETERMINATE
+    if mag == 0.0:
+        return EfficiencyClass.MUCH_MORE
+    if math.isclose(mag, 1.0, rel_tol=1e-9):
+        return EfficiencyClass.EQUIVALENT
+    return EfficiencyClass.MORE if mag < 1.0 else EfficiencyClass.LESS
 
 
 def _check_rule(c: float, delta: float) -> None:
@@ -236,65 +154,101 @@ def _check_rule(c: float, delta: float) -> None:
         raise ValueError("c and delta must be positive")
 
 
-def classify_product_regime(
-    seq: ParamSequence,
-    c: float,
-    delta: float,
-    n_grid: Sequence[int] = DEFAULT_N_GRID,
-) -> RegimeClassification:
+def _exact(x: float):
+    """The exponent ``x`` as a Fraction: the simplest one with a denominator up
+    to 1e6 that rounds to ``x``, else the value of ``x``'s shortest text.
+
+    So ``n^-1/3`` times ``n^-2/3`` is exactly ``n^-1``, 0.1 + 0.2 is exactly
+    0.3, and 5e-324 stays above 0.
+    """
+    from fractions import Fraction
+
+    q = Fraction(x).limit_denominator(10**6)
+    return q if float(q) == x else Fraction(repr(x))
+
+
+def _leading(s: PowerSequence, name: str):
+    """``(a, p)`` with ``s_n = a n^-p + o(n^-p)`` and ``a != 0``, or None when s is identically 0.
+
+    The offset is the ``n^-0`` term, and coefficients that share an exponent
+    add exactly.
+    """
+    from fractions import Fraction
+
+    sums: dict = {}
+    for coef, exp in ((s.offset, 0.0), *s.terms):
+        p = _exact(exp)
+        sums[p] = sums.get(p, 0) + Fraction(coef)
+    for p in sorted(sums):
+        if sums[p]:
+            try:
+                return float(sums[p]), p
+            except OverflowError:
+                raise ValueError(f"{name}: the coefficients of n^-{float(p):g} add up past the float range") from None
+    return None
+
+
+def _root(parts) -> tuple:
+    """``(r, t, u)`` with ``sqrt(sum of m^2 n^e) ~ t u n^(r/2)`` over the parts ``(e, m)``.
+
+    r is the largest e, and t the largest m that has it.  u, in [1, sqrt 3],
+    is the root of the summed squares of those m over t, so no square leaves
+    the float range.
+    """
+    r = max(e for e, _ in parts)
+    top = [m for e, m in parts if e == r]
+    t = max(top)
+    return r, t, math.hypot(*(m / t for m in top))
+
+
+def _limit(coef: float, e) -> float:
+    """The limit of ``coef * n^e``: inf with coef's sign, coef, or 0 as e is above, at or below 0."""
+    return math.copysign(math.inf, coef) if e > 0 else coef if e == 0 else 0.0
+
+
+def classify_product_regime(seq: ParamSequence, c: float, delta: float) -> RegimeClassification:
     """Classify the filtration rule |T| < c * n**-delta along the sequence.
 
     The region comes from ``A = max(lim n**delta |g b|, lim n**(delta - 1/2)
     sqrt(n^-1 + g^2 + b^2))``: A = 0 forces filtration probability 1 (only
     possible for delta < 1), finite nonzero A an interior probability, and
-    A = inf probability 0.  Cells the classification table rules out raise
-    :class:`InconsistentRegimeError`; so does a delta > 1 grid that fails to
-    confirm the divergence the table requires (extend the grid to resolve).
+    A = inf probability 0.  K is ``lim n g b / sqrt(1 + n (g^2 + b^2))``.
+
+    Each limit comes from the coordinates' leading terms ``a_g n^-p`` and
+    ``a_b n^-q``: whether it is infinite, finite or 0 is decided on the exact
+    exponents, and only then is its finite value formed.  Every part under
+    the two roots is non-negative, so the fastest-growing part wins.  The sd
+    term is at least ``n**(delta - 1)``, so delta > 1 gives A = inf.
 
     The constant c shifts finite-n filtration frequencies but not the limit,
     so it does not enter the region.
     """
     _check_rule(c, delta)
-    means, sds = [], []
-    for n in _check_grid(n_grid):
-        g, b = seq.gamma.at(n), seq.beta.at(n)
+    g, b = _leading(seq.gamma, "gamma"), _leading(seq.beta, "beta")
+    d = _exact(delta)
+    # Only the sign of each exponent matters, so the sd and K ones are doubled to stay whole.
+    # The sd term: n^(delta - 1/2) sqrt(n^-1 + g^2 + b^2).
+    r, t, u = _root([(-1, 1.0), *((-2 * p, abs(a)) for a, p in filter(None, (g, b)))])
+    sd_order = 2 * d - 1 + r
+    sd_term = _limit(t * u, sd_order)
+    if g is None or b is None:
+        mean_order, mean_term, k_value = -math.inf, 0.0, 0.0
+    else:
+        (a_g, p), (a_b, q) = g, b
         # |g b| rather than g b: the filtration event is two-sided in T.
-        means.append(_pow(n, delta) * abs(g * b))
-        sds.append(_pow(n, delta - 0.5) * math.sqrt(1.0 / n + g * g + b * b))
-    mean_term = extrapolate_limit(means)
-    sd_term = extrapolate_limit(sds)
+        mean_order = d - p - q
+        mean_term = _limit(abs(a_g * a_b), mean_order)
+        # K: n g b / sqrt(1 + n g^2 + n b^2).  Dividing the coordinate that t
+        # measures by t keeps a_g a_b / (t u) in range.
+        r, t, u = _root([(0, 1.0), (1 - 2 * p, abs(a_g)), (1 - 2 * q, abs(a_b))])
+        x, y = (a_g, a_b) if abs(a_g) == t else (a_b, a_g)
+        k_value = _limit(x / t * y / u, 2 - 2 * p - 2 * q - r)
 
-    if mean_term is not None and math.isinf(mean_term):
-        a_value: float | None = math.inf
-    elif sd_term is not None and math.isinf(sd_term):
-        a_value = math.inf
-    elif mean_term is None or sd_term is None:
-        a_value = None
-    else:
-        a_value = max(abs(mean_term), sd_term)
-
-    if a_value is not None and math.isinf(a_value):
-        region = LRegion.ZERO
-    elif delta > 1.0:
-        raise InconsistentRegimeError(
-            f"delta = {delta:g} admits only a divergent A, but the grid gave "
-            f"A = {a_value}; the (delta, A) cell is unreachable. A larger "
-            "n_grid may resolve the divergence."
-        )
-    elif a_value is None:
-        region = LRegion.UNDETERMINED
-    elif a_value == 0.0:
-        if delta >= 1.0:
-            raise InconsistentRegimeError(
-                f"A = 0 with delta = {delta:g} >= 1 is an unreachable cell of "
-                "the regime classification."
-            )
-        region = LRegion.ONE
-    else:
-        region = LRegion.INTERIOR
-
-    k_value = compute_K(seq, n_grid)
-    return RegimeClassification(region, k_value, _efficiency(region, k_value), a_value, mean_term, sd_term)
+    order = max(mean_order, sd_order)
+    region = LRegion.ZERO if order > 0 else LRegion.INTERIOR if order == 0 else LRegion.ONE
+    return RegimeClassification(
+        region, k_value, _efficiency(region, k_value), max(mean_term, sd_term), mean_term, sd_term
+    )
 
 
 def mse_product_closed(gamma: float, beta: float, n: int) -> float:

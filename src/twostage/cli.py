@@ -6,9 +6,9 @@ MSE-ratio experiment), ``classify`` (regime classification of a sequence),
 adjustment factor p0, exact from the rule, and the survivor-count FWER bound).
 
 Exit codes are a stable contract: 0 ok, 2 configuration problem, 3 I/O
-failure, 4 domain inconsistency, 5 numerical failure.  ``--seed`` pins all
-randomness; when absent the TWOSTAGE_SEED environment variable is honored,
-and otherwise a fresh seed is drawn.  Every command that draws prints the seed
+failure, 5 numerical failure; 4 is retired, not reassigned.  ``--seed`` pins
+all randomness; when absent the TWOSTAGE_SEED environment variable is
+honored, and otherwise a fresh seed is drawn.  Every command that draws prints the seed
 it ran with (``simulate`` and ``mse-ratio`` in their ``wrote`` line and report,
 ``fwer-bound`` in its ``seed`` field), so any run can be replayed.
 
@@ -32,12 +32,7 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .exceptions import (
-    ConfigError,
-    DegenerateInputError,
-    InconsistentRegimeError,
-    SingularDesignError,
-)
+from .exceptions import ConfigError, DegenerateInputError, SingularDesignError
 
 if TYPE_CHECKING:
     from .procedure import FiltrationRule
@@ -46,7 +41,6 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_DOMAIN = 4
 EXIT_NUMERIC = 5
 
 def _int_at_least(value, minimum: int, where: str, maximum: float = math.inf) -> int:
@@ -435,7 +429,6 @@ _CLASSIFY = (
     _Field("beta", _SPEC, "beta sequence", required=True),
     _Field("c", _NUMBER, "filtration constant c", required=True),
     _Field("delta", _NUMBER, "filtration exponent delta", required=True),
-    _Field("n_grid", _SAMPLE_SIZES, "comma-separated sample sizes"),
 )
 
 _FIT = (
@@ -553,12 +546,11 @@ def _cmd_mse_ratio(s: dict) -> int:
 
 
 def _cmd_classify(s: dict) -> int:
-    from .asymptotics import DEFAULT_N_GRID, ParamSequence, classify_product_regime
+    from .asymptotics import ParamSequence, classify_product_regime
     from .jsonsafe import strict
 
     seq = ParamSequence(_sequence(s["gamma"], "gamma"), _sequence(s["beta"], "beta"))
-    n_grid = DEFAULT_N_GRID if s["n_grid"] is None else s["n_grid"]
-    result = classify_product_regime(seq, s["c"], s["delta"], n_grid)
+    result = classify_product_regime(seq, s["c"], s["delta"])
     diagnostics = {"A": result.a_value, "mean_term": result.a_mean_term, "sd_term": result.a_sd_term}
     payload = {
         "L_region": result.L_region.value,
@@ -695,8 +687,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run(_resolve(args, cfg, table))
     except (ValueError, FloatingPointError, OSError) as exc:  # ValueError: ConfigError and DataFormatError among them
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, InconsistentRegimeError):
-            return EXIT_DOMAIN
         if isinstance(exc, (SingularDesignError, FloatingPointError)):
             return EXIT_NUMERIC
         return EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG

@@ -13,10 +13,6 @@ class SingularDesignError(TwoStageError, ValueError):
     """A regression design matrix is rank deficient."""
 
 
-class InconsistentRegimeError(TwoStageError, ValueError):
-    """A (delta, A) combination falls in an unreachable classification cell."""
-
-
 class DataFormatError(TwoStageError, ValueError):
     """A tabular input file violates the expected format.
 

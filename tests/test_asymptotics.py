@@ -8,20 +8,15 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from twostage import (
-    DEFAULT_N_GRID,
     MSE_RATIO_PRESETS,
     EfficiencyClass,
-    InconsistentRegimeError,
     LRegion,
     ParamPoint,
     ParamSequence,
     PowerSequence,
     RandomStream,
     classify_product_regime,
-    compute_K,
-    extrapolate_limit,
     irregularity_probe,
-    k_upper_bound,
     ks_critical_value,
     mse_product_closed,
     mse_ratio_experiment,
@@ -89,69 +84,44 @@ class TestPowerSequence:
             PowerSequence.parse(text)
 
 
-class TestExtrapolateLimit:
-    def test_constant_sequence(self):
-        assert extrapolate_limit([0.5, 0.5, 0.5, 0.5]) == 0.5
+class TestK:
+    @staticmethod
+    def k(gamma: str, beta: str) -> float:
+        return classify_product_regime(seq(gamma, beta), c=1.0, delta=0.8).K_value
 
-    def test_slow_decay_to_zero(self):
-        grid = np.asarray(DEFAULT_N_GRID, dtype=float)
-        assert extrapolate_limit(grid**-0.2) == 0.0
-
-    def test_growth_to_infinity(self):
-        grid = np.asarray(DEFAULT_N_GRID, dtype=float)
-        assert extrapolate_limit(grid**0.5) == math.inf
-        assert extrapolate_limit(-(grid**0.5)) == -math.inf
-
-    def test_unresolved_growth(self):
-        grid = np.asarray(DEFAULT_N_GRID, dtype=float)
-        assert extrapolate_limit(grid**0.2) is None
-
-    def test_stabilizing_sequence(self):
-        grid = np.asarray(DEFAULT_N_GRID, dtype=float)
-        assert extrapolate_limit(1.0 + grid**-0.5) == pytest.approx(1.0, abs=1e-3)
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            extrapolate_limit([1.0, 2.0])
-
-
-class TestComputeK:
     def test_root_n_pair(self):
         # symbolic limit c^2 / sqrt(1 + 2 c^2) at c = 1
-        assert compute_K(seq("n^-0.5", "n^-0.5")) == pytest.approx(1.0 / math.sqrt(3.0))
+        assert self.k("n^-0.5", "n^-0.5") == pytest.approx(1.0 / math.sqrt(3.0))
 
     def test_faster_decay_gives_zero(self):
-        assert compute_K(seq("n^-0.6", "n^-0.6")) == 0.0
+        assert self.k("n^-0.6", "n^-0.6") == 0.0
 
     def test_constant_pair_diverges(self):
-        assert compute_K(seq("0.7", "0.7")) == math.inf
+        assert self.k("0.7", "0.7") == math.inf
 
     def test_signed_limit(self):
-        assert compute_K(seq("n^-0.5", "-n^-0.5")) == pytest.approx(-1.0 / math.sqrt(3.0))
+        assert self.k("n^-0.5", "-n^-0.5") == pytest.approx(-1.0 / math.sqrt(3.0))
+        assert self.k("-0.7", "0.7n^-0.4") == -math.inf
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            compute_K(seq("0", "0"), n_grid=[100, 10])
+    def test_identically_zero_coordinate_gives_zero(self):
+        assert self.k("1-n^-0", "1") == 0.0
+        assert self.k("0", "0.7") == 0.0
 
-
-class TestKUpperBound:
-    def test_vanishing_scale(self):
-        # n (g^2 + b^2) -> 0 forces the bound (and K) to zero
-        assert k_upper_bound(seq("n^-0.6", "n^-0.6")) == 0.0
-
-    def test_finite_scale(self):
-        # n (g^2 + b^2) -> 2 gives bound 2 / sqrt(3)
-        assert k_upper_bound(seq("n^-0.5", "n^-0.5")) == pytest.approx(2.0 / math.sqrt(3.0))
-
-    def test_bound_dominates_k(self):
-        # the mixed pair's bound converges like n**-0.2, so stabilize it on a
-        # wide grid rather than the default one
-        grid = [10.0**e for e in (6, 9, 12, 15, 18)]
-        for g, b in [("n^-0.5", "n^-0.5"), ("2n^-0.5", "2n^-0.5"), ("n^-0.6", "n^-0.6"), ("n^-0.5", "n^-0.6")]:
-            k = compute_K(seq(g, b), n_grid=grid)
-            bound = k_upper_bound(seq(g, b), n_grid=grid)
-            assert k is not None and bound is not None
-            assert k <= bound + 1e-9
+    # The finite value is formed after the exponents decide it is finite, and
+    # with no intermediate out of the float range: 1e200 * 1e200 overflows,
+    # and so does the root of 1 + 2 * 1.5e308**2.
+    @pytest.mark.parametrize(
+        "gamma, beta, want",
+        [
+            ("1e200n^-0.5", "1e200n^-0.5", 1e200 / math.sqrt(2.0)),
+            ("1.5e308n^-0.5", "1.5e308n^-0.5", 1.5e308 / math.sqrt(2.0)),
+            ("1e300n^-0.5", "1e-300", 1e300),
+            ("1e-300", "-1e300n^-0.5", -1e300),
+            ("1e308n^-0.5", "1", 1e308),
+        ],
+    )
+    def test_finite_k_from_huge_coefficients(self, gamma, beta, want):
+        assert self.k(gamma, beta) == pytest.approx(want, rel=1e-15)
 
 
 class TestClassifier:
@@ -185,13 +155,7 @@ class TestClassifier:
         assert r.efficiency_class is EfficiencyClass.INDETERMINATE
 
     def test_one_region_k_classes(self):
-        # K here diverges like n**0.1, so confirming it needs a grid far past
-        # the default cap; the default grid honestly reports indeterminate.
-        slow = classify_product_regime(seq("2n^-0.4", "n^-0.4"), c=4.0, delta=0.7)
-        assert slow.K_value is None
-        assert slow.efficiency_class is EfficiencyClass.INDETERMINATE
-        wide_grid = [10.0**e for e in (8, 16, 24, 32, 40)]
-        much_less = classify_product_regime(seq("2n^-0.4", "n^-0.4"), c=4.0, delta=0.7, n_grid=wide_grid)
+        much_less = classify_product_regime(seq("2n^-0.4", "n^-0.4"), c=4.0, delta=0.7)
         assert much_less.L_region is LRegion.ONE
         assert much_less.K_value == math.inf
         assert much_less.efficiency_class is EfficiencyClass.MUCH_LESS
@@ -209,10 +173,57 @@ class TestClassifier:
         )
         assert equivalent.efficiency_class is EfficiencyClass.EQUIVALENT
 
-    def test_unreachable_cell_raises(self):
-        # delta > 1 with a grid too short to confirm the divergence
-        with pytest.raises(InconsistentRegimeError):
-            classify_product_regime(seq("n^-1", "n^-1"), c=2.5, delta=1.2)
+    # The sd term is at least n**(delta - 1), so delta > 1 always gives A = inf.
+    @pytest.mark.parametrize("gamma, beta", [("n^-1", "n^-1"), ("0", "0"), ("n^-3", "2n^-0.5")])
+    def test_delta_above_one_gives_zero_region(self, gamma, beta):
+        r = classify_product_regime(seq(gamma, beta), c=2.5, delta=1.2)
+        assert (r.L_region, r.a_value, r.a_sd_term) == (LRegion.ZERO, math.inf, math.inf)
+        assert r.efficiency_class is EfficiencyClass.EQUIVALENT
+
+    # Exponents compare as the fractions they were written as: 1/3 + 2/3 is 1
+    # and 0.1 + 0.2 is 0.3, so these products sit exactly on delta.
+    @pytest.mark.parametrize(
+        "gamma, beta, delta", [("n^-1/3", "n^-2/3", 1.0), ("n^-0.1", "n^-0.2", 0.3), ("3n^-0.25", "n^-0.25", 0.5)]
+    )
+    def test_boundary_exponents_meet_exactly(self, gamma, beta, delta):
+        r = classify_product_regime(seq(gamma, beta), c=1.0, delta=delta)
+        assert r.a_mean_term == float(PowerSequence.parse(gamma).terms[0][0])
+
+    def test_terms_merge_by_exponent(self):
+        merged = classify_product_regime(seq("1+2n^-0-3n^-0+n^-0.5+n^-0.5", "1"), c=1.0, delta=0.5)
+        plain = classify_product_regime(seq("2n^-0.5", "1"), c=1.0, delta=0.5)
+        assert merged == plain
+        # 1 - n^-0 is identically 0, so the mean term and K are 0 whatever beta is.
+        zero = classify_product_regime(seq("1-n^-0", "1"), c=1.0, delta=0.5)
+        assert (zero.a_mean_term, zero.K_value, zero.L_region) == (0.0, 0.0, LRegion.INTERIOR)
+
+    def test_tiniest_exponent_decays(self):
+        # n^-5e-324 is not a constant: against n^-1 at delta 1 it drives the mean term to 0, not 1.
+        r = classify_product_regime(seq("n^-5e-324", "n^-1"), c=1.0, delta=1.0)
+        assert r.a_mean_term == 0.0
+
+    def test_diagnostics_are_limits(self):
+        # A is 1 exactly, not a finite-n value such as 1.0001.
+        r = classify_product_regime(seq("1+n^-0.5", "0"), c=1.0, delta=0.5)
+        assert (r.a_value, r.a_mean_term, r.a_sd_term, r.K_value) == (1.0, 0.0, 1.0, 0.0)
+        assert (r.L_region, r.efficiency_class) == (LRegion.INTERIOR, EfficiencyClass.MORE)
+
+    # A grid up to 1e8 once took the mean term here for 0 ("soft zero": small
+    # and decaying), and so K for 0 and the class for "more".
+    def test_slowly_settling_mean_term(self):
+        gamma = PowerSequence.parse("1-0.1434872035695638n^-0.6")
+        beta = PowerSequence.parse("-0.16333886988486102n^-0.5-1.6847341498977695n^-2/3")
+        r = classify_product_regime(ParamSequence(gamma, beta), c=1.0, delta=0.5)
+        assert (r.a_mean_term, r.a_value, r.a_sd_term) == (0.16333886988486102, 1.0, 1.0)
+        assert r.K_value == -0.16333886988486102
+        assert (r.L_region, r.efficiency_class) == (LRegion.INTERIOR, EfficiencyClass.INDETERMINATE)
+
+    def test_coefficient_sum_past_float_range(self):
+        with pytest.raises(ValueError, match="gamma: the coefficients of n\\^-0.5 add up past the float range"):
+            classify_product_regime(seq("1e308n^-0.5+1e308n^-0.5", "1"), c=1.0, delta=0.8)
+        # A sum back inside the range is fine, however large its parts.
+        r = classify_product_regime(seq("1e308n^-0.5+1e308n^-0.5-1e308n^-0.5", "n^-0.5"), c=1.0, delta=1.0)
+        assert r.a_mean_term == 1e308
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -274,7 +285,7 @@ class TestMseRatioExperiment:
             preset = MSE_RATIO_PRESETS[name]
             s = ParamSequence(preset.gamma, preset.beta)
             r = classify_product_regime(s, preset.c, preset.delta)
-            assert r.L_region is LRegion.ONE and r.K_value not in (None, 0.0)
+            assert r.L_region is LRegion.ONE and 0.0 < r.K_value < math.inf
             pts = mse_ratio_experiment(
                 s, preset.c, preset.delta, [10_000, 100_000, 10**6], 10_000,
                 RandomStream(15, stream_idx),
@@ -365,12 +376,94 @@ class TestPresets:
             assert MSE_RATIO_PRESETS[name].c == 2.5
 
 
-# ------------------------------------------------------------ numpy oracle
+# ------------------------------------------------------------ oracles
 #
-# The same limits as numpy array formulas, the reference for the module's
-# math on Python floats.  The two may differ only where pow rounds
-# differently (numpy's SIMD power against libm's pow), so labels, None, +-inf
-# and 0 must agree exactly and finite values to a few units in the last place.
+# Each preset's note states its regime.  "smallest", "middle" and "largest"
+# order the K of the partial-* family, and a note with no K states none.
+_NOTE_REGION = {"L=1": LRegion.ONE, "0<L<1": LRegion.INTERIOR, "L=0": LRegion.ZERO}
+_NOTE_K = {"K=inf": math.inf, "K=4/3": 4.0 / 3.0, "K=1": 1.0, "K=1/sqrt(3)": 1.0 / math.sqrt(3.0), "K=0": 0.0}
+
+
+@pytest.mark.parametrize("name", sorted(MSE_RATIO_PRESETS))
+def test_preset_note_is_its_regime(name):
+    preset = MSE_RATIO_PRESETS[name]
+    r = classify_product_regime(ParamSequence(preset.gamma, preset.beta), preset.c, preset.delta)
+    region, *rest = preset.note.split(", ")
+    assert r.L_region is _NOTE_REGION[region]
+    for claim in rest:
+        if claim in _NOTE_K:
+            assert r.K_value == pytest.approx(_NOTE_K[claim], rel=1e-15)
+    if "ratio -> 1" in rest:
+        assert r.efficiency_class is EfficiencyClass.EQUIVALENT
+    if "ratio -> 0" in rest:
+        assert r.efficiency_class is EfficiencyClass.MUCH_MORE
+
+
+def test_partial_presets_order_k():
+    ks = [
+        classify_product_regime(ParamSequence(p.gamma, p.beta), p.c, p.delta).K_value
+        for p in (MSE_RATIO_PRESETS[f"partial-{size}"] for size in ("small", "mid", "large"))
+    ]
+    assert 0.0 < ks[0] < ks[1] < ks[2] < math.inf
+
+
+# The finite-n quantities at n = 1e200, to 50 digits, against the exact
+# limits.  Exponents are multiples of 0.05 and coefficients lie in [0.1, 10],
+# so at n = 1e200 a finite limit is met to far below the tolerance, and an
+# infinite (zero) one has grown past 1e6 (fallen below 1e-6).
+# Half the rates are 1/2, where K and the sd term have finite limits.
+_RATES = st.just(0.5) | st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.75, 0.9, 1.0, 1.5])
+_COEF = st.builds(lambda sign, mag: sign * mag, st.sampled_from([1.0, -1.0]), st.floats(0.1, 10.0))
+
+
+def _rate_coordinate():
+    return st.builds(
+        lambda offset, terms: PowerSequence(offset, tuple(terms)),
+        st.just(0.0) | _COEF,
+        st.lists(st.tuples(_COEF, _RATES), max_size=3, unique_by=lambda term: term[1]),
+    )
+
+
+def _mp_at(s: PowerSequence, n):
+    return mpmath.mpf(s.offset) + sum(mpmath.mpf(coef) * n ** -mpmath.mpf(exp) for coef, exp in s.terms)
+
+
+def _near_limit(finite_n, limit) -> bool:
+    if math.isinf(limit):
+        return finite_n * math.copysign(1.0, limit) > 1e6
+    if limit == 0.0:
+        return abs(finite_n) < 1e-6
+    return abs(finite_n / mpmath.mpf(limit) - 1) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gamma=_rate_coordinate(), beta=_rate_coordinate(), delta=st.sampled_from([0.25, 0.5, 0.7, 0.8, 1.0, 1.2]))
+def test_limits_match_mpmath_at_1e200(gamma, beta, delta):
+    r = classify_product_regime(ParamSequence(gamma, beta), 1.0, delta)
+    with mpmath.workdps(50):
+        n = mpmath.mpf(10) ** 200
+        g, b = _mp_at(gamma, n), _mp_at(beta, n)
+        k = n * g * b / mpmath.sqrt(1 + n * (g * g + b * b))
+        mean = n ** mpmath.mpf(delta) * abs(g * b)
+        sd = n ** (mpmath.mpf(delta) - 0.5) * mpmath.sqrt(1 / n + g * g + b * b)
+        assert _near_limit(k, r.K_value), (k, r.K_value)
+        assert _near_limit(mean, r.a_mean_term), (mean, r.a_mean_term)
+        assert _near_limit(sd, r.a_sd_term), (sd, r.a_sd_term)
+
+
+# ------------------------------------------------------------ grid reference
+#
+# The grid rule the classifier once used, in numpy: each quantity evaluated
+# at a few sample sizes and its limit guessed from the tail (a stable tail,
+# a small decaying one, or a large growing one; else None).  Wherever that
+# guess resolves the region, the exact region must equal it, on inputs where
+# the guess can be right:
+# - rates and delta are multiples of 0.05, as n^-0.004 looks constant to the
+#   grid's 1% window up to n = 1e8;
+# - coefficients are at least 1, as the grid calls a limit 0 when its tail
+#   ends below 0.05 (the constant 0.0039, say);
+# - each coordinate's terms share one sign, so every quantity falls toward a
+#   finite limit and none reaches the grid's "large and growing" rule.
 
 
 def _np_at(s: PowerSequence, n: np.ndarray) -> np.ndarray:
@@ -402,49 +495,41 @@ def _np_extrapolate(values):
 
 
 def _np_limits(sq: ParamSequence, delta: float, n_grid):
-    """(mean_term, sd_term, K, K upper bound) from the numpy formulas."""
+    """(mean_term, sd_term) as the grid guesses them."""
     grid = np.asarray(n_grid, dtype=float)
     with np.errstate(all="ignore"):
         g, b = _np_at(sq.gamma, grid), _np_at(sq.beta, grid)
-        s = grid * (np.square(g) + np.square(b))
         return (
             _np_extrapolate(grid**delta * np.abs(g * b)),
             _np_extrapolate(grid ** (delta - 0.5) * np.sqrt(1.0 / grid + np.square(g) + np.square(b))),
-            _np_extrapolate(grid * g * b / np.sqrt(1.0 + s)),
-            _np_extrapolate(s / np.sqrt(1.0 + s)),
         )
 
 
-def _np_region(mean, sd, delta):
-    """The L region the oracle's terms give, or None for an unreachable cell."""
+def _np_region(mean, sd):
+    """The L region the grid's terms give, or None where it leaves the region open."""
     if any(t is not None and math.isinf(t) for t in (mean, sd)):
-        return "zero", math.inf
-    a = None if mean is None or sd is None else max(abs(mean), sd)
-    if delta > 1.0 or (a == 0.0 and delta >= 1.0):
-        return None, a
-    return ("undetermined" if a is None else "one" if a == 0.0 else "interior"), a
+        return LRegion.ZERO
+    if mean is None or sd is None:
+        return None
+    return LRegion.ONE if max(abs(mean), sd) == 0.0 else LRegion.INTERIOR
 
 
-def _agree(new, old) -> bool:
-    if new is None or old is None or new == 0.0 or old == 0.0 or math.isinf(new) or math.isinf(old):
-        return new == old
-    return abs(new - old) <= 4 * math.ulp(max(abs(new), abs(old)))
+_TWENTIETHS = st.integers(0, 60).map(lambda k: k / 20)
+_RATE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | _TWENTIETHS
 
 
 def _coordinate():
-    """A sequence whose offset and coefficients share one sign, so no term cancels another."""
-    magnitude = st.floats(1e-6, 1e6) | st.sampled_from([1e150, 1e200, 1e308])
+    magnitude = st.floats(1.0, 1e3)
     return st.builds(
         lambda sign, offset, terms: PowerSequence(sign * offset, tuple((sign * c, e) for c, e in terms)),
         st.sampled_from([1.0, -1.0]),
         st.just(0.0) | magnitude,
-        st.lists(st.tuples(st.floats(1e-6, 1e6), st.floats(0.0, 3.0)), max_size=3),
+        st.lists(st.tuples(magnitude, _RATE), max_size=3),
     )
 
 
 _GRIDS = (
-    st.just(DEFAULT_N_GRID)
-    | st.lists(st.integers(1, 10**12), min_size=3, max_size=3, unique=True).map(sorted)
+    st.just((10**2, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8))
     | st.lists(st.integers(20, 308), min_size=3, max_size=3, unique=True).map(lambda ks: [10**k for k in sorted(ks)])
 )
 
@@ -454,33 +539,14 @@ class TestNumpyOracle:
     @given(
         gamma=_coordinate(),
         beta=_coordinate(),
-        c=st.floats(0.01, 100.0),
-        delta=st.floats(0.05, 3.0) | st.sampled_from([0.5, 1.0, 1e308]),
+        delta=_RATE.filter(bool),
         n_grid=_GRIDS,
     )
-    def test_classification_matches_numpy_formulas(self, gamma, beta, c, delta, n_grid):
+    def test_region_matches_the_grid_where_it_resolves(self, gamma, beta, delta, n_grid):
         sq = ParamSequence(gamma, beta)
-        mean, sd, k, bound = _np_limits(sq, delta, n_grid)
-        assert _agree(compute_K(sq, n_grid), k)
-        assert _agree(k_upper_bound(sq, n_grid), bound)
-        region, a = _np_region(mean, sd, delta)
-        if region is None:
-            with pytest.raises(InconsistentRegimeError):
-                classify_product_regime(sq, c, delta, n_grid)
-            return
-        r = classify_product_regime(sq, c, delta, n_grid)
-        assert r.L_region.value == region
-        for new, old in ((r.a_mean_term, mean), (r.a_sd_term, sd), (r.a_value, a), (r.K_value, k)):
-            assert _agree(new, old), (new, old)
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(values=st.lists(st.floats() | st.sampled_from([0.0, 1e-13, 0.05, 0.25, 100.0]), min_size=3, max_size=6))
-    def test_extrapolation_matches_numpy_exactly(self, values):
-        with np.errstate(all="ignore"):
-            old = _np_extrapolate(values)
-        new = extrapolate_limit(values)
-        assert new == old
-        assert extrapolate_limit(np.asarray(values)) == new
+        region = _np_region(*_np_limits(sq, delta, n_grid))
+        if region is not None:
+            assert classify_product_regime(sq, 1.0, delta).L_region is region
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 10**300) | st.floats(1.0, 1e308), exp=st.floats(0.0, 50.0))

@@ -74,7 +74,7 @@ def _cases() -> dict:
     classify = {
         "benchmark": ["n^-0.6", "n^-0.6", "1", "0.8"],
         "interior": ["1.075n^-0.5", "1.075n^-0.5", "2.5", "1"],
-        "unreachable": ["n^-1", "n^-1", "2.5", "1.2"],  # exit 4
+        "unreachable": ["n^-1", "n^-1", "2.5", "1.2"],  # delta > 1: A = inf, so region zero
     }
     for name, (gamma, beta, c, delta) in classify.items():
         cases[f"classify-{name}"] = (["classify", "--gamma", gamma, "--beta", beta, "--c", c, "--delta", delta], {})
