@@ -23,23 +23,15 @@ _EXPORTS = {
         "PowerSequence",
         "RegimeClassification",
         "classify_product_regime",
-        "irregularity_probe",
-        "ks_critical_value",
         "mse_product_closed",
         "mse_ratio_experiment",
-        "rate_probe",
     ),
     "dist": ("RandomStream",),
     "estimators": (
         "EstimatePair",
         "coord_pvalue",
-        "hodges",
         "joint_pvalue",
-        "min_abs_stat",
-        "norm2_stat",
         "product_stat",
-        "shrink",
-        "shrink_general",
         "sobel_stat",
     ),
     "exceptions": (
@@ -72,6 +64,7 @@ _EXPORTS = {
         "MethodResult",
         "MixtureRow",
         "NormalMeanPrior",
+        "ReportMeta",
         "ScenarioMixture",
         "SimulationReport",
         "builtin_scenario",

@@ -17,14 +17,11 @@ follows from the leading term ``a n**-p`` of each coordinate, and exponents
 are compared as fractions, so a boundary such as ``delta = p + q`` is met
 exactly.
 
-The module also hosts empirical probes: an MSE-ratio experiment along a
-sequence, a convergence-rate estimator, and a two-sample check that the
-normalized (Sobel) statistic has direction-dependent limit laws at the
-double null.  Probes fix unit per-observation scales; general scales reduce
-to this case by rescaling.
+The module also runs the MSE-ratio experiment along a sequence, at unit
+per-observation scales; general scales reduce to this case by rescaling.
 
 Classifying a sequence needs only the standard library (``math`` and, for
-the exponents, ``fractions``); numpy loads when a probe draws.
+the exponents, ``fractions``); numpy loads when the experiment draws.
 """
 
 from __future__ import annotations
@@ -51,9 +48,6 @@ __all__ = [
     "mse_product_closed",
     "MseRatioPoint",
     "mse_ratio_experiment",
-    "rate_probe",
-    "irregularity_probe",
-    "ks_critical_value",
     "MseRatioPreset",
     "MSE_RATIO_PRESETS",
 ]
@@ -133,15 +127,16 @@ class RegimeClassification:
     a_sd_term: float
 
 
-def _efficiency(region: LRegion, k: float) -> EfficiencyClass:
+def _efficiency(region: LRegion, k: float, k_is_zero: bool) -> EfficiencyClass:
+    """The class of ``(region, K)``.  ``k_is_zero`` comes from the exponents: a finite K can underflow to 0.0."""
     if region is LRegion.ZERO:
         return EfficiencyClass.EQUIVALENT
     mag = abs(k)
     if math.isinf(mag):
         return EfficiencyClass.MUCH_LESS
     if region is LRegion.INTERIOR:
-        return EfficiencyClass.MORE if mag == 0.0 else EfficiencyClass.INDETERMINATE
-    if mag == 0.0:
+        return EfficiencyClass.MORE if k_is_zero else EfficiencyClass.INDETERMINATE
+    if k_is_zero:
         return EfficiencyClass.MUCH_MORE
     if math.isclose(mag, 1.0, rel_tol=1e-9):
         return EfficiencyClass.EQUIVALENT
@@ -232,7 +227,7 @@ def classify_product_regime(seq: ParamSequence, c: float, delta: float) -> Regim
     sd_order = 2 * d - 1 + r
     sd_term = _limit(t * u, sd_order)
     if g is None or b is None:
-        mean_order, mean_term, k_value = -math.inf, 0.0, 0.0
+        mean_order, mean_term, k_order, k_value = -math.inf, 0.0, -math.inf, 0.0
     else:
         (a_g, p), (a_b, q) = g, b
         # |g b| rather than g b: the filtration event is two-sided in T.
@@ -242,12 +237,13 @@ def classify_product_regime(seq: ParamSequence, c: float, delta: float) -> Regim
         # measures by t keeps a_g a_b / (t u) in range.
         r, t, u = _root([(0, 1.0), (1 - 2 * p, abs(a_g)), (1 - 2 * q, abs(a_b))])
         x, y = (a_g, a_b) if abs(a_g) == t else (a_b, a_g)
-        k_value = _limit(x / t * y / u, 2 - 2 * p - 2 * q - r)
+        k_order = 2 - 2 * p - 2 * q - r
+        k_value = _limit(x / t * y / u, k_order)
 
     order = max(mean_order, sd_order)
     region = LRegion.ZERO if order > 0 else LRegion.INTERIOR if order == 0 else LRegion.ONE
     return RegimeClassification(
-        region, k_value, _efficiency(region, k_value), max(mean_term, sd_term), mean_term, sd_term
+        region, k_value, _efficiency(region, k_value, k_order < 0), max(mean_term, sd_term), mean_term, sd_term
     )
 
 
@@ -274,12 +270,6 @@ class MseRatioPoint:
     filter_freq: float
 
 
-def _unit_draws(stream: RandomStream, theta: ParamPoint, sd: float, reps: int):
-    """``reps`` draws of (gamma_hat, beta_hat) around ``theta`` with common sd, gamma first."""
-    gen = stream.generator
-    return gen.normal(theta.gamma, sd, reps), gen.normal(theta.beta, sd, reps)
-
-
 def mse_ratio_experiment(
     seq: ParamSequence,
     c: float,
@@ -294,7 +284,8 @@ def mse_ratio_experiment(
     (unit scales), shrink the product to 0 whenever |T| < c * n**-delta, and
     report MSE(shrunk)/MSE(plain) with a delta-method standard error, the
     finite-n K ratio, and the empirical filtration frequency.  Cell i draws
-    from ``stream.offset(i)``, so cells are independent and order-free.
+    gamma_hat, then beta_hat, from ``stream.offset(i)``, so cells are
+    independent and order-free.
     Each point reports ``int`` of the requested n, not of its float.  Raises
     FloatingPointError, naming n, when the plain MSE is too small to divide by
     or too large (or not finite) to square.
@@ -309,7 +300,10 @@ def mse_ratio_experiment(
     for i, (requested, n) in enumerate(zip(n_grid, grid)):
         point = seq.at(n)
         psi = point.gamma * point.beta
-        g, b = _unit_draws(stream.offset(i), point, 1.0 / math.sqrt(n), reps)
+        gen = stream.offset(i).generator
+        sd = 1.0 / math.sqrt(n)
+        g = gen.normal(point.gamma, sd, reps)
+        b = gen.normal(point.beta, sd, reps)
         # A huge parameter overflows the squares; the range check below
         # reports it, so numpy need not warn on stderr first.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -342,83 +336,6 @@ def mse_ratio_experiment(
             )
         )
     return out
-
-
-def rate_probe(
-    stat_kind: str,
-    theta: ParamPoint,
-    n_grid: Sequence[int],
-    reps: int,
-    stream: RandomStream,
-) -> float:
-    """Estimated convergence-rate exponent of a statistic at a fixed parameter.
-
-    Simulates the statistic at each n (unit scales), regresses the log of the
-    error standard deviation on log n, and returns the negated slope: 0.5 for
-    a root-n statistic, 1.0 where the rate accelerates because the gradient
-    of the functional vanishes.
-    """
-    import numpy as np
-
-    if stat_kind not in ("product", "norm2"):
-        raise ValueError(f"stat_kind must be 'product' or 'norm2', got {stat_kind!r}")
-    grid = _check_grid(n_grid)
-    if grid[-1] / grid[0] < 100.0:
-        raise ValueError("n_grid must span at least two decades")
-    if reps < 1000:
-        raise ValueError(f"reps must be at least 1000 per grid point, got {reps}")
-
-    sds = []
-    for i, n_float in enumerate(grid):
-        g, b = _unit_draws(stream.offset(i), theta, 1.0 / math.sqrt(int(n_float)), reps)
-        if stat_kind == "product":
-            err = g * b - theta.gamma * theta.beta
-        else:
-            err = g**2 + b**2 - (theta.gamma**2 + theta.beta**2)
-        sds.append(err.std(ddof=1))
-    slope = np.polyfit(np.log(grid), np.log(sds), 1)[0]
-    return float(-slope)
-
-
-def irregularity_probe(
-    h_a: ParamPoint,
-    h_b: ParamPoint,
-    n: int,
-    reps: int,
-    stream: RandomStream,
-) -> float:
-    """Two-sample KS distance between Sobel-statistic laws along two directions.
-
-    Simulates the normalized product statistic under theta = h / sqrt(n) for
-    each of the two local directions (unit scales) and returns the
-    Kolmogorov-Smirnov distance between the empirical laws.  A regular
-    statistic would give the same limit law for every h; a distance above the
-    two-sample critical value exposes direction dependence.
-    """
-    import numpy as np
-
-    from .estimators import _sobel
-
-    if reps < 10_000:
-        raise ValueError(f"reps must be at least 10000, got {reps}")
-    root_n = math.sqrt(n)
-    samples = []
-    for i, h in enumerate((h_a, h_b)):
-        theta = ParamPoint(h.gamma / root_n, h.beta / root_n)
-        g, b = _unit_draws(stream.offset(i), theta, 1.0 / root_n, reps)
-        samples.append(np.sort(_sobel(g, b, 1.0, 1.0)))
-    # KS statistic: the largest gap between the two empirical CDFs, exactly h/reps.
-    pooled = np.concatenate(samples)
-    below_a, below_b = (np.searchsorted(x, pooled, side="right") for x in samples)
-    return float(np.abs(below_a - below_b).max() / reps)
-
-
-def ks_critical_value(n_a: int, n_b: int, level: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value at the given level."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
-    c = math.sqrt(-math.log(level / 2.0) / 2.0)
-    return c * math.sqrt((n_a + n_b) / (n_a * n_b))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Point statistics and shrinkage estimators for a single mediation-style
-hypothesis.
+"""Point statistics and p-values for a single mediation-style hypothesis.
 
 Everything here consumes an :class:`EstimatePair`: two coordinate estimates
 (gamma_hat, beta_hat) together with their per-observation scales and the
@@ -26,13 +25,8 @@ __all__ = [
     "EstimatePair",
     "product_stat",
     "sobel_stat",
-    "norm2_stat",
-    "min_abs_stat",
     "coord_pvalue",
     "joint_pvalue",
-    "hodges",
-    "shrink",
-    "shrink_general",
 ]
 
 
@@ -72,12 +66,6 @@ def product_stat(e: EstimatePair) -> float:
     return e.gamma_hat * e.beta_hat
 
 
-def _sobel(gamma_hat, beta_hat, sigma_gamma, sigma_beta):
-    # Shared with the irregularity probe, which evaluates this on arrays.
-    denom = np.sqrt(sigma_beta**2 * np.square(gamma_hat) + sigma_gamma**2 * np.square(beta_hat))
-    return gamma_hat * beta_hat / denom
-
-
 def sobel_stat(e: EstimatePair) -> float:
     """Normalized product statistic gb / sqrt(sb^2 g^2 + sg^2 b^2).
 
@@ -87,17 +75,8 @@ def sobel_stat(e: EstimatePair) -> float:
     """
     if e.gamma_hat == 0.0 and e.beta_hat == 0.0:
         raise DegenerateInputError("sobel_stat is 0/0 at gamma_hat = beta_hat = 0")
-    return float(_sobel(e.gamma_hat, e.beta_hat, e.sigma_gamma, e.sigma_beta))
-
-
-def norm2_stat(e: EstimatePair) -> float:
-    """Squared norm gamma_hat^2 + beta_hat^2 (both-coordinates-zero test)."""
-    return e.gamma_hat**2 + e.beta_hat**2
-
-
-def min_abs_stat(e: EstimatePair) -> float:
-    """min(|gamma_hat|, |beta_hat|); small iff some coordinate looks null."""
-    return min(abs(e.gamma_hat), abs(e.beta_hat))
+    denom = np.sqrt(e.sigma_beta**2 * np.square(e.gamma_hat) + e.sigma_gamma**2 * np.square(e.beta_hat))
+    return float(e.gamma_hat * e.beta_hat / denom)
 
 
 def _abs_z(estimate, sigma, n):
@@ -157,33 +136,6 @@ def joint_pvalue(e: EstimatePair) -> float:
     p1 = coord_pvalue(e.gamma_hat, e.sigma_gamma, e.n)
     p2 = coord_pvalue(e.beta_hat, e.sigma_beta, e.n)
     return max(p1, p2)
-
-
-def hodges(mean_estimate: float, n: int) -> float:
-    """Hodges-style super-efficient mean estimate.
-
-    Keeps ``mean_estimate`` only when it strictly exceeds ``n**-0.25`` in
-    magnitude; boundary equality shrinks to 0.
-    """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return float(mean_estimate) if abs(mean_estimate) > n ** (-0.25) else 0.0
-
-
-def shrink(t: float, filtered: bool, psi0: float) -> float:
-    """Two-stage shrinkage: the designated value psi0 when filtered, t otherwise."""
-    return float(psi0) if filtered else float(t)
-
-
-def shrink_general(t: float, weight: float, psi0: float) -> float:
-    """Weighted shrinkage (t - psi0) * weight + psi0 for weight in [0, 1].
-
-    ``weight = 1`` returns t unchanged and ``weight = 0`` shrinks fully, so
-    :func:`shrink` is the special case ``weight = 1 - filtered``.
-    """
-    if not (0.0 <= weight <= 1.0):
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    return (float(t) - float(psi0)) * float(weight) + float(psi0)
 
 
 def _joint_pvalues(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):

@@ -30,7 +30,6 @@ __all__ = [
     "FiltrationAware",
     "Adjustment",
     "TwoStageOutcome",
-    "two_stage",
     "run_two_stage",
     "survival_prob_at_theta0",
     "fwer_bound_from_survivors",

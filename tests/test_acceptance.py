@@ -19,16 +19,15 @@ from twostage import (
     RandomStream,
     builtin_scenario,
     coord_pvalue,
-    irregularity_probe,
-    ks_critical_value,
     mse_product_closed,
     mse_ratio_experiment,
-    rate_probe,
     run_experiment,
     standard_methods,
 )
 from twostage.cli import main as cli_main
 from twostage.procedure import filter_mask
+
+from probes import ks_critical_value, ks_distance, rate_exponent, sobel_samples
 
 SEED = 20260809
 FILTRATION_IDS = ("minp", "chisq2", "prod-0.8", "prod-0.9", "prod-1.0")
@@ -172,10 +171,12 @@ def test_criterion_05_regime_ratios():
     )
 
 
+RATE_GRID = [10**2, 10**3, 10**4, 10**5, 10**6]
+
+
 def test_criterion_06_rate_separation():
-    grid = [10**2, 10**3, 10**4, 10**5, 10**6]
-    exp_origin = rate_probe("product", ParamPoint(0.0, 0.0), grid, 3000, RandomStream(SEED, 30_000))
-    exp_offaxis = rate_probe("product", ParamPoint(1.0, 0.0), grid, 3000, RandomStream(SEED, 31_000))
+    exp_origin = rate_exponent("product", ParamPoint(0.0, 0.0), RATE_GRID, 3000, RandomStream(SEED, 30_000))
+    exp_offaxis = rate_exponent("product", ParamPoint(1.0, 0.0), RATE_GRID, 3000, RandomStream(SEED, 31_000))
     ok = abs(exp_origin - 1.0) <= 0.1 and abs(exp_offaxis - 0.5) <= 0.1
     _report(
         6,
@@ -183,6 +184,14 @@ def test_criterion_06_rate_separation():
         f"product error-sd rate exponents: {exp_origin:.3f} at (0,0) (want 1.0+-0.1), "
         f"{exp_offaxis:.3f} at (1,0) (want 0.5+-0.1)",
     )
+
+
+@pytest.mark.parametrize("gamma, beta, want, tol", [(0.0, 0.0, 1.0, 1e-12), (1.0, 0.0, 0.5, 1e-3)])
+def test_criterion_06_closed_form_rates(gamma, beta, want, tol):
+    # The exponent criterion 06 estimates, from the product's exact error sd on its grid.
+    sd = [math.sqrt(mse_product_closed(gamma, beta, n)) for n in RATE_GRID]
+    exponent = -np.polyfit(np.log(RATE_GRID), np.log(sd), 1)[0]
+    assert abs(exponent - want) <= tol
 
 
 def test_criterion_07_joint_significance_calibration():
@@ -215,8 +224,8 @@ def test_criterion_07_joint_significance_calibration():
 def test_criterion_08_sobel_irregularity():
     n, reps = 10_000, 100_000
     crit = ks_critical_value(reps, reps, level=0.01)
-    d_separated = irregularity_probe(ParamPoint(0, 0), ParamPoint(3, 0), n, reps, RandomStream(SEED, 50_000))
-    d_same = irregularity_probe(ParamPoint(0, 0), ParamPoint(0, 0), n, reps, RandomStream(SEED, 51_000))
+    d_separated = ks_distance(*sobel_samples(ParamPoint(0, 0), ParamPoint(3, 0), n, reps, RandomStream(SEED, 50_000)))
+    d_same = ks_distance(*sobel_samples(ParamPoint(0, 0), ParamPoint(0, 0), n, reps, RandomStream(SEED, 51_000)))
     ok = d_separated > crit and d_same <= crit
     _report(
         8,

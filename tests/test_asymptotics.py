@@ -16,13 +16,11 @@ from twostage import (
     PowerSequence,
     RandomStream,
     classify_product_regime,
-    irregularity_probe,
-    ks_critical_value,
     mse_product_closed,
     mse_ratio_experiment,
-    rate_probe,
 )
-from twostage.estimators import _sobel
+
+from probes import ks_critical_value, ks_distance, rate_exponent, sobel_samples
 
 
 def seq(gamma: str, beta: str) -> ParamSequence:
@@ -225,6 +223,16 @@ class TestClassifier:
         r = classify_product_regime(seq("1e308n^-0.5+1e308n^-0.5-1e308n^-0.5", "n^-0.5"), c=1.0, delta=1.0)
         assert r.a_mean_term == 1e308
 
+    # K = 1e-400 underflows to 0.0, but its order is 0, so K is not 0: in
+    # region one that is "more" (not "much_more"), in the interior "indeterminate".
+    @pytest.mark.parametrize(
+        "delta, region, cls",
+        [(0.7, LRegion.ONE, EfficiencyClass.MORE), (1.0, LRegion.INTERIOR, EfficiencyClass.INDETERMINATE)],
+    )
+    def test_underflowing_k_is_not_zero(self, delta, region, cls):
+        r = classify_product_regime(seq("1e-200n^-0.5", "1e-200n^-0.5"), c=1.0, delta=delta)
+        assert (r.L_region, r.K_value, r.efficiency_class) == (region, 0.0, cls)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             classify_product_regime(seq("0", "0"), c=0.0, delta=0.8)
@@ -295,70 +303,46 @@ class TestMseRatioExperiment:
 
 class TestRateProbe:
     def test_product_rate_accelerates_at_origin(self):
-        exponent = rate_probe(
+        exponent = rate_exponent(
             "product", ParamPoint(0.0, 0.0), [100, 1000, 10_000, 100_000], 2000, RandomStream(20, 0)
         )
         assert abs(exponent - 1.0) < 0.1
 
     def test_product_rate_root_n_off_origin(self):
-        exponent = rate_probe(
+        exponent = rate_exponent(
             "product", ParamPoint(1.0, 0.0), [100, 1000, 10_000, 100_000], 2000, RandomStream(21, 0)
         )
         assert abs(exponent - 0.5) < 0.1
 
     def test_norm2_rate_at_origin(self):
-        exponent = rate_probe(
+        exponent = rate_exponent(
             "norm2", ParamPoint(0.0, 0.0), [100, 1000, 10_000, 100_000], 2000, RandomStream(22, 0)
         )
         assert abs(exponent - 1.0) < 0.1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rate_probe("product", ParamPoint(0, 0), [100, 1000], 2000, RandomStream(1, 0))
-        with pytest.raises(ValueError):
-            rate_probe("product", ParamPoint(0, 0), [100, 300, 900], 2000, RandomStream(1, 0))
-        with pytest.raises(ValueError):
-            rate_probe("median", ParamPoint(0, 0), [100, 1000, 10_000], 2000, RandomStream(1, 0))
-
 
 class TestIrregularityProbe:
     def test_same_direction_below_critical(self):
-        d = irregularity_probe(ParamPoint(0, 0), ParamPoint(0, 0), 10_000, 20_000, RandomStream(30, 0))
+        d = ks_distance(*sobel_samples(ParamPoint(0, 0), ParamPoint(0, 0), 10_000, 20_000, RandomStream(30, 0)))
         assert d < ks_critical_value(20_000, 20_000, 0.01)
 
     def test_distinct_directions_separate(self):
-        d = irregularity_probe(ParamPoint(0, 0), ParamPoint(3, 0), 10_000, 20_000, RandomStream(31, 0))
+        d = ks_distance(*sobel_samples(ParamPoint(0, 0), ParamPoint(3, 0), 10_000, 20_000, RandomStream(31, 0)))
         assert d > ks_critical_value(20_000, 20_000, 0.01)
 
     def test_symmetric_in_directions(self):
-        a = irregularity_probe(ParamPoint(0, 0), ParamPoint(3, 0), 10_000, 20_000, RandomStream(32, 0))
-        b = irregularity_probe(ParamPoint(3, 0), ParamPoint(0, 0), 10_000, 20_000, RandomStream(33, 0))
+        a = ks_distance(*sobel_samples(ParamPoint(0, 0), ParamPoint(3, 0), 10_000, 20_000, RandomStream(32, 0)))
+        b = ks_distance(*sobel_samples(ParamPoint(3, 0), ParamPoint(0, 0), 10_000, 20_000, RandomStream(33, 0)))
         assert abs(a - b) < 0.02
-
-    def test_reps_validation(self):
-        with pytest.raises(ValueError):
-            irregularity_probe(ParamPoint(0, 0), ParamPoint(0, 0), 100, 100, RandomStream(1, 0))
-
-    @staticmethod
-    def _probe_samples(h_a, h_b, n, reps, stream):
-        """The two Sobel samples the probe draws, in its documented order."""
-        root_n = math.sqrt(n)
-        samples = []
-        for i, h in enumerate((h_a, h_b)):
-            gen = stream.offset(i).generator
-            g = gen.normal(h.gamma / root_n, 1.0 / root_n, reps)
-            b = gen.normal(h.beta / root_n, 1.0 / root_n, reps)
-            samples.append(_sobel(g, b, 1.0, 1.0))
-        return samples
 
     @pytest.mark.parametrize("reps, tol", [(10_000, 0.0), (20_000, 1e-12)])
     @pytest.mark.parametrize("h_b", [ParamPoint(0, 0), ParamPoint(3, 0)])
     def test_statistic_matches_scipy(self, reps, tol, h_b):
-        args = (ParamPoint(0, 0), h_b, 10_000, reps, RandomStream(34, 0))
-        d = irregularity_probe(*args)
+        samples = sobel_samples(ParamPoint(0, 0), h_b, 10_000, reps, RandomStream(34, 0))
+        d = ks_distance(*samples)
         k = round(d * reps)
         assert d == k / reps and 0 < k <= reps
-        assert abs(d - ks_2samp(*self._probe_samples(*args)).statistic) <= tol
+        assert abs(d - ks_2samp(*samples).statistic) <= tol
 
 
 class TestPresets:

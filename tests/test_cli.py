@@ -1,6 +1,7 @@
 import copy
 import csv
 import functools
+import importlib
 import json
 import operator
 import os
@@ -722,6 +723,13 @@ def test_package_names_load_their_module_on_first_use():
     )
     run = _run_python(code)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("module", sorted(twostage._EXPORTS))
+def test_package_exports_each_modules_all(module):
+    names = importlib.import_module(f"twostage.{module}").__dict__.get("__all__")
+    if names is not None:
+        assert set(twostage._EXPORTS[module]) == set(names)
 
 
 @pytest.mark.parametrize("command", ["simulate", "fwer-bound", "mse-ratio"])

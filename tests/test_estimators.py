@@ -11,14 +11,9 @@ from twostage import (
     EstimatePair,
     RandomStream,
     coord_pvalue,
-    hodges,
     joint_pvalue,
-    min_abs_stat,
     mse_product_closed,
-    norm2_stat,
     product_stat,
-    shrink,
-    shrink_general,
     sobel_stat,
 )
 from twostage.estimators import _z_critical
@@ -72,22 +67,10 @@ class TestSobel:
 
 
 class TestSimpleStats:
-    def test_norm2(self):
-        assert norm2_stat(pair(0.0, 0.0)) == 0.0
-        assert norm2_stat(pair(3.0, 4.0)) == 25.0
-        assert norm2_stat(pair(3.0, 4.0)) == norm2_stat(pair(4.0, 3.0))
-
-    def test_min_abs(self):
-        assert min_abs_stat(pair(2.0, -1.0)) == 1.0
-        assert min_abs_stat(pair(0.0, 5.0)) == 0.0
-        assert min_abs_stat(pair(-3.0, -3.0)) == 3.0
-
     def test_sign_flips(self):
         g, b = 1.3, -0.4
         assert product_stat(pair(-g, b)) == -product_stat(pair(g, b))
         assert sobel_stat(pair(-g, b)) == pytest.approx(-sobel_stat(pair(g, b)))
-        assert norm2_stat(pair(-g, -b)) == norm2_stat(pair(g, b))
-        assert min_abs_stat(pair(-g, b)) == min_abs_stat(pair(g, b))
 
 
 class TestCoordPvalue:
@@ -248,40 +231,6 @@ class TestJointPvalue:
         rate = (pj <= 0.05).mean()
         se = math.sqrt(0.0025 * 0.9975 / reps)
         assert abs(rate - 0.0025) < 3.5 * se
-
-
-class TestHodges:
-    def test_boundary_is_strict(self):
-        assert hodges(0.5, 16) == 0.0  # threshold is exactly 0.5
-        assert hodges(0.6, 16) == 0.6
-
-    def test_small_estimate_shrinks(self):
-        assert hodges(-0.01, 10_000) == 0.0
-
-
-class TestShrink:
-    def test_values(self):
-        assert shrink(0.3, True, 0.0) == 0.0
-        assert shrink(0.3, False, 0.0) == 0.3
-        assert shrink(5.0, True, 2.0) == 2.0
-
-    def test_general_form(self):
-        assert shrink_general(4.0, 1.0, 2.0) == 4.0
-        assert shrink_general(4.0, 0.0, 2.0) == 2.0
-        assert shrink_general(4.0, 0.5, 2.0) == 3.0
-
-    def test_general_reduces_to_indicator(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            t, psi0 = rng.normal(size=2)
-            filtered = bool(rng.integers(2))
-            assert shrink(t, filtered, psi0) == pytest.approx(
-                shrink_general(t, 1.0 - float(filtered), psi0)
-            )
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            shrink_general(1.0, 1.5, 0.0)
 
 
 class TestProductMse:
