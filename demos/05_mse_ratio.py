@@ -1,26 +1,24 @@
-# Empirical MSE-ratio of the shrinkage product estimator along presets.
+# Exact MSE-ratio of the shrinkage product estimator along presets.
 #
 # Each preset pairs a drifting parameter sequence with filtration constants
-# (c, delta). The ratio MSE(shrunk)/MSE(plain) is simulated at several
-# sample sizes; in the full-filtration regime it approaches K^2, and in the
-# no-filtration regime it approaches 1. Writes an SVG chart alongside.
+# (c, delta). The ratio MSE(shrunk)/MSE(plain) is computed by quadrature at
+# several sample sizes; in the full-filtration regime it approaches K^2, and
+# in the no-filtration regime it approaches 1. Writes an SVG chart alongside.
 
-from twostage import MSE_RATIO_PRESETS, ParamSequence, RandomStream, mse_ratio_experiment
+from twostage import MSE_RATIO_PRESETS, ParamSequence, mse_ratio_exact
 from twostage.svgplot import Series, line_plot
 
 n_grid = [10**3, 10**4, 10**5, 10**6]
-reps = 10_000
 
 series = []
-for idx, name in enumerate(("k-inv-sqrt3", "k-4over3", "vanishing-filter")):
+for name in ("k-inv-sqrt3", "k-4over3", "vanishing-filter"):
     preset = MSE_RATIO_PRESETS[name]
     seq = ParamSequence(preset.gamma, preset.beta)
-    points = mse_ratio_experiment(seq, preset.c, preset.delta, n_grid, reps, RandomStream(900, idx * 100))
+    points = mse_ratio_exact(seq, preset.c, preset.delta, n_grid)
     print(f"{name}: gamma={preset.gamma}, c={preset.c:g}, delta={preset.delta:g}  ({preset.note})")
     for p in points:
-        print(f"  n={p.n:>8d}  ratio={p.ratio:.4f} (se {p.mc_se:.4f})  K_n={p.k_at_n:.4f}  "
-              f"filtered={p.filter_freq:.3f}")
-    series.append(Series(name, [p.n for p in points], [p.ratio for p in points], [p.mc_se for p in points]))
+        print(f"  n={p.n:>8d}  ratio={p.ratio:.6f}  K_n={p.k_at_n:.4f}  filtered={p.filter_freq:.6f}")
+    series.append(Series(name, [p.n for p in points], [p.ratio for p in points]))
 
 line_plot(
     "mse-ratio-demo.svg",

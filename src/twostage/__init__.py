@@ -24,7 +24,7 @@ _EXPORTS = {
         "RegimeClassification",
         "classify_product_regime",
         "mse_product_closed",
-        "mse_ratio_experiment",
+        "mse_ratio_exact",
     ),
     "dist": ("RandomStream",),
     "estimators": (

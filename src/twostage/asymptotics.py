@@ -17,25 +17,23 @@ follows from the leading term ``a n**-p`` of each coordinate, and exponents
 are compared as fractions, so a boundary such as ``delta = p + q`` is met
 exactly.
 
-The module also runs the MSE-ratio experiment along a sequence, at unit
-per-observation scales; general scales reduce to this case by rescaling.
+The module also computes that MSE-ratio at finite n, at unit
+per-observation scales (general scales reduce to this case by rescaling),
+by one-dimensional quadrature of closed-form normal moments.
 
-Classifying a sequence needs only the standard library (``math`` and, for
-the exponents, ``fractions``); numpy loads when the experiment draws.
+Everything here needs only the standard library: ``math`` and, for the
+exponents, ``fractions``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import NamedTuple, Sequence
 
-from .sequence import PowerSequence
-
-if TYPE_CHECKING:
-    from .dist import RandomStream
+from .sequence import PowerSequence, _pow
 
 __all__ = [
     "ParamPoint",
@@ -47,26 +45,29 @@ __all__ = [
     "classify_product_regime",
     "mse_product_closed",
     "MseRatioPoint",
-    "mse_ratio_experiment",
+    "mse_ratio_exact",
     "MseRatioPreset",
     "MSE_RATIO_PRESETS",
 ]
 
 
-@dataclass(frozen=True)
-class ParamPoint:
-    """A fixed coordinate pair (gamma, beta)."""
-
+class _Point(NamedTuple):
     gamma: float
     beta: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
+
+class ParamPoint(_Point):
+    """A fixed coordinate pair (gamma, beta)."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, beta: float):
+        if not (math.isfinite(gamma) and math.isfinite(beta)):
             raise ValueError("coordinates must be finite")
+        return super().__new__(cls, gamma, beta)
 
 
-@dataclass(frozen=True)
-class ParamSequence:
+class ParamSequence(NamedTuple):
     """A drifting parameter pair (gamma_n, beta_n)."""
 
     gamma: PowerSequence
@@ -89,13 +90,6 @@ def _check_grid(n_grid: Sequence[int]) -> list[float]:
     return grid
 
 
-def _k_ratio(seq: ParamSequence, n: float) -> float:
-    """Finite-n standardized distance: g*b / sqrt(n^-1 (n^-1 + g^2 + b^2))."""
-    g = seq.gamma.at(n)
-    b = seq.beta.at(n)
-    return n * g * b / math.sqrt(1.0 + n * (g * g + b * b))
-
-
 class LRegion(Enum):
     ONE = "one"
     INTERIOR = "interior"
@@ -111,8 +105,7 @@ class EfficiencyClass(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class RegimeClassification:
+class RegimeClassification(NamedTuple):
     """(L-region, K) regime of the shrinkage estimator along a sequence.
 
     ``a_value`` and the two term limits are diagnostics: A is the larger of
@@ -252,16 +245,15 @@ def mse_product_closed(gamma: float, beta: float, n: int) -> float:
 
     With independent N(gamma, 1/n) and N(beta, 1/n) coordinates the product's
     mean squared error about gamma*beta is ``n^-1 (n^-1 + gamma^2 + beta^2)``
-    exactly.
+    exactly.  A square past the float range gives inf.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return (1.0 / n) * (1.0 / n + gamma**2 + beta**2)
+    return (1.0 / n) * (1.0 / n + gamma * gamma + beta * beta)
 
 
-@dataclass(frozen=True)
-class MseRatioPoint:
-    """One grid cell of the MSE-ratio experiment."""
+class MseRatioPoint(NamedTuple):
+    """One grid cell of the MSE-ratio: ``mc_se`` is 0, since the ratio is exact."""
 
     n: int
     ratio: float
@@ -270,77 +262,182 @@ class MseRatioPoint:
     filter_freq: float
 
 
-def mse_ratio_experiment(
-    seq: ParamSequence,
-    c: float,
-    delta: float,
-    n_grid: Sequence[int],
-    reps: int,
-    stream: RandomStream,
-) -> list[MseRatioPoint]:
-    """Empirical MSE of the shrinkage product estimator relative to the plain one.
+# A standard normal tail or density at |z| >= 40 is 0.0 in double precision.
+_EDGE = 40.0
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# The offsets j of the panel cuts where kappa / r = beta + j: there the band's
+# edges cross the bulk of Z + b/s, and the tails outside go from 0 to all of
+# its mass.
+_CROSSING = (20.0, 10.0, 6.0, 4.0, 2.0, 1.0, 0.0, -1.0, -2.0, -4.0, -6.0, -10.0, -20.0)
 
-    For each n: simulate ``reps`` coordinate pairs at the drifting parameter
-    (unit scales), shrink the product to 0 whenever |T| < c * n**-delta, and
-    report MSE(shrunk)/MSE(plain) with a delta-method standard error, the
-    finite-n K ratio, and the empirical filtration frequency.  Cell i draws
-    gamma_hat, then beta_hat, from ``stream.offset(i)``, so cells are
-    independent and order-free.
-    Each point reports ``int`` of the requested n, not of its float.  Raises
-    FloatingPointError, naming n, when the plain MSE is too small to divide by
-    or too large (or not finite) to square.
+
+@functools.cache
+def _gauss_legendre(order: int = 16) -> tuple[tuple[float, float], ...]:
+    """The (node, weight) pairs of the ``order``-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is a root of the Legendre polynomial P_order, found by Newton's
+    method from the usual cosine guess.
     """
-    import numpy as np
+    rule = []
+    for i in range(1, order + 1):
+        x = math.cos(math.pi * (i - 0.25) / (order + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for k in range(2, order + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            slope = order * (x * p - p_prev) / (x * x - 1.0)
+            x -= p / slope
+            if abs(p / slope) < 1e-16:
+                break
+        rule.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    return tuple(rule)
 
+
+def _tail_square(alpha: float, d: float, h: float) -> float:
+    """``E[(alpha Z + d)^2 1{Z >= h}]`` for a standard normal Z and h >= 0.
+
+    Written about the boundary as ``(alpha (Z - h) + e)^2`` with
+    ``e = alpha h + d``, whose three terms share a sign whenever alpha and e
+    do.
+    """
+    q = 0.5 * math.erfc(h * _SQRT_HALF)
+    p = _INV_SQRT_2PI * math.exp(-0.5 * h * h)
+    e = alpha * h + d
+    return alpha * alpha * ((1.0 + h * h) * q - h * p) + 2.0 * alpha * e * (p - h * q) + e * e * q
+
+
+def _given_x(alpha: float, d: float, lo: float, hi: float) -> tuple[float, float]:
+    """``(P(lo < Z < hi), E[(alpha Z + d)^2 1{Z outside (lo, hi)}])`` for a standard normal Z.
+
+    Each tail that holds less than half of Z's mass is formed directly, and
+    one that holds more as the whole second moment less its complement, so no
+    term is a small difference of large ones.
+    """
+    if lo <= 0.0 <= hi:
+        inside = 0.5 * (math.erf(hi * _SQRT_HALF) - math.erf(lo * _SQRT_HALF))
+        outside = _tail_square(alpha, d, hi) + _tail_square(-alpha, d, -lo)
+    elif lo > 0.0:
+        inside = 0.5 * (math.erfc(lo * _SQRT_HALF) - math.erfc(hi * _SQRT_HALF))
+        outside = alpha * alpha + d * d - _tail_square(alpha, d, lo) + _tail_square(alpha, d, hi)
+    else:
+        inside = 0.5 * (math.erfc(-hi * _SQRT_HALF) - math.erfc(-lo * _SQRT_HALF))
+        outside = alpha * alpha + d * d - _tail_square(-alpha, d, -hi) + _tail_square(-alpha, d, -lo)
+    return min(1.0, max(0.0, inside)), max(0.0, outside)
+
+
+def _nodes(g: float, s: float, kappa: float, beta: float, half_width: float, floor: float):
+    """The quadrature nodes ``(t, x, r, w)`` over ``|t| <= half_width``, with x = g + s t and r = |x| / s.
+
+    Panels are cut at a uniform t-grid, at x = 0, at each r where
+    ``kappa / r - beta`` crosses one of ``_CROSSING``, and at r falling by
+    factors of 4 down to where the band covers Z's whole range.  No cut
+    falls below ``floor``, where the panel at x = 0 is too narrow to matter.
+    Near x = 0 a node is placed by r, which keeps its precision there; when
+    x keeps one sign over the range, by t.
+    """
+    t0 = -g / s
+    steps = math.ceil(2.0 * half_width / 2.5)
+    grid = [half_width * (2.0 * i / steps - 1.0) for i in range(steps + 1)]
+    crossings = [kappa / (beta + j) for j in _CROSSING if beta + j > 0.0]
+    if abs(t0) >= 2.0 * half_width:
+        cuts = {*grid, *(t0 + side * r for side in (1.0, -1.0) for r in crossings)}
+        cuts = sorted(t for t in cuts if abs(t) <= half_width)
+        for a, z in zip(cuts, cuts[1:]):
+            mid, half = 0.5 * (a + z), 0.5 * (z - a)
+            for node, weight in _gauss_legendre():
+                t = mid + half * node
+                x = g + s * t
+                yield t, x, abs(x) / s, half * weight
+        return
+    for side in (1.0, -1.0):
+        r_lo, r_hi = max(0.0, -half_width - side * t0), half_width - side * t0
+        cuts = {r_lo, r_hi, *(side * (t - t0) for t in grid), *crossings}
+        r, bottom = r_hi, max(kappa / (beta + _EDGE), floor, r_lo)
+        while r > bottom:
+            r /= 4.0
+            cuts.add(r)
+        cuts = sorted(r for r in cuts if r == r_lo or floor <= r <= r_hi)
+        for a, z in zip(cuts, cuts[1:]):
+            mid, half = 0.5 * (a + z), 0.5 * (z - a)
+            for node, weight in _gauss_legendre():
+                r = mid + half * node
+                yield t0 + side * r, side * s * r, r, half * weight
+
+
+def _ratio_at(g: float, b: float, n: float, c: float, delta: float) -> tuple[float, float, float]:
+    """``(MSE(shrunk) / MSE(plain), P(filtered), psi)`` at one n, by quadrature over gamma_hat.
+
+    Write gamma_hat = x = g + s t and beta_hat = Y = b + s Z, with s = n^-1/2
+    and t, Z standard normal.  Given x, the product is filtered exactly when
+    ``|Y| < tau / |x|``, with tau = c n^-delta, so the shrunk error is
+    ``x Y - g b`` outside that band and ``-g b`` inside it.  In units of the
+    plain MSE, ``s^2 H^2`` with ``H^2 = s^2 + g^2 + b^2``, the error outside
+    is ``(x / H) Z + (b / H) t``, and the ratio is the integral over t of its
+    truncated second moment plus ``psi^2`` times the filtration probability.
+    Both parts are non-negative.  ``psi = g b / (s H)`` is the finite-n K
+    ratio ``n g b / sqrt(1 + n (g^2 + b^2))``, formed so that no square
+    leaves the float range; a ``psi`` past it gives an infinite ratio.  With
+    r = |x| / s, the band is ``|Z + b/s| < kappa / r``, where
+    ``kappa = c n^(1 - delta)``.
+
+    Both results are divided by the rule's total normal mass, so the
+    probability is at most 1 in floating point too.
+    """
+    s = 1.0 / math.sqrt(n)
+    h = math.hypot(s, g, b)
+    bs = b / s
+    psi = g / h * bs if g and b else 0.0
+    if not math.isfinite(psi):
+        return math.inf, math.nan, psi
+    kappa = c * _pow(n, 1.0 - delta)
+    # Past this |t| the normal tail, times the largest integrand, is below 1e-20.
+    half_width = math.sqrt(92.0 + 4.0 * math.log(math.hypot(1.0, psi)))
+    mass = filtered = outside = 0.0
+    for t, x, r, w in _nodes(g, s, kappa, abs(bs), half_width, max(1e-300, 1e-20 / (1.0 + psi * psi))):
+        w *= math.exp(-0.5 * t * t)
+        u = kappa / r
+        lo = min(_EDGE, max(-_EDGE, -u - bs))
+        hi = min(_EDGE, max(-_EDGE, u - bs))
+        inside, sq = _given_x(x / h, b / h * t, lo, hi)
+        mass += w
+        filtered += w * inside
+        outside += w * sq
+    freq = filtered / mass
+    return outside / mass + psi * (psi * freq), freq, psi
+
+
+def mse_ratio_exact(seq: ParamSequence, c: float, delta: float, n_grid: Sequence[int]) -> list[MseRatioPoint]:
+    """Exact MSE of the shrinkage product estimator relative to the plain one.
+
+    For each n, at unit scales, the shrunk estimator is the product of
+    independent N(gamma_n, 1/n) and N(beta_n, 1/n) coordinates, set to 0
+    whenever ``|T| < c * n**-delta``.  Each point holds MSE(shrunk)/MSE(plain)
+    from :func:`_ratio_at`, ``mc_se`` 0, the finite-n K ratio and the
+    filtration probability, and reports ``int`` of the requested n.  Raises
+    FloatingPointError, naming n, when the plain MSE is not a normal float or
+    the ratio leaves the float range.
+    """
     _check_rule(c, delta)
-    if reps < 100:
-        raise ValueError(f"reps must be at least 100, got {reps}")
     grid = _check_grid(n_grid)
     out = []
-    for i, (requested, n) in enumerate(zip(n_grid, grid)):
+    for requested, n in zip(n_grid, grid):
         point = seq.at(n)
-        psi = point.gamma * point.beta
-        gen = stream.offset(i).generator
-        sd = 1.0 / math.sqrt(n)
-        g = gen.normal(point.gamma, sd, reps)
-        b = gen.normal(point.beta, sd, reps)
-        # A huge parameter overflows the squares; the range check below
-        # reports it, so numpy need not warn on stderr first.
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = g * b
-            filtered = np.abs(t) < c * n ** (-delta)
-            shrunk = np.where(filtered, 0.0, t)
-            sq_shrunk = np.square(shrunk - psi)
-            sq_plain = np.square(t - psi)
-            mse_shrunk = float(sq_shrunk.mean())
-            mse_plain = float(sq_plain.mean())
-        # The standard error divides by mse_plain**2 * reps, which leaves the
-        # normal float range once n is large (past about 1e77 at k-4over3), or
-        # once the parameter is huge (an offset near 1e80 overflows it).
-        scale = mse_plain * mse_plain * reps
-        if not sys.float_info.min <= scale <= sys.float_info.max:
+        plain = mse_product_closed(point.gamma, point.beta, n)
+        if not sys.float_info.min <= plain <= sys.float_info.max:
             raise FloatingPointError(
-                f"at n={int(requested)} the plain estimator's MSE ({mse_plain:g}) is out of the "
-                "range in which the ratio and its standard error can be formed"
+                f"at n={int(requested)} the plain estimator's MSE ({plain:g}) is out of the "
+                "range in which the ratio can be formed"
             )
-        ratio = mse_shrunk / mse_plain
-        cov = np.cov(sq_shrunk, sq_plain, ddof=1)
-        var_ratio = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / scale
-        out.append(
-            MseRatioPoint(
-                n=int(requested),
-                ratio=ratio,
-                mc_se=math.sqrt(max(var_ratio, 0.0)),
-                k_at_n=_k_ratio(seq, n),
-                filter_freq=float(filtered.mean()),
-            )
-        )
+        ratio, freq, k = _ratio_at(point.gamma, point.beta, n, c, delta)
+        if not math.isfinite(ratio):
+            raise FloatingPointError(f"at n={int(requested)} the shrunk estimator's MSE leaves the float range")
+        out.append(MseRatioPoint(int(requested), ratio, 0.0, k, freq))
     return out
 
 
-@dataclass(frozen=True)
-class MseRatioPreset:
-    """A named (sequence, filtration constants) bundle for the ratio experiment."""
+class MseRatioPreset(NamedTuple):
+    """A named (sequence, filtration constants) bundle for the MSE-ratio."""
 
     gamma: PowerSequence
     beta: PowerSequence

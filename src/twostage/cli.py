@@ -1,23 +1,26 @@
 """Command-line front end.
 
-Subcommands: ``simulate`` (multiple-testing study), ``mse-ratio`` (shrinkage
-MSE-ratio experiment), ``classify`` (regime classification of a sequence),
-``fit`` (estimate pair from a data file), ``fwer-bound`` (the filtration-aware
-adjustment factor p0, exact from the rule, and the survivor-count FWER bound).
+Subcommands: ``simulate`` (multiple-testing study), ``mse-ratio`` (exact
+shrinkage MSE-ratio along a sequence), ``classify`` (regime classification
+of a sequence), ``fit`` (estimate pair from a data file), ``fwer-bound``
+(the filtration-aware adjustment factor p0, exact from the rule, and the
+survivor-count FWER bound).
 
 Exit codes are a stable contract: 0 ok, 2 configuration problem, 3 I/O
 failure, 5 numerical failure; 4 is retired, not reassigned.  ``--seed`` pins
 all randomness; when absent the TWOSTAGE_SEED environment variable is
 honored, and otherwise a fresh seed is drawn.  Every command that draws prints the seed
-it ran with (``simulate`` and ``mse-ratio`` in their ``wrote`` line and report,
-``fwer-bound`` in its ``seed`` field), so any run can be replayed.
+it ran with (``simulate`` in its ``wrote`` line and report, ``fwer-bound`` in its
+``seed`` field), so any run can be replayed.  ``mse-ratio`` draws nothing: it
+checks ``--seed`` and ``--reps`` and ignores them.
 
 Each handler imports the library code it runs when it is called, so a call
 loads only its own subcommand's modules (``fit`` never loads the simulation
-engine, nor ``numpy.random``), and importing this module, ``--help`` and a
-usage error load no numpy at all.  ``main`` runs numpy's BLAS in one thread
-unless OPENBLAS_NUM_THREADS is set: the program's BLAS work is one small QR
-and a few matrix-vector products, and each extra OpenBLAS worker only spins.
+engine, nor ``numpy.random``), and importing this module, ``--help``, a
+usage error, ``classify`` and ``mse-ratio`` load no numpy at all.  ``main``
+runs numpy's BLAS in one thread unless OPENBLAS_NUM_THREADS is set: the
+program's BLAS work is one small QR and a few matrix-vector products, and
+each extra OpenBLAS worker only spins.
 """
 
 from __future__ import annotations
@@ -417,10 +420,10 @@ _MSE_RATIO = (
     _Field("c", _NUMBER, "filtration constant c"),
     _Field("delta", _NUMBER, "filtration exponent delta"),
     _Field("n_grid", _SAMPLE_SIZES, "comma-separated sample sizes", (10**2, 10**3, 10**4, 10**5, 10**6)),
-    _Field("reps", _COUNT, "replications per sample size", 10_000),
+    _Field("reps", _COUNT, "checked, but ignored: the ratio is exact"),
     _FORMAT_FIELD,
-    _Field("svg", _STRING, "write a log-x ratio plot with error band"),
-    _SEED_FIELD,
+    _Field("svg", _STRING, "write a log-x ratio plot"),
+    _Field("seed", _SEED, "checked, but ignored: the ratio is exact"),
     _OUT,
 )
 
@@ -481,8 +484,7 @@ def _cmd_simulate(s: dict) -> int:
 
 
 def _cmd_mse_ratio(s: dict) -> int:
-    from .asymptotics import MSE_RATIO_PRESETS, ParamSequence, mse_ratio_experiment
-    from .dist import RandomStream
+    from .asymptotics import MSE_RATIO_PRESETS, ParamSequence, mse_ratio_exact
     from .report import write_mse_ratio_report
 
     preset_name = s["preset"]
@@ -503,29 +505,16 @@ def _cmd_mse_ratio(s: dict) -> int:
     out = s["out"] or f"mse-ratio-{preset_name or 'custom'}.{s['format']}"
 
     try:
-        with _memory_for("reps", s["reps"]):
-            points = mse_ratio_experiment(
-                seq, c, delta, s["n_grid"], s["reps"], RandomStream(s["seed"], 0)
-            )
+        points = mse_ratio_exact(seq, c, delta, s["n_grid"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    meta = {
-        "gamma": str(seq.gamma),
-        "beta": str(seq.beta),
-        "c": c,
-        "delta": delta,
-        "reps": s["reps"],
-        "seed": s["seed"],
-    }
+    meta = {"gamma": str(seq.gamma), "beta": str(seq.beta), "c": c, "delta": delta}
     if preset_name:
         meta["preset"] = preset_name
     write_mse_ratio_report(points, meta, out, s["format"])
-    print(f"wrote {out} ({len(points)} sample sizes, seed {s['seed']})")
+    print(f"wrote {out} ({len(points)} sample sizes)")
     for p in points:
-        print(
-            f"  n={p.n:>9d} ratio={p.ratio:.4f} (se {p.mc_se:.4f})  K_n={p.k_at_n:.4f}  "
-            f"filtered={p.filter_freq:.3f}"
-        )
+        print(f"  n={p.n:>9d} ratio={p.ratio:.6f}  K_n={p.k_at_n:.4f}  filtered={p.filter_freq:.6f}")
 
     if s["svg"]:
         from .svgplot import Series, line_plot
@@ -632,7 +621,7 @@ def _cmd_fwer_bound(s: dict) -> int:
 
 _COMMANDS = {
     "simulate": (_cmd_simulate, "run a multiple-testing scenario", _SIMULATE),
-    "mse-ratio": (_cmd_mse_ratio, "MSE-ratio experiment along a parameter sequence", _MSE_RATIO),
+    "mse-ratio": (_cmd_mse_ratio, "exact MSE-ratio along a parameter sequence", _MSE_RATIO),
     "classify": (_cmd_classify, "classify the filtration regime of a sequence", _CLASSIFY),
     "fit": (_cmd_fit, "estimate pair from a tabular data file", _FIT),
     "fwer-bound": (

@@ -10,7 +10,6 @@ JSON files are strict JSON: NaN is written as null and infinities as
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple
 from typing import TYPE_CHECKING, Sequence
 
 from .jsonsafe import strict
@@ -51,21 +50,21 @@ def write_json(payload: dict, path: str) -> None:
 
 
 def _write_table(path: str, fmt: str, meta: dict, key: str, columns: Sequence[str], rows: Sequence) -> None:
-    """Write dataclass ``rows`` under ``meta``: JSON keys are field names, CSV headers ``columns``."""
+    """Write NamedTuple ``rows`` under ``meta``: JSON keys are field names, CSV headers ``columns``."""
     if fmt == "json":
-        write_json({"meta": meta, key: [asdict(row) for row in rows]}, path)
+        write_json({"meta": meta, key: [row._asdict() for row in rows]}, path)
         return
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"# {name}={_plain(value)}" for name, value in meta.items()]
     lines.append(",".join(columns))
-    lines.extend(",".join(_plain(value) for value in astuple(row)) for row in rows)
+    lines.extend(",".join(_plain(value) for value in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_simulation_report(report: SimulationReport, path: str, fmt: str = "csv") -> None:
-    _write_table(path, fmt, asdict(report.meta), "methods", _SIM_COLUMNS, report.methods)
+    _write_table(path, fmt, report.meta._asdict(), "methods", _SIM_COLUMNS, report.methods)
 
 
 def write_mse_ratio_report(points: Sequence[MseRatioPoint], meta: dict, path: str, fmt: str = "csv") -> None:

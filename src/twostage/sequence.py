@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["PowerSequence"]
 
@@ -27,25 +27,29 @@ def _shortest(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-@dataclass(frozen=True)
-class PowerSequence:
+class _Terms(NamedTuple):
+    offset: float = 0.0
+    terms: tuple[tuple[float, float], ...] = ()
+
+
+class PowerSequence(_Terms):
     """One coordinate of a drifting parameter: offset + sum of coef * n**-exponent.
 
     Exponents are stored as the (non-negative) decay rates, so the term
     ``(3, 0.5)`` means ``3 * n**-0.5``.
     """
 
-    offset: float = 0.0
-    terms: tuple[tuple[float, float], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.offset):
+    def __new__(cls, offset: float = 0.0, terms: tuple[tuple[float, float], ...] = ()):
+        if not math.isfinite(offset):
             raise ValueError("offset must be finite")
-        for coef, exp in self.terms:
+        for coef, exp in terms:
             if not (math.isfinite(coef) and math.isfinite(exp)):
                 raise ValueError("term entries must be finite")
             if exp < 0:
                 raise ValueError(f"exponent must be non-negative, got {exp}")
+        return super().__new__(cls, offset, terms)
 
     def at(self, n: int | float) -> float:
         """Value of the sequence at one sample size n > 0."""

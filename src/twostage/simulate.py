@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -373,8 +373,7 @@ def _tallies(scenario: ScenarioMixture, methods: Sequence[Method], stream: Rando
     return tallies
 
 
-@dataclass(frozen=True)
-class MethodResult:
+class MethodResult(NamedTuple):
     method_id: str
     empirical_fwer: float
     fwer_se: float
@@ -398,8 +397,7 @@ def _method_result(method_id: str, v, s, n_alt, f, *_) -> MethodResult:
     return MethodResult(method_id, fwer, fwer_se, power, power_se, float(f.mean()))
 
 
-@dataclass(frozen=True)
-class ReportMeta:
+class ReportMeta(NamedTuple):
     seed: int
     scenario: str
     m: int
@@ -411,8 +409,7 @@ class ReportMeta:
     renormalized: bool
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     meta: ReportMeta
     methods: tuple[MethodResult, ...]
 

@@ -7,8 +7,7 @@ is a static standalone SVG document.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = ["Series", "line_plot"]
 
@@ -16,8 +15,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64, 16, 28, 46
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """One polyline: optional ``band`` gives symmetric half-widths around y."""
 
     label: str

@@ -1,14 +1,17 @@
 """Monte-Carlo probes of the product statistic's local-asymptotic behaviour.
 
-Acceptance criteria 06 and 08 and ``test_asymptotics.py`` share these
+Acceptance criteria 05, 06 and 08 and ``test_asymptotics.py`` share these
 helpers; pytest collects only ``test_*.py``, so it does not collect this
 module.  Every probe draws at unit per-observation scales, and cell i draws
 gamma_hat, then beta_hat, from ``stream.offset(i).generator``.
 """
 
 import math
+import sys
 
 import numpy as np
+
+from twostage.asymptotics import MseRatioPoint, _check_grid, _check_rule
 
 
 def _unit_draws(stream, gamma: float, beta: float, sd: float, reps: int):
@@ -60,3 +63,44 @@ def ks_critical_value(n_a: int, n_b: int, level: float = 0.01) -> float:
     """Asymptotic two-sample KS critical value at the given level."""
     c = math.sqrt(-math.log(level / 2.0) / 2.0)
     return c * math.sqrt((n_a + n_b) / (n_a * n_b))
+
+
+def mse_ratio_experiment(seq, c: float, delta: float, n_grid, reps: int, stream) -> list:
+    """Monte-Carlo estimate of the MSE of the shrinkage product estimator relative to the plain one.
+
+    The oracle for ``asymptotics.mse_ratio_exact``.  For each n: simulate
+    ``reps`` coordinate pairs at the drifting parameter, shrink the product to
+    0 whenever |T| < c * n**-delta, and report MSE(shrunk)/MSE(plain) with a
+    delta-method standard error, the finite-n K ratio, and the empirical
+    filtration frequency.  Raises FloatingPointError, naming n, when the
+    plain MSE is too small to divide by or too large (or not finite) to
+    square.
+    """
+    _check_rule(c, delta)
+    if reps < 100:
+        raise ValueError(f"reps must be at least 100, got {reps}")
+    grid = _check_grid(n_grid)
+    out = []
+    for i, (requested, n) in enumerate(zip(n_grid, grid)):
+        point = seq.at(n)
+        psi = point.gamma * point.beta
+        gen = stream.offset(i).generator
+        sd = 1.0 / math.sqrt(n)
+        g = gen.normal(point.gamma, sd, reps)
+        b = gen.normal(point.beta, sd, reps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = g * b
+            filtered = np.abs(t) < c * n ** (-delta)
+            sq_shrunk = np.square(np.where(filtered, 0.0, t) - psi)
+            sq_plain = np.square(t - psi)
+            mse_shrunk = float(sq_shrunk.mean())
+            mse_plain = float(sq_plain.mean())
+        scale = mse_plain * mse_plain * reps
+        if not sys.float_info.min <= scale <= sys.float_info.max:
+            raise FloatingPointError(f"at n={int(requested)} the plain estimator's MSE ({mse_plain:g}) is out of range")
+        ratio = mse_shrunk / mse_plain
+        cov = np.cov(sq_shrunk, sq_plain, ddof=1)
+        var_ratio = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / scale
+        k_at_n = n * point.gamma * point.beta / math.sqrt(1.0 + n * (point.gamma**2 + point.beta**2))
+        out.append(MseRatioPoint(int(requested), ratio, math.sqrt(max(var_ratio, 0.0)), k_at_n, float(filtered.mean())))
+    return out

@@ -20,14 +20,13 @@ from twostage import (
     builtin_scenario,
     coord_pvalue,
     mse_product_closed,
-    mse_ratio_experiment,
     run_experiment,
     standard_methods,
 )
 from twostage.cli import main as cli_main
 from twostage.procedure import filter_mask
 
-from probes import ks_critical_value, ks_distance, rate_exponent, sobel_samples
+from probes import ks_critical_value, ks_distance, mse_ratio_experiment, rate_exponent, sobel_samples
 
 SEED = 20260809
 FILTRATION_IDS = ("minp", "chisq2", "prod-0.8", "prod-0.9", "prod-1.0")

@@ -17,10 +17,10 @@ from twostage import (
     RandomStream,
     classify_product_regime,
     mse_product_closed,
-    mse_ratio_experiment,
+    mse_ratio_exact,
 )
 
-from probes import ks_critical_value, ks_distance, rate_exponent, sobel_samples
+from probes import ks_critical_value, ks_distance, mse_ratio_experiment, rate_exponent, sobel_samples
 
 
 def seq(gamma: str, beta: str) -> ParamSequence:
@@ -299,6 +299,164 @@ class TestMseRatioExperiment:
                 RandomStream(15, stream_idx),
             )
             assert abs(pts[-1].ratio - r.K_value**2) <= 0.15 * r.K_value**2
+
+
+def _mp_ratio(g: float, b: float, n: float, c: float, delta: float) -> tuple[float, float]:
+    """MSE(shrunk)/MSE(plain) and P(filtered), to about 20 digits, as a double integral.
+
+    The inner integral, over beta_hat given gamma_hat = x, is the truncated
+    raw moments of N(b, 1/n) outside ``|y| < tau / |x|``; the outer one is
+    ``mpmath.quad`` over x, split at 0, at the band's edge and at multiples
+    of ``tau sqrt(n)``, the width of the dip around 0.
+    """
+    with mpmath.workdps(25):
+        g, b, n, c, delta = (mpmath.mpf(v) for v in (g, b, n, c, delta))
+        s, tau, psi = 1 / mpmath.sqrt(n), c * n**-delta, g * b
+        k, root2 = 1 / mpmath.sqrt(2 * mpmath.pi), mpmath.sqrt(2)
+        cache = {}
+
+        def parts(x):
+            if x not in cache:
+                a = tau / abs(x)
+                lo, hi = (-a - b) / s, (a - b) / s
+                pdf_lo, pdf_hi = k * mpmath.exp(-lo * lo / 2), k * mpmath.exp(-hi * hi / 2)
+                m0 = (mpmath.erfc(-lo / root2) + mpmath.erfc(hi / root2)) / 2
+                m1, m2 = pdf_hi - pdf_lo, m0 + hi * pdf_hi - lo * pdf_lo
+                y1, y2 = b * m0 + s * m1, b * b * m0 + 2 * b * s * m1 + s * s * m2
+                density = k / s * mpmath.exp(-(((x - g) / s) ** 2) / 2)
+                cache[x] = ((x * x * y2 - 2 * x * psi * y1 + psi * psi * m0) * density, (1 - m0) * density)
+            return cache[x]
+
+        edge = tau / s
+        cuts = {g - 14 * s, g + 14 * s, *(m * edge for m in (0, 0.01, 0.1, 1, 10, 100, -0.01, -0.1, -1, -10, -100))}
+        if b:
+            cuts.update((tau / abs(b), -tau / abs(b)))
+        cuts = sorted(x for x in cuts if g - 14 * s <= x <= g + 14 * s)
+        outside = mpmath.quad(lambda x: parts(x)[0], cuts)
+        freq = mpmath.quad(lambda x: parts(x)[1], cuts)
+        return float((outside + psi * psi * freq) / (s * s * (s * s + g * g + b * b))), float(freq)
+
+
+class TestMseRatioExact:
+    @pytest.mark.parametrize("name", sorted(MSE_RATIO_PRESETS))
+    def test_matches_mpmath(self, name):
+        preset = MSE_RATIO_PRESETS[name]
+        grid = [10**2, 10**4, 10**6]
+        points = mse_ratio_exact(ParamSequence(preset.gamma, preset.beta), preset.c, preset.delta, grid)
+        for point, n in zip(points, grid):
+            ratio, freq = _mp_ratio(preset.gamma.at(n), preset.beta.at(n), n, preset.c, preset.delta)
+            assert (point.n, point.mc_se) == (n, 0.0)
+            assert abs(point.ratio - ratio) <= 1e-12 * ratio, n
+            assert abs(point.filter_freq - freq) <= 1e-12, n
+
+    def test_oracle_inner_integral_is_the_moments(self):
+        # The closed-form inner integral against mpmath.quad over beta_hat, at
+        # x inside, at and outside the band's edge.
+        with mpmath.workdps(25):
+            g, b, s, tau = mpmath.mpf(0.3), mpmath.mpf(0.2), mpmath.mpf(0.1), mpmath.mpf(0.025)
+            psi = g * b
+            for x in (tau / 0.5, tau / b, tau / 0.06):
+                def shrunk_sq(y):
+                    t = x * y
+                    return ((0 if abs(t) < tau else t) - psi) ** 2 * mpmath.npdf(y, b, s)
+
+                a = tau / x
+                direct = mpmath.quad(shrunk_sq, [b - 15 * s, -a, a, b + 15 * s])
+                lo, hi = (-a - b) / s, (a - b) / s
+                m0 = mpmath.ncdf(lo) + mpmath.ncdf(-hi)
+                m1 = mpmath.npdf(hi) - mpmath.npdf(lo)
+                m2 = m0 + hi * mpmath.npdf(hi) - lo * mpmath.npdf(lo)
+                y1, y2 = b * m0 + s * m1, b * b * m0 + 2 * b * s * m1 + s * s * m2
+                closed = x * x * y2 - 2 * x * psi * y1 + psi * psi * m0 + psi * psi * (1 - m0)
+                assert abs(direct / closed - 1) < 1e-20
+
+    def test_k_4over3_values(self):
+        points = mse_ratio_exact(seq("2n^-0.5", "2n^-0.5"), 4.0, 0.7, [10**2, 10**4, 10**5, 10**6])
+        assert abs(points[0].ratio - 1.8155236306901) < 1e-12
+        for point in points[1:]:
+            assert abs(point.ratio - 16.0 / 9.0) < 1e-12
+
+    @pytest.mark.parametrize("name, limit", [("k-4over3", 16.0 / 9.0), ("k-inv-sqrt3", 1.0 / 3.0), ("k-one", 1.0)])
+    def test_full_filtration_limit_is_k_squared(self, name, limit):
+        preset = MSE_RATIO_PRESETS[name]
+        s = ParamSequence(preset.gamma, preset.beta)
+        k = classify_product_regime(s, preset.c, preset.delta).K_value
+        assert k * k == pytest.approx(limit, rel=1e-15)
+        for point in mse_ratio_exact(s, preset.c, preset.delta, [10**4, 10**5, 10**6]):
+            assert abs(point.ratio - limit) < 1e-12 * limit
+            assert point.k_at_n == pytest.approx(k, rel=1e-12)
+            assert point.filter_freq == 1.0
+
+    # A cell at an interior filtration probability, one where filtration
+    # vanishes and one that collapses to 0; the Monte-Carlo oracle in
+    # tests/probes.py at 20,000 reps agrees with each within 4 standard errors.
+    @pytest.mark.parametrize(
+        "index, name, n", [(0, "partial-mid", 10**4), (1, "vanishing-filter", 10**2), (2, "superefficient", 10**2)]
+    )
+    def test_matches_monte_carlo(self, index, name, n):
+        preset = MSE_RATIO_PRESETS[name]
+        s, grid, reps = ParamSequence(preset.gamma, preset.beta), [n, 10 * n, 100 * n], 20_000
+        exact = mse_ratio_exact(s, preset.c, preset.delta, grid)[0]
+        mc = mse_ratio_experiment(s, preset.c, preset.delta, grid, reps, RandomStream(16, index))[0]
+        assert abs(mc.ratio - exact.ratio) <= 4.0 * mc.mc_se
+        freq_se = math.sqrt(exact.filter_freq * (1.0 - exact.filter_freq) / reps)
+        assert abs(mc.filter_freq - exact.filter_freq) <= 4.0 * freq_se
+        assert mc.k_at_n == pytest.approx(exact.k_at_n, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        gamma=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e3, 1e3), st.floats(0.0, 3.0)),
+        beta=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e3, 1e3), st.floats(0.0, 3.0)),
+        log_c=st.floats(-300.0, 300.0),
+        delta=st.floats(1e-6, 5.0),
+        n=st.integers(1, 10**12),
+    )
+    def test_probability_and_ratio_in_range(self, gamma, beta, log_c, delta, n):
+        s = ParamSequence(*(PowerSequence(offset, ((coef, exp),)) for offset, coef, exp in (gamma, beta)))
+        try:
+            points = mse_ratio_exact(s, 10.0**log_c, delta, [n, 10 * n, 100 * n])
+        except FloatingPointError:
+            return
+        for point in points:
+            assert 0.0 <= point.filter_freq <= 1.0
+            assert 0.0 <= point.ratio < math.inf
+
+    # The plain MSE underflows at a huge n, and overflows at a huge parameter.
+    @pytest.mark.parametrize(
+        "gamma, beta, grid, bad",
+        [("2n^-0.5", "2n^-0.5", [100, 1000, 10**300], 10**300), ("1e200", "1e200", [100, 1000, 10_000], 100)],
+    )
+    def test_plain_mse_out_of_range_raises(self, gamma, beta, grid, bad):
+        with pytest.raises(FloatingPointError, match=f"^at n={bad} the plain estimator's MSE"):
+            mse_ratio_exact(seq(gamma, beta), 4.0, 0.7, grid)
+
+    def test_null_pair_is_filtered_almost_surely(self):
+        # At (0, 0) the shrunk estimator is exact whenever it filters.
+        last = mse_ratio_exact(seq("0", "0"), 4.0, 0.7, [10**4, 10**5, 10**6])[-1]
+        assert last.ratio < 1e-4 and last.filter_freq > 0.9999 and last.k_at_n == 0.0
+
+    def test_huge_offset_is_never_filtered(self):
+        # The plain MSE is about 1e158 at n = 100: in range, and never squared.
+        points = mse_ratio_exact(seq("1e80", "0"), 1.0, 0.5, [100, 1000, 10_000])
+        for point in points:
+            assert point.ratio == pytest.approx(1.0, abs=1e-12)
+            assert point.filter_freq < 1e-12 and point.k_at_n == 0.0
+
+
+class TestRecords:
+    def test_checked_on_construction(self):
+        with pytest.raises(ValueError):
+            PowerSequence(float("inf"))
+        with pytest.raises(ValueError):
+            PowerSequence(0.0, ((1.0, -0.5),))
+        with pytest.raises(ValueError):
+            ParamPoint(math.nan, 0.0)
+
+    def test_named_tuples(self):
+        s = PowerSequence(1.0, ((3.0, 0.5),))
+        assert (s.offset, s.terms, s._fields) == (1.0, ((3.0, 0.5),), ("offset", "terms"))
+        assert ParamSequence(s, s).at(9) == ParamPoint(2.0, 2.0)
+        assert MSE_RATIO_PRESETS["k-4over3"]._fields == ("gamma", "beta", "c", "delta", "note")
 
 
 class TestRateProbe:

@@ -3,12 +3,14 @@ import csv
 import functools
 import importlib
 import json
+import math
 import operator
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -199,15 +201,13 @@ class TestMseRatioCommand:
         assert run_cli("classify", *argv) == 2
         assert capsys.readouterr().err == "error: c and delta must be positive\n"
 
-    # The plain MSE underflows at a huge n, and its square overflows (or the
-    # draws themselves do) at a huge parameter.  A numpy warning would be
-    # printed before the error line, so warnings fail the test.
+    # The plain MSE underflows at a huge n, and overflows at a huge parameter.
+    # A warning would be printed before the error line, so warnings fail the test.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "settings, n",
         [
             ({"preset": "k-4over3", "n_grid": [100, 1000, 10**300]}, 10**300),
-            ({"gamma": {"offset": 1e80}, "beta": "0", "c": 1, "delta": 0.5}, 100),
             ({"gamma": {"offset": 1e200}, "beta": {"offset": 1e200}, "c": 1, "delta": 0.5}, 100),
         ],
     )
@@ -218,6 +218,71 @@ class TestMseRatioCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: at n={n} ") and "Traceback" not in err
         assert not out.exists()
+
+    # A plain MSE near 1e158 is in range, and the exact ratio squares nothing
+    # twice: gamma_hat near 1e80 makes the band around 0 vanish.
+    @pytest.mark.filterwarnings("error")
+    def test_huge_offset_exit_0(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "mr.csv"
+        settings = {"gamma": {"offset": 1e80}, "beta": "0", "c": 1, "delta": 0.5, "n_grid": [100, 1000, 10_000]}
+        cfg.write_text(json.dumps({**settings, "reps": 100, "seed": 1}))
+        assert run_cli("mse-ratio", "--config", str(cfg), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _csv_report(out)
+        assert [row[0] for row in rows] == ["100", "1000", "10000"]
+        for row in rows:
+            assert abs(float(row[1]) - 1.0) < 1e-12 and float(row[4]) < 1e-12
+
+    # Inputs at the edges of the float range: each prints a probability and a
+    # finite, non-negative ratio per cell, and nothing on stderr.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "override",
+        [
+            ["--gamma", "0", "--beta", "0"],
+            ["--c", "1e308"],
+            ["--delta", "1e-300"],
+            ["--c", "1e-300", "--delta", "5"],
+            ["--n-grid", "1,2,3"],
+        ],
+        ids=["null-pair", "huge-c", "tiny-delta", "tiny-threshold", "smallest-n"],
+    )
+    def test_float_range_edges_exit_0(self, tmp_path, capsys, override):
+        out = tmp_path / "mr.csv"
+        base = {"--gamma": "2n^-0.5", "--beta": "2n^-0.5", "--c": "4", "--delta": "0.7"}
+        base.update(zip(override[::2], override[1::2]))
+        assert run_cli("mse-ratio", *(item for pair in base.items() for item in pair), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _csv_report(out)
+        for row in rows:
+            ratio, mc_se, freq = float(row[1]), float(row[2]), float(row[4])
+            assert 0.0 <= ratio < math.inf and mc_se == 0.0 and 0.0 <= freq <= 1.0
+
+    # The ratio is exact: reps and seed are range-checked, and change no byte.
+    def test_reps_and_seed_are_ignored(self, tmp_path, capsys):
+        argv = ["mse-ratio", "--preset", "k-4over3", "--n-grid", "100,1000,10000"]
+        outputs = []
+        for extra in ([], ["--reps", "100"], ["--seed", "7"], ["--reps", _TOO_MANY, "--seed", "1"]):
+            out = tmp_path / "mr.csv"
+            assert run_cli(*argv, *extra, "--out", str(out)) == 0
+            outputs.append((capsys.readouterr(), out.read_bytes()))
+        assert all(output == outputs[0] for output in outputs)
+        assert b"seed" not in outputs[0][1] and b"reps" not in outputs[0][1]
+        assert outputs[0][0].out.splitlines()[0] == f"wrote {tmp_path / 'mr.csv'} (3 sample sizes)"
+        for extra in (["--reps", "0"], ["--seed", "-1"], ["--reps", "1" + "0" * 20]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv, *extra)
+            assert exc.value.code == 2
+        assert _run_config(tmp_path, "mse-ratio", dict(_BASE["mse-ratio"], reps=0)) == 2
+
+    def test_svg_band_has_zero_width(self, tmp_path):
+        svg = tmp_path / "mr.svg"
+        argv = ["mse-ratio", "--preset", "k-4over3", "--out", str(tmp_path / "mr.csv"), "--svg", str(svg)]
+        assert run_cli(*argv) == 0
+        root = ET.parse(svg).getroot()
+        [band] = [el for el in root.iter() if el.tag.endswith("polygon")]
+        points = band.get("points").split()
+        assert len(points) == 10 and points[:5] == points[5:][::-1]
 
 
 class TestClassifyCommand:
@@ -555,7 +620,10 @@ def _run_python(code, **kwargs):
 # Each case runs in a fresh interpreter: the subcommand's calls and the exit
 # code each must give, then the modules that must still be absent.  Both
 # stages decide on |z| against critical values, so no command needs scipy;
-# importing the CLI, help, usage errors and classify need no numpy.
+# importing the CLI, help, usage errors, classify and mse-ratio need no
+# numpy, and the two deterministic commands build their records as
+# NamedTuples, with no dataclasses (which imports inspect).
+_HEAVY = ["numpy", "dataclasses", "inspect"]
 @pytest.mark.parametrize(
     "calls, code, forbidden",
     [
@@ -564,9 +632,9 @@ def _run_python(code, **kwargs):
         ([["classify", "--help"]], 0, ["numpy"]),
         ([["simulate", "--scenario", "config1", "--reps", "0"]], 2, ["numpy"]),
         ([["fit", "fit.csv"]], 0, ["simulate", "procedure", "asymptotics", "report", "svgplot", "numpy.random"]),
-        ([_CLASSIFY], 0, ["simulate", "procedure", "ingest", "report", "svgplot", "dist", "estimators", "numpy"]),
-        ([_MSE_RATIO], 0, ["simulate", "procedure", "ingest", "svgplot"]),
-        ([[*_MSE_RATIO, "--svg", "r.svg"]], 0, ["simulate", "procedure", "ingest"]),
+        ([_CLASSIFY], 0, ["simulate", "procedure", "ingest", "report", "svgplot", "dist", "estimators", *_HEAVY]),
+        ([_MSE_RATIO], 0, ["simulate", "procedure", "ingest", "svgplot", "dist", *_HEAVY]),
+        ([[*_MSE_RATIO, "--svg", "r.svg"]], 0, ["simulate", "procedure", "ingest", "dist", *_HEAVY]),
         ([_SIMULATE], 0, ["ingest", "svgplot", "asymptotics"]),
         ([[*_SIMULATE, "--svg", "r.svg"]], 0, ["ingest", "asymptotics"]),
         ([["simulate", "--scenario", json.dumps(_SEQUENCE_ROWS), *_SIZE]], 0, ["ingest", "svgplot", "asymptotics"]),
@@ -588,7 +656,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, calls, code, forbidden):
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(50, 3))
     (tmp_path / "fit.csv").write_text("a,m,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
-    forbidden = [name if name.startswith("numpy") else f"twostage.{name}" for name in forbidden]
+    forbidden = [name if name in _HEAVY or name.startswith("numpy") else f"twostage.{name}" for name in forbidden]
     script = textwrap.dedent(
         f"""
         import sys
@@ -625,6 +693,25 @@ def test_classify_runs_without_numpy():
     )
     run = _run_python(script)
     assert (run.returncode, run.stdout, run.stderr) == (0, _CLASSIFY_LINE + "\n", "")
+
+
+def test_mse_ratio_runs_without_numpy(tmp_path):
+    argv = ["mse-ratio", "--preset", "k-4over3", "--seed", "1", "--out", "ratio.csv"]
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+        from twostage.cli import main
+        sys.exit(main({argv!r}))
+        """
+    )
+    run = _run_python(script, cwd=tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    lines = (tmp_path / "ratio.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0] == ["n", "ratio", "mc_se", "k_at_n", "filter_freq"]
+    assert [row[0] for row in rows[1:]] == ["100", "1000", "10000", "100000", "1000000"]
+    assert all(abs(float(row[3]) - 4.0 / 3.0) < 1e-12 for row in rows[1:])
 
 
 def _classify_line(region, k, efficiency, a, mean, sd):
@@ -1031,7 +1118,6 @@ class TestOversizedCounts:
             (["simulate", "--scenario", "hierarchical", "--m", _TOO_MANY], "m"),
             (["fwer-bound", "--scenario", "config1", "--rule", "minp", "--m", _TOO_MANY], "m"),
             (["fwer-bound", "--scenario", "hierarchical", "--rule", "minp", "--m", _TOO_MANY], "m"),
-            (["mse-ratio", "--preset", "k-4over3", "--reps", _TOO_MANY], "reps"),
         ],
     )
     def test_count_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch, argv, setting):

@@ -6,8 +6,10 @@ stderr, exit code and written files must equal the fixture under
 fails here, even when every statistical bound still holds.
 
 numpy promises no stable ``Generator`` stream across releases, so the
-fixtures hold on the numpy version named in ``tests/golden/NUMPY_VERSION``
-only.  Rewrite them with::
+fixtures of the cases that draw (``simulate-*`` and ``fwer-bound-*``) hold
+on the numpy version named in ``tests/golden/NUMPY_VERSION`` only.  The
+other cases (``mse-ratio-*``, ``classify-*`` and the error cases) draw
+nothing, and hold on any numpy.  Rewrite them with::
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -33,6 +35,8 @@ from twostage import cli
 from twostage.asymptotics import MSE_RATIO_PRESETS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# The cases whose reports come from numpy's random streams.
+DRAWING = ("simulate-", "fwer-bound-")
 USAGE = "usage: PYTHONPATH=src python tests/test_golden.py  (no arguments: rewrites every fixture)"
 
 _INLINE_AWARE = {
@@ -130,7 +134,7 @@ def run_case(name: str, workdir: Path) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path):
     recorded = (GOLDEN / "NUMPY_VERSION").read_text().strip()
-    if np.__version__ != recorded:
+    if name.startswith(DRAWING) and np.__version__ != recorded:
         pytest.fail(f"the golden reports were written with numpy {recorded}, and this is numpy {np.__version__}")
     want = {path.name: path.read_bytes() for path in sorted((GOLDEN / name).iterdir())}
     got = run_case(name, tmp_path)

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import struct
-from dataclasses import astuple, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -84,7 +83,7 @@ class TestSimulationReportIO:
         path = str(tmp_path / "report.csv")
         write_simulation_report(small_report, path, "csv")
         meta, _ = _read(path, "methods")
-        assert list(meta) == [f.name for f in fields(ReportMeta)]
+        assert list(meta) == list(ReportMeta._fields)
         assert meta == {
             "seed": "17", "scenario": "config1", "m": "40", "reps": "12", "n": "200", "sigma": "1",
             "alpha": "0.050000000000000003", "assignment": "deterministic", "renormalized": "false",
@@ -170,7 +169,7 @@ def test_any_float_round_trips(tmp_path_factory, rows, fmt, kind):
         write_mse_ratio_report(records, _MSE_META, path, fmt)
         key = "points"
     _, got = _read(path, key)
-    want = [astuple(record) for record in records]
+    want = [tuple(record) for record in records]
     assert [str(row[0]) for row in got] == [str(row[0]) for row in want]
     for got_row, want_row in zip(got, want):
         assert all(_same_float(_cell(g), w) for g, w in zip(got_row[1:], want_row[1:])), (got_row, want_row)
