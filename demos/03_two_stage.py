@@ -12,6 +12,8 @@ from twostage import (
     EstimatePair,
     FiltrationAware,
     ProductThreshold,
+    builtin_scenario,
+    exact_fwer_bound,
     fwer_bound_from_survivors,
     run_two_stage,
     survival_prob_at_theta0,
@@ -41,8 +43,19 @@ aware = run_two_stage(estimates, rule, alpha=0.05, adjustment=FiltrationAware(p0
 print(f"filtration-aware threshold alpha*p0/F: rejected={aware.rejected_count}, "
       f"threshold={aware.threshold:.2e}")
 
-# The survivor-count bound: P(any false rejection) <= E[(1-(1-q)^F) 1{F>0}],
-# with q bounding the per-hypothesis conditional rejection probability.
-f_samples = [out.F] * 10  # one observed batch; a study supplies many
+# The survivor-count bound: P(any false rejection) <= E[1 - (1 - q)^F], with q
+# bounding the per-hypothesis rejection probability given survival. With
+# independent hypotheses F is a sum of Bernoulli survivors, so the bound has
+# the closed form 1 - prod_r (1 - s_r q)^(c_r) over rows of c_r hypotheses
+# that each survive with probability s_r. Here every hypothesis is taken to
+# survive with the observed fraction F/m.
+survived = out.F / m
 for q in (0.001, 0.01, 0.05):
-    print(f"survivor-count FWER bound at q={q}: {fwer_bound_from_survivors(q, f_samples):.4f}")
+    print(f"survivor-count FWER bound at q={q}: {fwer_bound_from_survivors(q, [survived], [m]):.4f}")
+
+# fwer-bound computes the same quantities exactly for a scenario: the FWER of
+# the rule with threshold alpha/F, q_max over the scenario's null rows, and
+# the bound at q_max.
+exact = exact_fwer_bound(builtin_scenario("config2", n=n), rule)
+print(f"config2 at n={n}: exact FWER {exact.fwer:.4f}, q_max {exact.q_max:.6f}, "
+      f"survivor bound {exact.survivor_bound:.4f}, mean F {exact.mean_F:.1f}")

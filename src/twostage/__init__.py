@@ -41,37 +41,31 @@ _EXPORTS = {
         "SingularDesignError",
         "TwoStageError",
     ),
+    "exact": ("FwerBound", "exact_fwer_bound", "fwer_bound_from_survivors"),
     "ingest": ("ObservationTable", "ols_mediation_fit", "read_observations"),
-    "procedure": (
+    "procedure": ("TwoStageOutcome", "run_two_stage"),
+    "rules": (
         "Adjustment",
         "BonferroniOverUnfiltered",
         "ChiSquarePValue",
         "FiltrationAware",
         "FiltrationRule",
+        "Method",
         "MinPValue",
         "NoFilter",
         "ProductThreshold",
-        "TwoStageOutcome",
-        "fwer_bound_from_survivors",
-        "run_two_stage",
+        "standard_methods",
         "survival_prob_at_theta0",
     ),
-    "simulate": (
+    "scenario": (
         "BUILTIN_SCENARIOS",
         "Assignment",
-        "ConditionalRejectionStats",
-        "Method",
-        "MethodResult",
         "MixtureRow",
         "NormalMeanPrior",
-        "ReportMeta",
         "ScenarioMixture",
-        "SimulationReport",
         "builtin_scenario",
-        "conditional_rejection_stats",
-        "run_experiment",
-        "standard_methods",
     ),
+    "simulate": ("MethodResult", "ReportMeta", "SimulationReport", "run_experiment"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

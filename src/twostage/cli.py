@@ -3,24 +3,24 @@
 Subcommands: ``simulate`` (multiple-testing study), ``mse-ratio`` (exact
 shrinkage MSE-ratio along a sequence), ``classify`` (regime classification
 of a sequence), ``fit`` (estimate pair from a data file), ``fwer-bound``
-(the filtration-aware adjustment factor p0, exact from the rule, and the
-survivor-count FWER bound).
+(a rule's p0, and its exact FWER and survivor-count FWER bound on a
+scenario).
 
 Exit codes are a stable contract: 0 ok, 2 configuration problem, 3 I/O
 failure, 5 numerical failure; 4 is retired, not reassigned.  ``--seed`` pins
 all randomness; when absent the TWOSTAGE_SEED environment variable is
-honored, and otherwise a fresh seed is drawn.  Every command that draws prints the seed
-it ran with (``simulate`` in its ``wrote`` line and report, ``fwer-bound`` in its
-``seed`` field), so any run can be replayed.  ``mse-ratio`` draws nothing: it
-checks ``--seed`` and ``--reps`` and ignores them.
+honored, and otherwise a fresh seed is drawn.  ``simulate``, the one command
+that draws, prints the seed it ran with in its ``wrote`` line and report, so
+any run can be replayed.  ``mse-ratio`` and ``fwer-bound`` draw nothing: they
+check ``--seed`` and ``--reps`` and ignore them.
 
 Each handler imports the library code it runs when it is called, so a call
 loads only its own subcommand's modules (``fit`` never loads the simulation
 engine, nor ``numpy.random``), and importing this module, ``--help``, a
-usage error, ``classify`` and ``mse-ratio`` load no numpy at all.  ``main``
-runs numpy's BLAS in one thread unless OPENBLAS_NUM_THREADS is set: the
-program's BLAS work is one small QR and a few matrix-vector products, and
-each extra OpenBLAS worker only spins.
+usage error, ``classify``, ``mse-ratio`` and ``fwer-bound`` load no numpy at
+all.  ``main`` runs numpy's BLAS in one thread unless OPENBLAS_NUM_THREADS
+is set: the program's BLAS work is one small QR and a few matrix-vector
+products, and each extra OpenBLAS worker only spins.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .exceptions import ConfigError, DegenerateInputError, SingularDesignError
 
 if TYPE_CHECKING:
-    from .procedure import FiltrationRule
-    from .simulate import Method, ScenarioMixture
+    from .rules import FiltrationRule, Method
+    from .scenario import ScenarioMixture
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -273,7 +273,7 @@ def _coordinate(value, where: str):
 
 
 def _standard_method(method_id: str, where: str, what: str) -> Method:
-    from .simulate import standard_methods
+    from .rules import standard_methods
 
     methods = {method.method_id: method for method in standard_methods()}
     if method_id not in methods:
@@ -293,7 +293,7 @@ def _rule(value, where: str) -> FiltrationRule:
 _SEQUENCE = _Kind(_sequence)
 _TERMS = (_Field("offset", _NUMBER, "constant", 0.0), _Field("terms", _array_of(_array_of(_NUMBER, 2)), "pairs", []))
 _PRIOR = (_Field("mean", _SEQUENCE, "mean", required=True), _Field("variance", _SEQUENCE, "variance", required=True))
-_HYPERPRIOR = (_Field("normal", _built("simulate.NormalMeanPrior", _PRIOR), "normal hyperprior", required=True),)
+_HYPERPRIOR = (_Field("normal", _built("scenario.NormalMeanPrior", _PRIOR), "normal hyperprior", required=True),)
 _ROW = (
     _Field("gamma", _Kind(_coordinate), "gamma coordinate", "0"),
     _Field("beta", _Kind(_coordinate), "beta coordinate", "0"),
@@ -302,20 +302,20 @@ _ROW = (
 # An inline scenario; its sizes come from the top-level settings alone.
 _SCENARIO = (
     _Field("name", _FILE_NAME, "report name", "inline"),
-    _Field("rows", _array_of(_built("simulate.MixtureRow", _ROW)), "mixture rows", required=True),
-    _Field("assignment", _member("simulate.Assignment"), "row assignment", "deterministic"),
+    _Field("rows", _array_of(_built("scenario.MixtureRow", _ROW)), "mixture rows", required=True),
+    _Field("assignment", _member("scenario.Assignment"), "row assignment", "deterministic"),
 )
 _THRESHOLD = (_Field("threshold", _NUMBER, "p-value threshold", required=True),)
 _RULES = {
-    "nofilter": ("procedure.NoFilter", ()),
-    "minp": ("procedure.MinPValue", _THRESHOLD),
-    "chisq2": ("procedure.ChiSquarePValue", _THRESHOLD),
-    "product": ("procedure.ProductThreshold", (
+    "nofilter": ("rules.NoFilter", ()),
+    "minp": ("rules.MinPValue", _THRESHOLD),
+    "chisq2": ("rules.ChiSquarePValue", _THRESHOLD),
+    "product": ("rules.ProductThreshold", (
         _Field("c", _NUMBER, "constant", required=True), _Field("delta", _NUMBER, "exponent", required=True))),
 }
 _ADJUSTMENTS = {
-    "bonferroni": ("procedure.BonferroniOverUnfiltered", ()),
-    "filtration_aware": ("procedure.FiltrationAware", (_Field("p0", _NUMBER, "default: the rule's exact p0"),)),
+    "bonferroni": ("rules.BonferroniOverUnfiltered", ()),
+    "filtration_aware": ("rules.FiltrationAware", (_Field("p0", _NUMBER, "default: the rule's exact p0"),)),
 }
 _METHOD = (
     _Field("rule", _Kind(_rule), "standard id or rule object", required=True),
@@ -325,8 +325,7 @@ _METHOD = (
 
 
 def _parse_methods(spec, where: str, scenario: ScenarioMixture) -> tuple[Method, ...]:
-    from .procedure import survival_prob_at_theta0
-    from .simulate import Method, standard_methods
+    from .rules import Method, standard_methods, survival_prob_at_theta0
 
     if spec is None or spec == "all":
         return standard_methods()
@@ -359,8 +358,8 @@ def _parse_scenario(spec, settings: dict, where: str) -> ScenarioMixture:
             raise ConfigError("pi applies only to the hierarchical scenario")
         sizes["pi"] = settings["pi"]
     if isinstance(spec, str):
-        return _make("simulate.builtin_scenario", where, spec, **sizes)
-    return _make("simulate.ScenarioMixture", where, **_object(spec, _SCENARIO, where), **sizes)
+        return _make("scenario.builtin_scenario", where, spec, **sizes)
+    return _make("scenario.ScenarioMixture", where, **_object(spec, _SCENARIO, where), **sizes)
 
 
 @contextmanager
@@ -389,13 +388,8 @@ _SIZES = (
 _FORMAT_FIELD = _Field("format", _FORMAT, "report format: csv or json (default csv)", "csv")
 _SEED_FIELD = _Field("seed", _SEED, "master seed (default: TWOSTAGE_SEED or drawn)", _default_seed)
 _OUT = _Field("out", _STRING, "output path")
-_SCENARIO_RUN = (
-    _CONFIG,
-    _Field("scenario", _SPEC, "builtin scenario: {scenarios}; or inline JSON", required=True),
-    *_SIZES,
-    _SEED_FIELD,
-    _OUT,
-)
+_SCENARIO_SPEC = _Field("scenario", _SPEC, "builtin scenario: {scenarios}; or inline JSON", required=True)
+_SCENARIO_RUN = (_CONFIG, _SCENARIO_SPEC, *_SIZES, _SEED_FIELD, _OUT)
 
 _SIMULATE = (
     *_SCENARIO_RUN,
@@ -407,7 +401,12 @@ _SIMULATE = (
 )
 
 _FWER_BOUND = (
-    *_SCENARIO_RUN,
+    _CONFIG,
+    _SCENARIO_SPEC,
+    _Field("reps", _COUNT, "checked, but ignored: the values are exact"),
+    *(field for field in _SIZES if field.name != "reps"),
+    _Field("seed", _SEED, "checked, but ignored: the values are exact"),
+    _OUT,
     _Field("rule", _SPEC, "method id (e.g. prod-0.9) or inline JSON rule", required=True),
     _Field("p0_reps", _COUNT, "checked, but ignored: p0 is exact"),
 )
@@ -585,26 +584,23 @@ def _cmd_fit(s: dict) -> int:
 
 
 def _cmd_fwer_bound(s: dict) -> int:
-    from .procedure import fwer_bound_from_survivors, survival_prob_at_theta0
-    from .simulate import Method, conditional_rejection_stats
+    from .exact import exact_fwer_bound
+    from .rules import survival_prob_at_theta0
 
     scenario = _parse_scenario(s["scenario"], s, "scenario")
     rule = _rule(s["rule"], "rule")
 
     p0 = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)
     with _memory_for("m", scenario.m):
-        stats = conditional_rejection_stats(scenario, Method(rule), s["seed"])
-    bound = fwer_bound_from_survivors(stats.q_max, stats.F_samples)
+        exact = exact_fwer_bound(scenario, rule)
     payload = {
         "rule": rule.label,
         "scenario": scenario.name,
         "p0": p0,
-        "q_max": stats.q_max,
-        "survivor_bound": bound,
-        "simulated_fwer": stats.fwer,
-        "fwer_se": stats.fwer_se,
-        "mean_F": stats.mean_F,
-        "seed": s["seed"],
+        "q_max": exact.q_max,
+        "survivor_bound": exact.survivor_bound,
+        "fwer": exact.fwer,
+        "mean_F": exact.mean_F,
     }
     # The file comes first, so a run that cannot write it prints no result.
     if s["out"]:
@@ -625,7 +621,7 @@ _COMMANDS = {
     "classify": (_cmd_classify, "classify the filtration regime of a sequence", _CLASSIFY),
     "fit": (_cmd_fit, "estimate pair from a tabular data file", _FIT),
     "fwer-bound": (
-        _cmd_fwer_bound, "filtration-aware factor and survivor-count FWER bound", _FWER_BOUND
+        _cmd_fwer_bound, "p0, exact FWER and survivor-count FWER bound of a rule", _FWER_BOUND
     ),
 }
 
@@ -640,7 +636,7 @@ class _HelpFormatter(argparse.HelpFormatter):
         text = super()._get_help_string(action)
         if "{scenarios}" in text or "{presets}" in text:
             from .asymptotics import MSE_RATIO_PRESETS
-            from .simulate import BUILTIN_SCENARIOS
+            from .scenario import BUILTIN_SCENARIOS
 
             names = {"scenarios": BUILTIN_SCENARIOS, "presets": sorted(MSE_RATIO_PRESETS)}
             text = text.format(**{key: ", ".join(value) for key, value in names.items()})

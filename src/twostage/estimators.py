@@ -87,31 +87,6 @@ def _abs_z(estimate, sigma, n):
     return np.sqrt(np.asarray(n, dtype=float)) * np.abs(np.asarray(estimate, dtype=float)) / sigma_arr
 
 
-def _z_critical(t: float) -> float:
-    """The ``|z|`` at which the two-sided p-value of :func:`coord_pvalue` equals ``t``.
-
-    The p-value falls as ``|z|`` grows, so ``p <= t`` exactly when ``|z| >=
-    _z_critical(t)``, up to floating-point rounding at the boundary.  That
-    lets the two-stage decisions skip the p-value altogether.
-    ``inf`` at ``t = 0``, where no finite ``|z|`` rejects.
-    """
-    if t == 0.0:
-        return math.inf
-    from statistics import NormalDist  # deferred: only the decision paths need it
-
-    half = t / 2.0
-    if half * 2.0 == t:
-        return -NormalDist().inv_cdf(half)
-    # t is an odd multiple of the smallest subnormal, so t / 2 rounds (to 0
-    # for the smallest itself).  That far out, the tail is exp(-z^2/2) /
-    # (z sqrt(2 pi)) to a relative 1/z^2, so halving the tail at the quantile
-    # z of t solves y^2 + 2 log y = z^2 + 2 log z + 2 log 2; one fixed-point
-    # step from y = z gives y within 3e-8.
-    z = -NormalDist().inv_cdf(t)
-    w = z * z + 2.0 * math.log(2.0)
-    return math.sqrt(w - math.log(w / (z * z)))
-
-
 def coord_pvalue(estimate, sigma, n):
     """Two-sided z-test p-value for one coordinate being zero.
 
@@ -149,6 +124,6 @@ def _joint_abs_z(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
     """Vectorized min of the two coordinate ``|z|``: the z-form of :func:`_joint_pvalues`.
 
     ``_joint_pvalues(...) <= t`` exactly when ``_joint_abs_z(...) >=
-    _z_critical(t)``, up to rounding at the boundary.
+    rules._z_critical(t)``, up to rounding at the boundary.
     """
     return np.minimum(_abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n))

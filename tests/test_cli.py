@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 import twostage
 from twostage.cli import main
@@ -391,30 +392,52 @@ class TestFitCommand:
         assert captured.err == "error: QR did not converge\n"
 
 
+_FWER_BOUND_KEYS = ["rule", "scenario", "p0", "q_max", "survivor_bound", "fwer", "mean_F"]
+
+
 class TestFwerBoundCommand:
     def test_nofilter_reduces_to_bonferroni(self, tmp_path, capsys):
+        # Without a filter F = m, and the hypotheses are rejected independently
+        # at alpha/m: P(V = 0) is a product over the null hypotheses.
         out = tmp_path / "bound.json"
-        code = run_cli(
-            "fwer-bound", "--scenario", "config1", "--rule", "nofilter",
-            "--reps", "60", "--seed", "19", "--out", str(out),
-        )
-        assert code == 0
+        assert run_cli("fwer-bound", "--scenario", "config1", "--rule", "nofilter", "--out", str(out)) == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[0])
         assert json.loads(out.read_text(), parse_constant=_reject_constant) == payload
-        assert payload["p0"] == 1.0
-        assert payload["mean_F"] == 200.0
-        assert payload["simulated_fwer"] <= payload["survivor_bound"] + 3.0 * payload["fwer_se"] + 1e-12
+        assert list(payload) == _FWER_BOUND_KEYS
+        assert (payload["p0"], payload["mean_F"]) == (1.0, 200.0)
+        level = 0.05 / 200
+        zeta = norm.isf(level / 2)
+        # config1's null rows: 130 double nulls and 60 with gamma = 3 n^-1/2 (3 in z units).
+        single = norm.sf(zeta - 3.0) + norm.cdf(-zeta - 3.0)
+        assert payload["q_max"] == pytest.approx(single * level, rel=1e-12)
+        none = (1.0 - level * level) ** 130 * (1.0 - single * level) ** 60
+        assert payload["fwer"] == pytest.approx(1.0 - none, rel=1e-12)
+        assert payload["survivor_bound"] == pytest.approx(1.0 - (1.0 - payload["q_max"]) ** 200, rel=1e-12)
+        assert payload["fwer"] <= payload["survivor_bound"] <= 200 * payload["q_max"] <= 0.05
 
     def test_product_rule_bound_consistency(self, capsys):
-        code = run_cli(
-            "fwer-bound", "--scenario", "config2", "--rule",
-            '{"kind": "product", "c": 2.0, "delta": 0.9}',
-            "--reps", "120", "--seed", "23",
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out.strip())
+        inline = '{"kind": "product", "c": 2.0, "delta": 0.9}'
+        assert run_cli("fwer-bound", "--scenario", "config2", "--rule", inline) == 0
+        stdout = capsys.readouterr().out
+        assert run_cli("fwer-bound", "--scenario", "config2", "--rule", "prod-0.9") == 0
+        assert capsys.readouterr().out == stdout
+        payload = json.loads(stdout)
         assert 0.0 < payload["p0"] < 1.0
-        assert payload["simulated_fwer"] <= payload["survivor_bound"] + 3.0 * payload["fwer_se"]
+        # The exact FWER lies below the survivor bound, which here lies above alpha.
+        assert 0.0 < payload["fwer"] <= payload["survivor_bound"]
+        assert (round(payload["fwer"], 4), round(payload["survivor_bound"], 4)) == (0.0463, 0.0758)
+
+    def test_seed_and_reps_are_ignored(self, tmp_path, capsys):
+        runs = []
+        for extra in (["--seed", "1"], ["--seed", "7", "--reps", "3"], ["--reps", "100000000000000", "--p0-reps", "5"]):
+            out = tmp_path / "bound.json"
+            assert run_cli("fwer-bound", "--scenario", "hierarchical", "--rule", "minp", *extra, "--out", str(out)) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[1:] == runs[:1] * 2
+        for bad in (["--seed", "-1"], ["--reps", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("fwer-bound", "--scenario", "hierarchical", "--rule", "minp", *bad)
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("rule, p0", [("nofilter", 1.0), ("minp", 0.0004 * (2 - 0.0004)), ("chisq2", 0.001)])
     def test_p0_is_the_closed_form_at_any_seed(self, capsys, rule, p0):
@@ -567,13 +590,15 @@ class TestSeedHandling:
         assert (capsys.readouterr().out, out.read_bytes()) == (stdout, report)
 
     def test_seedless_fwer_bound_prints_one_json_line(self, capsys, monkeypatch):
+        # fwer-bound draws nothing, so it neither draws nor prints a seed, and TWOSTAGE_SEED is not read.
         monkeypatch.delenv("TWOSTAGE_SEED", raising=False)
         argv = ["fwer-bound", "--scenario", "config1", "--rule", "minp", "--reps", "2", "--m", "20"]
         assert run_cli(*argv) == 0
         stdout = capsys.readouterr().out
         [line] = stdout.splitlines()
-        seed = json.loads(line)["seed"]
-        assert run_cli(*argv, "--seed", str(seed)) == 0
+        assert list(json.loads(line)) == _FWER_BOUND_KEYS
+        monkeypatch.setenv("TWOSTAGE_SEED", "abc")
+        assert run_cli(*argv, "--seed", "12") == 0
         assert capsys.readouterr().out == stdout
 
     # A seed is drawn before the settings are checked; a run refused for its
@@ -620,8 +645,8 @@ def _run_python(code, **kwargs):
 # Each case runs in a fresh interpreter: the subcommand's calls and the exit
 # code each must give, then the modules that must still be absent.  Both
 # stages decide on |z| against critical values, so no command needs scipy;
-# importing the CLI, help, usage errors, classify and mse-ratio need no
-# numpy, and the two deterministic commands build their records as
+# importing the CLI, help, usage errors, classify, mse-ratio and fwer-bound
+# need no numpy, and classify and mse-ratio build their records as
 # NamedTuples, with no dataclasses (which imports inspect).
 _HEAVY = ["numpy", "dataclasses", "inspect"]
 @pytest.mark.parametrize(
@@ -644,7 +669,7 @@ _HEAVY = ["numpy", "dataclasses", "inspect"]
                 for rule in ("nofilter", "minp", "chisq2", "prod-0.9")
             ],
             0,
-            ["ingest", "svgplot", "asymptotics"],
+            ["ingest", "svgplot", "asymptotics", "dist", "simulate", "procedure", "estimators", "numpy"],
         ),
     ],
     ids=[
@@ -693,6 +718,23 @@ def test_classify_runs_without_numpy():
     )
     run = _run_python(script)
     assert (run.returncode, run.stdout, run.stderr) == (0, _CLASSIFY_LINE + "\n", "")
+
+
+def test_fwer_bound_runs_without_numpy(tmp_path):
+    argv = ["fwer-bound", "--scenario", "hierarchical", "--rule", "prod-0.9", "--seed", "1", "--out", "bound.json"]
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+        from twostage.cli import main
+        sys.exit(main({argv!r}))
+        """
+    )
+    run = _run_python(script, cwd=tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    [line, wrote] = run.stdout.splitlines()
+    assert json.loads(line) == json.loads((tmp_path / "bound.json").read_text())
+    assert wrote == "wrote bound.json"
 
 
 def test_mse_ratio_runs_without_numpy(tmp_path):
@@ -822,7 +864,7 @@ def test_package_exports_each_modules_all(module):
 @pytest.mark.parametrize("command", ["simulate", "fwer-bound", "mse-ratio"])
 def test_help_lists_scenarios_and_presets(capsys, command):
     from twostage.asymptotics import MSE_RATIO_PRESETS
-    from twostage.simulate import BUILTIN_SCENARIOS
+    from twostage.scenario import BUILTIN_SCENARIOS
 
     with pytest.raises(SystemExit) as exc:
         run_cli(command, "--help")
@@ -1006,7 +1048,7 @@ class TestSettingsTable:
         sizes = {"scenario": scenario, "alpha": 0.9, "m": 2, "reps": 20}
         assert _run_config(tmp_path, "fwer-bound", dict(_BASE["fwer-bound"], **sizes)) == 0
         bound = json.loads(capsys.readouterr().out)
-        assert bound["simulated_fwer"] > 0 and bound["q_max"] > 0
+        assert bound["fwer"] > 0 and bound["q_max"] > 0
         cfg = dict(_BASE["simulate"], **sizes, methods=["nofilter"], out="r.csv")
         assert _run_config(tmp_path, "simulate", cfg) == 0
         [[method, fwer, _, power, *_]] = _csv_report(tmp_path / "r.csv")[1]

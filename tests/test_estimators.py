@@ -16,7 +16,7 @@ from twostage import (
     product_stat,
     sobel_stat,
 )
-from twostage.estimators import _z_critical
+from twostage.rules import _z_critical
 
 
 def pair(g, b, sg=1.0, sb=1.0, n=1):

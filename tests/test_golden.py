@@ -6,9 +6,9 @@ stderr, exit code and written files must equal the fixture under
 fails here, even when every statistical bound still holds.
 
 numpy promises no stable ``Generator`` stream across releases, so the
-fixtures of the cases that draw (``simulate-*`` and ``fwer-bound-*``) hold
-on the numpy version named in ``tests/golden/NUMPY_VERSION`` only.  The
-other cases (``mse-ratio-*``, ``classify-*`` and the error cases) draw
+fixtures of the cases that draw (``simulate-*``) hold on the numpy version
+named in ``tests/golden/NUMPY_VERSION`` only.  The other cases
+(``fwer-bound-*``, ``mse-ratio-*``, ``classify-*`` and the error cases) draw
 nothing, and hold on any numpy.  Rewrite them with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,7 +36,7 @@ from twostage.asymptotics import MSE_RATIO_PRESETS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # The cases whose reports come from numpy's random streams.
-DRAWING = ("simulate-", "fwer-bound-")
+DRAWING = ("simulate-",)
 USAGE = "usage: PYTHONPATH=src python tests/test_golden.py  (no arguments: rewrites every fixture)"
 
 _INLINE_AWARE = {

@@ -21,7 +21,7 @@ from twostage import (
     ScenarioMixture,
     MixtureRow,
     PowerSequence,
-    conditional_rejection_stats,
+    exact_fwer_bound,
     fwer_bound_from_survivors,
     builtin_scenario,
     coord_pvalue,
@@ -262,23 +262,30 @@ class TestFiltrationProb:
 
 
 class TestFwerBound:
+    # fwer_bound_from_survivors(q, survival, counts) = E[1 - (1 - q)^F], where
+    # F sums counts[i] independent Bernoulli(survival[i]) survivors.
     def test_zero_q(self):
-        assert fwer_bound_from_survivors(0.0, [1, 5, 10]) == 0.0
+        assert fwer_bound_from_survivors(0.0, [0.5, 1.0], [5, 10]) == 0.0
 
     def test_certain_rejection(self):
-        assert fwer_bound_from_survivors(1.0, [3, 7]) == 1.0
+        assert fwer_bound_from_survivors(1.0, [1.0, 0.5], [3, 7]) == 1.0
 
     def test_arithmetic(self):
-        assert fwer_bound_from_survivors(0.1, [1, 2]) == pytest.approx(0.145)
+        # F is 1 or 2 with probability 1/2 each: mean of 0.1 and 1 - 0.9^2.
+        assert fwer_bound_from_survivors(0.1, [1.0, 0.5], [1, 1]) == pytest.approx(0.145)
 
     def test_f_zero_contributes_nothing(self):
-        assert fwer_bound_from_survivors(0.5, [0, 0]) == 0.0
+        assert fwer_bound_from_survivors(0.5, [0.0, 0.0], [3, 4]) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fwer_bound_from_survivors(1.5, [1])
+            fwer_bound_from_survivors(1.5, [1.0], [1])
         with pytest.raises(ValueError):
-            fwer_bound_from_survivors(0.1, [])
+            fwer_bound_from_survivors(0.1, [], [])
+        with pytest.raises(ValueError):
+            fwer_bound_from_survivors(0.1, [1.5], [1])
+        with pytest.raises(ValueError):
+            fwer_bound_from_survivors(0.1, [0.5], [-1])
 
 
 def _all_null_scenario(reps=400):
@@ -300,12 +307,13 @@ class TestFwerGuarantees:
         assert res.empirical_fwer <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / scenario.reps)
 
     def test_survivor_count_bound_holds(self):
-        # empirical FWER stays below the bound built from the same run
+        # the exact FWER, and the empirical one within 3 se, stay below the exact bound
         scenario = _all_null_scenario()
         rule = ProductThreshold(2.0, 0.9)
-        stats = conditional_rejection_stats(scenario, Method(rule), master_seed=78)
-        bound = fwer_bound_from_survivors(stats.q_max, stats.F_samples)
-        assert stats.fwer <= bound + 3.0 * max(stats.fwer_se, 1e-12)
+        exact = exact_fwer_bound(scenario, rule)
+        [res] = run_experiment(scenario, [Method(rule)], master_seed=78).methods
+        assert 0.0 < exact.fwer <= exact.survivor_bound
+        assert res.empirical_fwer <= exact.survivor_bound + 3.0 * max(res.fwer_se, 1e-12)
 
 
 def _pvalue_filter_reference(rule, g, b, sg, sb, n):
@@ -354,8 +362,8 @@ class TestZDomainDecisions:
             level = sc.alpha * getattr(method.adjustment, "p0", 1.0)
             threshold = np.array([level / f if f else 0.0 for f in survivors.sum(axis=1)])
             rejected = survivors & (pjoint <= threshold[:, None])
-            np.testing.assert_array_equal(np.concatenate([blk[2][j][0] for blk in blocks]), survivors)
-            np.testing.assert_array_equal(np.concatenate([blk[2][j][1] for blk in blocks]), rejected)
+            np.testing.assert_array_equal(np.concatenate([blk[1][j][0] for blk in blocks]), survivors)
+            np.testing.assert_array_equal(np.concatenate([blk[1][j][1] for blk in blocks]), rejected)
             for got, want in zip(kernel[j], (survivors, threshold, rejected)):
                 np.testing.assert_array_equal(got, want)
 
@@ -398,7 +406,12 @@ def test_rejections_are_survivors(rule, estimates, alpha, p0):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(q=st.floats(0.0, 1.0), r=st.floats(0.0, 1.0), f=st.lists(st.integers(0, 10**4), min_size=1, max_size=30))
-def test_fwer_bound_monotone_in_q(q, r, f):
+@given(
+    q=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 1.0),
+    rows=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 10**4)), min_size=1, max_size=30),
+)
+def test_fwer_bound_monotone_in_q(q, r, rows):
     lo, hi = sorted((q, r))
-    assert fwer_bound_from_survivors(lo, f) <= fwer_bound_from_survivors(hi, f)
+    survival, counts = zip(*rows)
+    assert 0.0 <= fwer_bound_from_survivors(lo, survival, counts) <= fwer_bound_from_survivors(hi, survival, counts) <= 1.0

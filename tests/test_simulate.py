@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage import (
     BUILTIN_SCENARIOS,
@@ -16,11 +18,11 @@ from twostage import (
     RandomStream,
     ScenarioMixture,
     builtin_scenario,
-    conditional_rejection_stats,
     run_experiment,
     standard_methods,
 )
-from twostage.simulate import _BLOCK_REPS, _deterministic_counts, _draw_hypotheses, _scenario_layout, _tallies
+from twostage.scenario import _deterministic_counts
+from twostage.simulate import _BLOCK_REPS, _draw_hypotheses, _scenario_layout, _tallies
 
 # Each builtin row's null status: config2 is five nulls (a double null, then
 # four with gamma alone nonzero), then three alternatives.
@@ -82,15 +84,34 @@ class TestBuiltinScenarios:
         assert (sc.m, sc.reps, sc.n, sc.sigma, sc.alpha) == (50, 10, 400, 2.0, 0.01)
 
 
+def _numpy_largest_remainder(proportions, m):
+    """The per-row counts as numpy forms them: floor(p*m), then +1 by largest remainder, stable."""
+    raw = np.asarray(proportions, dtype=float) * m
+    counts = np.floor(raw).astype(int)
+    for idx in np.argsort(-(raw - counts), kind="stable")[: m - counts.sum()]:
+        counts[idx] += 1
+    return counts.tolist()
+
+
+# Proportions summing to 1: raw weights normalized, so ties and tiny rows occur.
+_PROPORTIONS = st.lists(st.integers(0, 20), min_size=1, max_size=8).filter(any).map(
+    lambda w: [x / sum(w) for x in w]
+)
+
+
 class TestDeterministicCounts:
     def test_exact_proportions(self):
-        counts = _deterministic_counts([0.65, 0.30, 0.05], 200)
-        assert counts.tolist() == [130, 60, 10]
+        assert _deterministic_counts([0.65, 0.30, 0.05], 200) == [130, 60, 10]
 
     def test_largest_remainder(self):
         counts = _deterministic_counts([0.25 / 0.85, 0.35 / 0.85, 0.15 / 0.85, 0.10 / 0.85], 200)
-        assert counts.sum() == 200
-        assert counts.tolist() == [59, 82, 35, 24]
+        assert sum(counts) == 200
+        assert counts == [59, 82, 35, 24]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(proportions=_PROPORTIONS, m=st.integers(1, 10**6))
+    def test_matches_numpy_largest_remainder(self, proportions, m):
+        assert _deterministic_counts(proportions, m) == _numpy_largest_remainder(proportions, m)
 
 
 class TestReplication:
@@ -217,27 +238,6 @@ class TestEngine:
             assert res.mean_F == np.mean([f for _, _, _, f in counts])
             ratios = [s / n_alt for _, s, n_alt, _ in counts if n_alt]
             assert res.power == (np.mean(ratios) if ratios else pytest.approx(math.nan, nan_ok=True))
-
-    @pytest.mark.parametrize("name", ["config2", "hierarchical"])
-    def test_callers_agree(self, name):
-        # fwer-bound's statistics and simulate's report reduce the same pass,
-        # over replications that cross a block boundary.
-        sc = builtin_scenario(name, m=40, reps=_BLOCK_REPS + 6)
-        method = Method(ProductThreshold(2.0, 0.9), id="prod")
-        stats = conditional_rejection_stats(sc, method, 37)
-        [res] = run_experiment(sc, [method], master_seed=37).methods
-        per_rep = [one_replication(sc, [method], r, 37)[0] for r in range(sc.reps)]
-        np.testing.assert_array_equal(stats.F_samples, [f for _, _, _, f in per_rep])
-        assert (stats.fwer, stats.fwer_se, stats.mean_F) == (res.empirical_fwer, res.fwer_se, res.mean_F)
-        assert stats.row_survived.sum() == stats.F_samples.sum()
-        assert stats.row_rejected.sum() == sum(v + s for v, s, _, _ in per_rep)
-        assert (stats.row_rejected <= stats.row_survived).all()
-        null_rates = [
-            rej / surv
-            for rej, surv, null in zip(stats.row_rejected, stats.row_survived, _BUILTIN_NULL[name])
-            if null and surv
-        ]
-        assert stats.q_max == max(null_rates, default=0.0)
 
 
 _ROOT_N = PowerSequence(0.0, ((3.0, 0.5),))  # 3 n^-1/2: nonzero at every n
