@@ -32,7 +32,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .quadrature import _gauss_legendre
+from .quadrature import _INV_SQRT_2PI, _SQRT_HALF, _mass, _panels
 from .sequence import PowerSequence, _pow
 
 __all__ = [
@@ -264,8 +264,6 @@ class MseRatioPoint(NamedTuple):
 
 # A standard normal tail or density at |z| >= 40 is 0.0 in double precision.
 _EDGE = 40.0
-_SQRT_HALF = math.sqrt(0.5)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # The offsets j of the panel cuts where kappa / r = beta + j: there the band's
 # edges cross the bulk of Z + b/s, and the tails outside go from 0 to all of
 # its mass.
@@ -293,15 +291,12 @@ def _given_x(alpha: float, d: float, lo: float, hi: float) -> tuple[float, float
     term is a small difference of large ones.
     """
     if lo <= 0.0 <= hi:
-        inside = 0.5 * (math.erf(hi * _SQRT_HALF) - math.erf(lo * _SQRT_HALF))
         outside = _tail_square(alpha, d, hi) + _tail_square(-alpha, d, -lo)
     elif lo > 0.0:
-        inside = 0.5 * (math.erfc(lo * _SQRT_HALF) - math.erfc(hi * _SQRT_HALF))
         outside = alpha * alpha + d * d - _tail_square(alpha, d, lo) + _tail_square(alpha, d, hi)
     else:
-        inside = 0.5 * (math.erfc(-hi * _SQRT_HALF) - math.erfc(-lo * _SQRT_HALF))
         outside = alpha * alpha + d * d - _tail_square(-alpha, d, -hi) + _tail_square(-alpha, d, -lo)
-    return min(1.0, max(0.0, inside)), max(0.0, outside)
+    return min(1.0, max(0.0, _mass(lo, hi))), max(0.0, outside)
 
 
 def _nodes(g: float, s: float, kappa: float, beta: float, half_width: float, floor: float):
@@ -321,12 +316,9 @@ def _nodes(g: float, s: float, kappa: float, beta: float, half_width: float, flo
     if abs(t0) >= 2.0 * half_width:
         cuts = {*grid, *(t0 + side * r for side in (1.0, -1.0) for r in crossings)}
         cuts = sorted(t for t in cuts if abs(t) <= half_width)
-        for a, z in zip(cuts, cuts[1:]):
-            mid, half = 0.5 * (a + z), 0.5 * (z - a)
-            for node, weight in _gauss_legendre():
-                t = mid + half * node
-                x = g + s * t
-                yield t, x, abs(x) / s, half * weight
+        for t, w in _panels(cuts, cuts[0], cuts[-1]):
+            x = g + s * t
+            yield t, x, abs(x) / s, w
         return
     for side in (1.0, -1.0):
         r_lo, r_hi = max(0.0, -half_width - side * t0), half_width - side * t0
@@ -336,11 +328,8 @@ def _nodes(g: float, s: float, kappa: float, beta: float, half_width: float, flo
             r /= 4.0
             cuts.add(r)
         cuts = sorted(r for r in cuts if r == r_lo or floor <= r <= r_hi)
-        for a, z in zip(cuts, cuts[1:]):
-            mid, half = 0.5 * (a + z), 0.5 * (z - a)
-            for node, weight in _gauss_legendre():
-                r = mid + half * node
-                yield t0 + side * r, side * s * r, r, half * weight
+        for r, w in _panels(cuts, cuts[0], cuts[-1]):
+            yield t0 + side * r, side * s * r, r, w
 
 
 def _ratio_at(g: float, b: float, n: float, c: float, delta: float) -> tuple[float, float, float]:

@@ -112,18 +112,3 @@ def joint_pvalue(e: EstimatePair) -> float:
     p2 = coord_pvalue(e.beta_hat, e.sigma_beta, e.n)
     return max(p1, p2)
 
-
-def _joint_pvalues(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
-    """Vectorized max of the two coordinate p-values."""
-    p1 = coord_pvalue(gamma_hat, sigma_gamma, n)
-    p2 = coord_pvalue(beta_hat, sigma_beta, n)
-    return np.maximum(p1, p2)
-
-
-def _joint_abs_z(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
-    """Vectorized min of the two coordinate ``|z|``: the z-form of :func:`_joint_pvalues`.
-
-    ``_joint_pvalues(...) <= t`` exactly when ``_joint_abs_z(...) >=
-    rules._z_critical(t)``, up to rounding at the boundary.
-    """
-    return np.minimum(_abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n))

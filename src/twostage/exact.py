@@ -37,15 +37,12 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .quadrature import _gauss_legendre
-from .rules import ChiSquarePValue, FiltrationRule, MinPValue, NoFilter, ProductThreshold, _z_critical
+from .quadrature import _INV_SQRT_2PI, _SQRT_HALF, _mass, _panels
+from .rules import ChiSquarePValue, FiltrationRule, MinPValue, ProductThreshold, _z_critical
 from .scenario import Assignment, ScenarioMixture, _coordinate_params, _deterministic_counts, _row_is_null
-from .sequence import _pow
 
 __all__ = ["FwerBound", "exact_fwer_bound", "fwer_bound_from_survivors"]
 
-_SQRT_HALF = math.sqrt(0.5)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _TINY = 5e-324  # the smallest subnormal: a scale that underflows to 0 is taken as this
 # Past this many sd from its mean a normal tail is below 2e-33; the quadrature stops there.
 _REACH = 12.0
@@ -107,15 +104,6 @@ def _coordinate(model, n: int, noise: float) -> _Coordinate:
     return _Coordinate(abs(mean) / sd, noise / sd or _TINY, sd)
 
 
-def _mass(lo: float, hi: float) -> float:
-    """P(lo < Z < hi) for a standard normal Z, with each bound's tail formed directly."""
-    if lo >= 0.0:
-        return 0.5 * (math.erfc(lo * _SQRT_HALF) - math.erfc(hi * _SQRT_HALF))
-    if hi <= 0.0:
-        return 0.5 * (math.erfc(-hi * _SQRT_HALF) - math.erfc(-lo * _SQRT_HALF))
-    return 0.5 * (math.erf(hi * _SQRT_HALF) - math.erf(lo * _SQRT_HALF))
-
-
 def _tail(mean: float, x: float) -> float:
     """P(|Z + mean| >= x) for x >= 0; 0 at x = inf."""
     if x == math.inf:
@@ -126,15 +114,6 @@ def _tail(mean: float, x: float) -> float:
 def _band(mean: float, lo: float, hi: float) -> float:
     """P(lo <= |Z + mean| < hi) for 0 <= lo <= hi < inf."""
     return _mass(lo - mean, hi - mean) + _mass(-hi - mean, -lo - mean)
-
-
-def _panels(cuts, lo: float, hi: float):
-    """Gauss-Legendre (node, weight) pairs over [lo, hi], cut at each of ``cuts`` inside it."""
-    edges = sorted({lo, hi, *(x for x in cuts if lo < x < hi)})
-    for a, z in zip(edges, edges[1:]):
-        mid, half = 0.5 * (a + z), 0.5 * (z - a)
-        for node, weight in _gauss_legendre():
-            yield mid + half * node, half * weight
 
 
 def _arc(g: _Coordinate, b: _Coordinate, radius: float, lo: float, hi: float) -> float:
@@ -190,9 +169,10 @@ def _hyperbola(g: _Coordinate, b: _Coordinate, kappa: float, lo: float, hi: floa
 class _Row(NamedTuple):
     """One mixture row: its two coordinates, its null status, and the rule's bound in z units.
 
-    ``edge`` is the critical ``|z|`` of ``minp``, the radius of ``chisq2``,
-    and ``c n^-delta / (sd_gamma sd_beta)``, the product rule's bound in the
-    coordinates' sd units, which differ from row to row.
+    ``edge`` is the rule's ``boundary(n)``: the critical ``|z|`` of
+    ``minp`` or the radius of ``chisq2``, and for the product rule its bound
+    divided by ``sd_gamma sd_beta``, into the coordinates' sd units, which
+    differ from row to row.
     """
 
     gamma: _Coordinate
@@ -204,16 +184,7 @@ class _Row(NamedTuple):
 def _rows(scenario: ScenarioMixture, rule: FiltrationRule) -> list[_Row]:
     n = scenario.n
     noise = scenario.sigma / math.sqrt(n) or _TINY
-    if isinstance(rule, MinPValue):
-        edge = _z_critical(rule.threshold)
-    elif isinstance(rule, ChiSquarePValue):
-        edge = math.sqrt(-2.0 * math.log(rule.threshold))
-    elif isinstance(rule, ProductThreshold):
-        edge = rule.c * _pow(n, -rule.delta)
-    elif isinstance(rule, NoFilter):
-        edge = 0.0
-    else:
-        raise TypeError(f"unknown filtration rule: {rule!r}")
+    edge = rule.boundary(n)
     rows = []
     for row in scenario.rows:
         g, b = _coordinate(row.gamma, n, noise), _coordinate(row.beta, n, noise)

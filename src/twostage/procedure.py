@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import EstimatePair, _abs_z, _joint_abs_z, _joint_pvalues
+from .estimators import EstimatePair, _abs_z, coord_pvalue
 from .rules import (
     Adjustment,
     BonferroniOverUnfiltered,
@@ -21,7 +21,6 @@ from .rules import (
     FiltrationAware,
     FiltrationRule,
     MinPValue,
-    NoFilter,
     ProductThreshold,
     _z_critical,
 )
@@ -32,23 +31,22 @@ __all__ = [
 ]
 
 
-def filter_mask(rule: FiltrationRule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
-    """Vectorized filtration: boolean array, True where the hypothesis is filtered."""
-    gamma_hat = np.asarray(gamma_hat, dtype=float)
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    if isinstance(rule, NoFilter):
-        return np.zeros(gamma_hat.shape, dtype=bool)
-    with np.errstate(over="ignore"):  # a statistic beyond float range is inf, and survives
-        if isinstance(rule, MinPValue):
-            # min(p_gamma, p_beta) >= threshold, decided on |z| (see _z_critical).
-            z_max = np.maximum(_abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n))
-            return z_max <= _z_critical(rule.threshold)
-        if isinstance(rule, ChiSquarePValue):
-            w = _abs_z(gamma_hat, sigma_gamma, n) ** 2 + _abs_z(beta_hat, sigma_beta, n) ** 2
-            return np.exp(-w / 2.0) >= rule.threshold  # the chi-square(2df) survivor p-value of w
-        if isinstance(rule, ProductThreshold):
-            return np.abs(gamma_hat * beta_hat) < rule.c * np.asarray(n, dtype=float) ** (-rule.delta)
-    raise TypeError(f"unknown filtration rule: {rule!r}")
+def _each(f, x):
+    """``f`` of every entry of ``x``, an array or a scalar, called once per distinct value."""
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return np.array([f(float(v)) for v in distinct])[inverse].reshape(np.shape(x))
+
+
+def _survivors(rule: FiltrationRule, z_gamma, z_beta, product, n):
+    """The stage-1 survivor mask of ``rule``, on the coordinates' ``|z|`` and ``|gamma_hat beta_hat|``."""
+    edge = _each(rule.boundary, n)
+    if isinstance(rule, MinPValue):
+        return np.maximum(z_gamma, z_beta) > edge
+    if isinstance(rule, ChiSquarePValue):
+        return z_gamma * z_gamma + z_beta * z_beta > edge * edge
+    if isinstance(rule, ProductThreshold):
+        return product >= edge
+    return np.ones(z_gamma.shape, dtype=bool)  # NoFilter
 
 
 def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n) -> list[tuple]:
@@ -60,20 +58,24 @@ def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_bet
     triple per method: the stage-1 survivor mask, the common stage-2
     threshold of each batch (``alpha/F``, or ``alpha*p0/F`` under
     :class:`FiltrationAware`, and 0 where F = 0), and the rejection mask.
-    A survivor is rejected iff its joint p-value is <= the threshold, decided
-    as ``joint |z| >= _z_critical(threshold)``, so no p-value is computed.
+    Stage 1 decides on each coordinate's ``|z|`` (the product rule on
+    ``|gamma_hat beta_hat|``), each formed once, against the rule's
+    ``boundary(n)``.  A survivor is rejected iff its joint p-value is <= the
+    threshold, decided as ``min |z| >= _z_critical(threshold)``.
     """
-    with np.errstate(over="ignore"):  # as in filter_mask: a |z| beyond float range is inf
-        joint_z = _joint_abs_z(gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)
-    outcomes = []
-    for rule, adjustment in methods:
-        survivors = ~filter_mask(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)
-        level = alpha * adjustment.p0 if isinstance(adjustment, FiltrationAware) else alpha
-        f = survivors.sum(axis=-1).astype(float)
-        threshold = np.divide(level, f, out=np.zeros_like(f), where=f > 0)
-        distinct, inverse = np.unique(threshold, return_inverse=True)  # one conversion per distinct F
-        z_crit = np.array([_z_critical(t) for t in distinct])[inverse].reshape(threshold.shape)
-        outcomes.append((survivors, threshold, survivors & (joint_z >= z_crit[..., None])))
+    with np.errstate(over="ignore"):  # a statistic beyond float range is inf, and survives
+        z_gamma, z_beta = _abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n)
+        joint_z = np.minimum(z_gamma, z_beta)
+        has_product = any(isinstance(rule, ProductThreshold) for rule, _ in methods)
+        product = np.abs(np.multiply(gamma_hat, beta_hat, dtype=float)) if has_product else None
+        outcomes = []
+        for rule, adjustment in methods:
+            survivors = _survivors(rule, z_gamma, z_beta, product, n)
+            level = alpha * adjustment.p0 if isinstance(adjustment, FiltrationAware) else alpha
+            f = survivors.sum(axis=-1).astype(float)
+            threshold = np.divide(level, f, out=np.zeros_like(f), where=f > 0)
+            z_crit = _each(_z_critical, threshold)
+            outcomes.append((survivors, threshold, survivors & (joint_z >= z_crit[..., None])))
     return outcomes
 
 
@@ -118,7 +120,7 @@ def run_two_stage(
     [(survivors, threshold, rejected)] = two_stage([(rule, adjustment)], alpha, gamma, beta, sig_g, sig_b, ns)
     return TwoStageOutcome(
         filtered=~survivors,
-        base_pvalue=_joint_pvalues(gamma, beta, sig_g, sig_b, ns),
+        base_pvalue=np.maximum(coord_pvalue(gamma, sig_g, ns), coord_pvalue(beta, sig_b, ns)),
         rejected=rejected,
         threshold=float(threshold),
         F=int(survivors.sum()),

@@ -1,9 +1,12 @@
-"""The Gauss-Legendre rule that the exact computations share, on ``math`` alone."""
+"""The normal numerics and the Gauss-Legendre rule that the exact computations share, on ``math`` alone."""
 
 from __future__ import annotations
 
 import functools
 import math
+
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @functools.cache
@@ -26,3 +29,21 @@ def _gauss_legendre(order: int = 16) -> tuple[tuple[float, float], ...]:
                 break
         rule.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
     return tuple(rule)
+
+
+def _panels(cuts, lo: float, hi: float):
+    """Gauss-Legendre (node, weight) pairs over [lo, hi], cut at each of ``cuts`` inside it."""
+    edges = sorted({lo, hi, *(x for x in cuts if lo < x < hi)})
+    for a, z in zip(edges, edges[1:]):
+        mid, half = 0.5 * (a + z), 0.5 * (z - a)
+        for node, weight in _gauss_legendre():
+            yield mid + half * node, half * weight
+
+
+def _mass(lo: float, hi: float) -> float:
+    """P(lo < Z < hi) for a standard normal Z, with each bound's tail formed directly."""
+    if lo >= 0.0:
+        return 0.5 * (math.erfc(lo * _SQRT_HALF) - math.erfc(hi * _SQRT_HALF))
+    if hi <= 0.0:
+        return 0.5 * (math.erfc(-hi * _SQRT_HALF) - math.erfc(-lo * _SQRT_HALF))
+    return 0.5 * (math.erf(hi * _SQRT_HALF) - math.erf(lo * _SQRT_HALF))

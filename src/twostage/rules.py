@@ -6,10 +6,11 @@ the joint-significance base test on the F survivors at a threshold adjusted
 for F, so heavy filtration buys a larger per-hypothesis threshold.
 
 A hypothesis is *filtered* when its filtration event holds; filtered
-hypotheses are retained as null and can never be rejected.  This module
-describes the rules and decides nothing on data, so it needs only the
-standard library: ``procedure`` applies the rules to arrays, and ``exact``
-computes their probabilities.
+hypotheses are retained as null and can never be rejected.  Each rule states
+the boundary of its filtration region once, in ``boundary(n)``: the kernel
+(``procedure``) decides on it, ``exact`` integrates up to it, and
+:func:`survival_prob_at_theta0` reads it.  This module decides nothing on
+data, so it needs only the standard library.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ class NoFilter:
 
     label = "nofilter"
 
+    def boundary(self, n: float) -> float:
+        """0: nothing is filtered."""
+        return 0.0
+
 
 @dataclass(frozen=True)
 class MinPValue:
@@ -57,6 +62,10 @@ class MinPValue:
     @property
     def label(self) -> str:
         return f"minp-{self.threshold:g}"
+
+    def boundary(self, n: float) -> float:
+        """The critical ``|z|``: filtered when both coordinates' ``|z|`` are at most it."""
+        return _z_critical(self.threshold)
 
 
 @dataclass(frozen=True)
@@ -78,13 +87,19 @@ class ChiSquarePValue:
     def label(self) -> str:
         return f"chisq2-{self.threshold:g}"
 
+    def boundary(self, n: float) -> float:
+        """The radius ``sqrt(-2 ln t)``: filtered when ``|z_gamma|^2 + |z_beta|^2`` is at most its square."""
+        return math.sqrt(-2.0 * math.log(self.threshold))
+
 
 @dataclass(frozen=True)
 class ProductThreshold:
     """Filter when |gamma_hat * beta_hat| < c * n**-delta.
 
     The absolute value makes the rule two-sided; a one-sided reading would
-    filter every negative product regardless of magnitude.
+    filter every negative product regardless of magnitude.  The bound stays
+    on the estimates: in z units it would be divided by both scales, which
+    underflows at tiny sigma.
     """
 
     c: float
@@ -99,6 +114,10 @@ class ProductThreshold:
     @property
     def label(self) -> str:
         return f"prod-{self.delta:g}"
+
+    def boundary(self, n: float) -> float:
+        """The bound ``c n^-delta`` on ``|gamma_hat beta_hat|``, from libm's pow: filtered below it."""
+        return self.c * math.pow(n, -self.delta)
 
 
 FiltrationRule = Union[NoFilter, MinPValue, ChiSquarePValue, ProductThreshold]
@@ -195,7 +214,8 @@ def survival_prob_at_theta0(rule: FiltrationRule, sigma_gamma: float, sigma_beta
 
     Both z-statistics are standard normal there, whatever the scales and n,
     so p0 is 1 (NoFilter), ``1 - (1 - t)^2`` (MinPValue), ``t``
-    (ChiSquarePValue) or ``P(|Z1 Z2| >= c n^(1-delta) / (sigma_gamma sigma_beta))``.
+    (ChiSquarePValue) or ``P(|Z1 Z2| >= s)``, with the product rule's
+    boundary in z units, ``s = boundary(n) n / (sigma_gamma sigma_beta)``.
     """
     if isinstance(rule, NoFilter):
         return 1.0
@@ -203,14 +223,16 @@ def survival_prob_at_theta0(rule: FiltrationRule, sigma_gamma: float, sigma_beta
         return rule.threshold * (2.0 - rule.threshold)  # 1 - (1 - t)^2 without cancellation
     if isinstance(rule, ChiSquarePValue):
         return rule.threshold
-    if not isinstance(rule, ProductThreshold):
-        raise TypeError(f"unknown filtration rule: {rule!r}")
+    return _product_tail(rule.boundary(n) * n / sigma_gamma / sigma_beta)
+
+
+def _product_tail(s: float) -> float:
+    """P(|Z1 Z2| >= s) for independent standard normals Z1 and Z2."""
     # Z1 Z2 has density K0(|x|)/pi (Craig 1936), and K0(x) integrates exp(-x cosh t)
     # over t > 0, so P(|Z1 Z2| >= s) = (2/pi) * integral of exp(-s cosh t) / cosh t.
     # The trapezoid rule converges geometrically on that even, analytic integrand;
     # the step resolves the poles at t = +-i pi/2 and the peak at t = 0 (width
     # 1/sqrt(s)).  e^-s bounds the tail and is factored out: cosh t = 1 + 2 sinh(t/2)^2.
-    s = rule.c * float(n) ** (1.0 - rule.delta) / sigma_gamma / sigma_beta
     scale = math.exp(-s)
     if scale == 0.0:
         return 0.0

@@ -195,10 +195,18 @@ def builtin_scenario(
 def _deterministic_counts(proportions: Sequence[float], m: int) -> list[int]:
     """Fixed per-row hypothesis counts: floor(p*m) plus largest remainders.
 
-    Ties in the remainder go to the earlier row.
+    Ties in the remainder go to the earlier row.  Where proportions that sum
+    to 1 only within rounding put the floors past m, or more than one per row
+    short of it, the proportions are first scaled to sum to 1 exactly.
     """
     raw = [p * m for p in proportions]
     counts = [math.floor(x) for x in raw]
+    if not 0 <= m - sum(counts) <= len(counts):
+        from fractions import Fraction  # deferred: only this rare case needs it
+
+        total = sum(map(Fraction, proportions))
+        raw = [Fraction(p) * m / total for p in proportions]
+        counts = [math.floor(x) for x in raw]
     # counts[i] - raw[i] is the negated remainder, as exactly as raw[i] - counts[i];
     # sorted is stable, so equal remainders keep row order.
     for i in sorted(range(len(raw)), key=lambda i: counts[i] - raw[i])[: m - sum(counts)]:

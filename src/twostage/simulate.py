@@ -66,7 +66,7 @@ def _draw_hypotheses(scenario: ScenarioMixture, reps: range, stream: RandomStrea
     and ``beta_hat`` likewise from ``z[1]`` and ``z[3]`` (prior sd 0 without
     a hyperprior).  Each r fills one row of a ``(len(reps), 4, m)`` array,
     where the estimates are then formed in place.  Returns ``(gamma_hat,
-    beta_hat, row_idx, is_null)``, each ``(len(reps), m)``; ``layout`` is
+    beta_hat, is_null)``, each ``(len(reps), m)``; ``layout`` is
     ``_scenario_layout(scenario)``.
     """
     params, row_null, rows_of = layout
@@ -84,7 +84,7 @@ def _draw_hypotheses(scenario: ScenarioMixture, reps: range, stream: RandomStrea
         estimate *= params[row_idx, 2 * coord + 1]
         estimate += params[row_idx, 2 * coord]
         estimate += z[:, coord + 2]
-    return z[:, 0], z[:, 1], row_idx, row_null[row_idx]
+    return z[:, 0], z[:, 1], row_null[row_idx]
 
 
 # Replications per kernel pass and per draw array.  At the CLI defaults, one
@@ -105,7 +105,7 @@ def _replication_blocks(scenario, methods, stream, reps: range):
     layout = _scenario_layout(scenario)
     for start in range(reps.start, reps.stop, _BLOCK_REPS):
         block = range(start, min(start + _BLOCK_REPS, reps.stop))
-        gamma_hat, beta_hat, _, is_null = _draw_hypotheses(scenario, block, stream, layout)
+        gamma_hat, beta_hat, is_null = _draw_hypotheses(scenario, block, stream, layout)
         outcomes = two_stage(pairs, scenario.alpha, gamma_hat, beta_hat, sigma, sigma, n)
         yield is_null, [(survivors, rejected) for survivors, _, rejected in outcomes]
 

@@ -24,7 +24,7 @@ from twostage import (
     standard_methods,
 )
 from twostage.cli import main as cli_main
-from twostage.procedure import filter_mask
+from twostage.procedure import _survivors
 
 from probes import ks_critical_value, ks_distance, mse_ratio_experiment, rate_exponent, sobel_samples
 
@@ -246,8 +246,9 @@ def test_criterion_09_distribution_kernel_oracles():
         oracle[i] = 2.0 * (0.5 - tail)
     worst_normal = float(np.max(np.abs(coord_pvalue(xs, 1.0, 1) - oracle)))
 
-    # Chi-square half: at gamma_hat = sqrt(w), beta_hat = 0 and unit scales the
-    # chisq2 rule filters when its exp(-w/2) is >= the threshold.  It filters
+    # Chi-square half: at gamma_hat = sqrt(w), beta_hat = 0, unit scales and
+    # n = 1, the coordinates' |z| are sqrt(w) and 0, and the chisq2 rule
+    # filters when its exp(-w/2) is >= the threshold.  It filters
     # at survivor - tol and keeps at survivor + tol exactly when that value
     # lies within tol of the quadrature survivor function.  ChiSquarePValue
     # refuses a threshold >= 1, and exp(-w/2) <= 1 is below it anyway.
@@ -257,7 +258,7 @@ def test_criterion_09_distribution_kernel_oracles():
     for w in ws:
         cdf, _ = integrate.quad(lambda t: 0.5 * math.exp(-t / 2.0), 0.0, w, epsabs=1e-13, limit=200)
         survivor = 1.0 - cdf
-        decide = lambda threshold: bool(filter_mask(ChiSquarePValue(threshold), math.sqrt(w), 0.0, 1.0, 1.0, 1))
+        decide = lambda threshold: not _survivors(ChiSquarePValue(threshold), math.sqrt(w), 0.0, None, 1)
         wrong += not decide(survivor - tol_chi) or (survivor + tol_chi < 1.0 and decide(survivor + tol_chi))
 
     ok = worst_normal < 1e-8 and wrong == 0

@@ -8,6 +8,7 @@ polynomial products, and every printed value against ``run_experiment``.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from twostage import (
+    BonferroniOverUnfiltered,
     ChiSquarePValue,
     Method,
     MinPValue,
@@ -29,7 +31,8 @@ from twostage import (
     run_experiment,
     survival_prob_at_theta0,
 )
-from twostage import exact
+from twostage import exact, rules
+from twostage.procedure import two_stage
 from twostage.rules import _z_critical
 from twostage.scenario import _coordinate_params, _deterministic_counts
 
@@ -156,6 +159,26 @@ def test_double_null_survival_is_p0(rule, sigma):
     [model] = exact._rows(scenario, rule)
     p0 = survival_prob_at_theta0(rule, sigma, sigma, scenario.n)
     assert exact._survival(rule, model) == pytest.approx(p0, rel=1e-13)
+
+
+def test_one_product_boundary_across_the_consumers():
+    # At n = 400 numpy's array power gives 2 * 400**-0.9 one ulp below libm's
+    # pow.  sigma = sqrt(n) sets the estimates' sd and n / sigma^2 to 1, so
+    # the kernel, the exact engine and p0 all hold the bound in estimate units.
+    n, sigma, rule = 400, 20.0, ProductThreshold(2.0, 0.9)
+    bound = 2.0 * math.pow(400.0, -0.9)
+    assert rule.boundary(n) == bound
+    points = np.array([bound, math.nextafter(bound, 0.0)])  # on the bound, and one ulp inside it
+    want = [True, False]  # survives on the bound, filtered below it
+    [(survivors, _, _)] = two_stage([(rule, BonferroniOverUnfiltered())], 0.05, points, np.ones(2), sigma, sigma, n)
+    assert survivors.tolist() == want
+    [row] = exact._rows(_scenario(_ps("0"), _ps("0"), sigma=sigma, n=n), rule)
+    assert (row.gamma.sd, row.beta.sd) == (1.0, 1.0)
+    assert (points >= row.edge).tolist() == want
+    with mock.patch.object(rules, "_product_tail", wraps=rules._product_tail) as tail:
+        survival_prob_at_theta0(rule, sigma, sigma, n)
+    [s] = tail.call_args.args
+    assert (points * n / sigma / sigma >= s).tolist() == want
 
 
 def _polynomial_fwer(scenario, rule):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -30,12 +31,21 @@ from twostage import (
     standard_methods,
     survival_prob_at_theta0,
 )
-from twostage.procedure import filter_mask, two_stage
+from twostage import procedure
+from twostage.procedure import two_stage
 from twostage.simulate import _BLOCK_REPS, _draw_hypotheses, _replication_blocks, _scenario_layout
 
 
 def pair(g, b, sg=1.0, sb=1.0, n=100):
     return EstimatePair(g, b, sg, sb, n)
+
+
+def kernel_filters(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
+    """The kernel's stage-1 decision on the estimates: True where ``rule`` filters the hypothesis."""
+    gamma_hat, beta_hat = np.atleast_1d(gamma_hat), np.atleast_1d(beta_hat)
+    [(survivors, _, _)] = two_stage([(rule, BonferroniOverUnfiltered())], 0.05, gamma_hat, beta_hat,
+                                    sigma_gamma, sigma_beta, n)
+    return ~survivors
 
 
 class TestRuleValidation:
@@ -52,19 +62,19 @@ class TestRuleValidation:
 
 class TestFilterMask:
     def test_nofilter_never_filters(self):
-        assert not filter_mask(NoFilter(), 0.0, 0.0, 1.0, 1.0, 100)
+        assert not kernel_filters(NoFilter(), 0.0, 0.0, 1.0, 1.0, 100)
 
     def test_product_threshold_arithmetic(self):
         # |0.01| < 2.5 * 100**-1 = 0.025 -> filtered
-        assert filter_mask(ProductThreshold(2.5, 1.0), 0.1, 0.1, 1.0, 1.0, 100)
+        assert kernel_filters(ProductThreshold(2.5, 1.0), 0.1, 0.1, 1.0, 1.0, 100)
         # product 0.04 >= 0.025
-        assert not filter_mask(ProductThreshold(2.5, 1.0), 0.2, 0.2, 1.0, 1.0, 100)
+        assert not kernel_filters(ProductThreshold(2.5, 1.0), 0.2, 0.2, 1.0, 1.0, 100)
 
     def test_minp_filters_double_null_origin(self):
-        assert filter_mask(MinPValue(0.0004), 0.0, 0.0, 1.0, 1.0, 100)
+        assert kernel_filters(MinPValue(0.0004), 0.0, 0.0, 1.0, 1.0, 100)
 
     def test_chisq_filters_origin(self):
-        assert filter_mask(ChiSquarePValue(0.001), 0.0, 0.0, 1.0, 1.0, 100)
+        assert kernel_filters(ChiSquarePValue(0.001), 0.0, 0.0, 1.0, 1.0, 100)
 
     # The chi-square statistic is formed from the standardized coordinates, so
     # a scale whose square is beyond float range changes nothing.  2**520 scales
@@ -73,29 +83,29 @@ class TestFilterMask:
     def test_chisq_mask_is_scale_free(self):
         g, b = np.random.default_rng(5).normal(scale=0.3, size=(2, 500))
         rule, scale = ChiSquarePValue(0.001), 2.0**520
-        want = filter_mask(rule, g, b, 1.0, 1.0, 50)
+        want = kernel_filters(rule, g, b, 1.0, 1.0, 50)
         assert 0 < want.sum() < want.size
-        np.testing.assert_array_equal(filter_mask(rule, g * scale, b * scale, scale, scale, 50), want)
+        np.testing.assert_array_equal(kernel_filters(rule, g * scale, b * scale, scale, scale, 50), want)
 
     # The chisq2 rule's survivor exp(-w/2) at two closed-form points: 1/2 at
     # w = 2 ln 2 (the median of chi-square(2)) and 0.05 at w = 2 ln 20.
     @pytest.mark.parametrize("survivor", [0.5, 0.05])
     def test_chisq_threshold_at_a_closed_form_point(self, survivor):
         g = math.sqrt(-2.0 * math.log(survivor))  # w = g^2 at unit scales, n = 1, beta_hat = 0
-        assert filter_mask(ChiSquarePValue(survivor - 1e-12), g, 0.0, 1.0, 1.0, 1)
-        assert not filter_mask(ChiSquarePValue(survivor + 1e-12), g, 0.0, 1.0, 1.0, 1)
+        assert kernel_filters(ChiSquarePValue(survivor - 1e-12), g, 0.0, 1.0, 1.0, 1)
+        assert not kernel_filters(ChiSquarePValue(survivor + 1e-12), g, 0.0, 1.0, 1.0, 1)
 
     def test_minp_keeps_a_single_strong_coordinate(self):
         # |z| = 4 on one coordinate: its p-value 6.3e-5 is below 0.0004, so min p survives
-        assert not filter_mask(MinPValue(0.0004), 0.4, 0.0, 1.0, 1.0, 100)
-        assert not filter_mask(MinPValue(0.0004), 0.0, -0.4, 1.0, 1.0, 100)
+        assert not kernel_filters(MinPValue(0.0004), 0.4, 0.0, 1.0, 1.0, 100)
+        assert not kernel_filters(MinPValue(0.0004), 0.0, -0.4, 1.0, 1.0, 100)
         # |z| = 3 on both: p = 0.0027 each, so the hypothesis is filtered
-        assert filter_mask(MinPValue(0.0004), 0.3, -0.3, 1.0, 1.0, 100)
+        assert kernel_filters(MinPValue(0.0004), 0.3, -0.3, 1.0, 1.0, 100)
 
     def test_product_monotone_in_c(self):
         g, b = np.random.default_rng(3).normal(scale=0.3, size=(100, 2)).T
-        small = filter_mask(ProductThreshold(1.0, 0.9), g, b, 1.0, 1.0, 50)
-        large = filter_mask(ProductThreshold(2.0, 0.9), g, b, 1.0, 1.0, 50)
+        small = kernel_filters(ProductThreshold(1.0, 0.9), g, b, 1.0, 1.0, 50)
+        large = kernel_filters(ProductThreshold(2.0, 0.9), g, b, 1.0, 1.0, 50)
         assert not (small & ~large).any()
 
 
@@ -174,11 +184,11 @@ def survival_prob_k0_oracle(s: float) -> float:
 
 
 def monte_carlo_survival_prob(rule, sigma_gamma, sigma_beta, n, reps, stream):
-    """The fraction of ``reps`` double-null draws that ``filter_mask`` keeps, with its binomial se."""
+    """The fraction of ``reps`` double-null draws that the kernel keeps, with its binomial se."""
     gen = stream.generator
     gamma_hat = gen.normal(0.0, sigma_gamma / math.sqrt(n), reps)
     beta_hat = gen.normal(0.0, sigma_beta / math.sqrt(n), reps)
-    p0 = float((~filter_mask(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)).mean())
+    p0 = float((~kernel_filters(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)).mean())
     return p0, math.sqrt(p0 * (1.0 - p0) / reps)
 
 
@@ -317,13 +327,16 @@ class TestFwerGuarantees:
 
 
 def _pvalue_filter_reference(rule, g, b, sg, sb, n):
-    """filter_mask written on p-values, as the rules are defined."""
+    """The filtration event written on p-values and estimates, as the rules are defined."""
+    if isinstance(rule, NoFilter):
+        return np.zeros(np.broadcast(g, b).shape, dtype=bool)
     if isinstance(rule, MinPValue):
         return np.minimum(coord_pvalue(g, sg, n), coord_pvalue(b, sb, n)) >= rule.threshold
     if isinstance(rule, ChiSquarePValue):
         w = n * (np.square(g) / sg**2 + np.square(b) / sb**2)
         return 1.0 + np.expm1(-w / 2.0) >= rule.threshold  # 1 - the chi-square(2df) CDF
-    return filter_mask(rule, g, b, sg, sb, n)
+    assert isinstance(rule, ProductThreshold)
+    return np.abs(g * b) < rule.c * np.power(np.asarray(n, dtype=float), -rule.delta)
 
 
 class TestZDomainDecisions:
@@ -336,7 +349,7 @@ class TestZDomainDecisions:
             for t in (0.0004, 0.01, 0.2):
                 rule = MinPValue(t)
                 want = _pvalue_filter_reference(rule, g, b, sigma_g, sigma_b, n)
-                np.testing.assert_array_equal(filter_mask(rule, g, b, sigma_g, sigma_b, n), want)
+                np.testing.assert_array_equal(kernel_filters(rule, g, b, sigma_g, sigma_b, n), want)
 
     def test_chisq_filter_matches_pvalue_reference(self):
         rng = np.random.default_rng(4)
@@ -344,7 +357,18 @@ class TestZDomainDecisions:
         for t in (0.001, 0.05, 0.5):
             rule = ChiSquarePValue(t)
             want = _pvalue_filter_reference(rule, g, b, 1.0, 1.0, 100)
-            np.testing.assert_array_equal(filter_mask(rule, g, b, 1.0, 1.0, 100), want)
+            np.testing.assert_array_equal(kernel_filters(rule, g, b, 1.0, 1.0, 100), want)
+
+    def test_product_filter_matches_reference(self):
+        # Per-hypothesis n: the kernel forms the bound once per distinct n.
+        rng = np.random.default_rng(7)
+        g, b = rng.normal(scale=0.3, size=(2, 5000))
+        sg, sb = rng.uniform(0.5, 2.0, size=(2, 5000))
+        ns = rng.integers(10, 500, size=5000)
+        for rule in (ProductThreshold(1.2, 0.8), ProductThreshold(2.0, 0.9), ProductThreshold(3.0, 1.0)):
+            want = _pvalue_filter_reference(rule, g, b, sg, sb, ns)
+            assert 0 < want.sum() < want.size
+            np.testing.assert_array_equal(kernel_filters(rule, g, b, sg, sb, ns), want)
 
     @pytest.mark.parametrize("name", ["config2", "hierarchical"])
     def test_kernel_matches_pvalue_reference(self, name):
@@ -366,6 +390,13 @@ class TestZDomainDecisions:
             np.testing.assert_array_equal(np.concatenate([blk[1][j][1] for blk in blocks]), rejected)
             for got, want in zip(kernel[j], (survivors, threshold, rejected)):
                 np.testing.assert_array_equal(got, want)
+
+    def test_kernel_forms_each_coordinate_z_once(self):
+        g, b = np.random.default_rng(8).normal(scale=0.3, size=(2, 3, 40))
+        methods = [(mth.rule, mth.adjustment) for mth in standard_methods()]
+        with mock.patch.object(procedure, "_abs_z", wraps=procedure._abs_z) as abs_z:
+            two_stage(methods, 0.05, g, b, 1.0, 1.0, 100)
+        assert abs_z.call_count == 2
 
     def test_run_two_stage_matches_reported_pvalues(self):
         # Per-hypothesis scales and sample sizes: rejected iff survivor and base p-value <= threshold.
