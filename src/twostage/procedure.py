@@ -17,10 +17,10 @@ from .estimators import EstimatePair, _abs_z, coord_pvalue
 from .rules import (
     Adjustment,
     BonferroniOverUnfiltered,
-    ChiSquarePValue,
     FiltrationAware,
     FiltrationRule,
     MinPValue,
+    NoFilter,
     ProductThreshold,
     _z_critical,
 )
@@ -39,14 +39,14 @@ def _each(f, x):
 
 def _survivors(rule: FiltrationRule, z_gamma, z_beta, product, n):
     """The stage-1 survivor mask of ``rule``, on the coordinates' ``|z|`` and ``|gamma_hat beta_hat|``."""
-    edge = _each(rule.boundary, n)
+    if isinstance(rule, NoFilter):
+        return np.ones(z_gamma.shape, dtype=bool)
+    if isinstance(rule, ProductThreshold):
+        return product >= _each(rule.boundary, n)  # the one bound that depends on n
+    edge = rule.boundary(n)
     if isinstance(rule, MinPValue):
         return np.maximum(z_gamma, z_beta) > edge
-    if isinstance(rule, ChiSquarePValue):
-        return z_gamma * z_gamma + z_beta * z_beta > edge * edge
-    if isinstance(rule, ProductThreshold):
-        return product >= edge
-    return np.ones(z_gamma.shape, dtype=bool)  # NoFilter
+    return z_gamma * z_gamma + z_beta * z_beta > edge * edge  # ChiSquarePValue
 
 
 def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n) -> list[tuple]:
