@@ -33,7 +33,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .quadrature import _INV_SQRT_2PI, _SQRT_HALF, _mass, _panels
-from .sequence import PowerSequence, _pow
+from .sequence import PowerSequence, _product_bound
 
 __all__ = [
     "ParamPoint",
@@ -346,7 +346,7 @@ def _ratio_at(g: float, b: float, n: float, c: float, delta: float) -> tuple[flo
     ratio ``n g b / sqrt(1 + n (g^2 + b^2))``, formed so that no square
     leaves the float range; a ``psi`` past it gives an infinite ratio.  With
     r = |x| / s, the band is ``|Z + b/s| < kappa / r``, where
-    ``kappa = c n^(1 - delta)``.
+    ``kappa = c n^-delta n`` is the product rule's bound times n.
 
     Both results are divided by the rule's total normal mass, so the
     probability is at most 1 in floating point too.
@@ -357,7 +357,7 @@ def _ratio_at(g: float, b: float, n: float, c: float, delta: float) -> tuple[flo
     psi = g / h * bs if g and b else 0.0
     if not math.isfinite(psi):
         return math.inf, math.nan, psi
-    kappa = c * _pow(n, 1.0 - delta)
+    kappa = _product_bound(c, delta, n) * n
     # Past this |t| the normal tail, times the largest integrand, is below 1e-20.
     half_width = math.sqrt(92.0 + 4.0 * math.log(math.hypot(1.0, psi)))
     mass = filtered = outside = 0.0

@@ -99,8 +99,7 @@ class _Coordinate(NamedTuple):
 
 
 def _coordinate(model, n: int, noise: float) -> _Coordinate:
-    mean, prior_sd = _coordinate_params(model, n)
-    sd = math.hypot(prior_sd, noise)
+    mean, sd = _coordinate_params(model, n, noise)
     return _Coordinate(abs(mean) / sd, noise / sd or _TINY, sd)
 
 

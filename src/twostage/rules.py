@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+from .sequence import _product_bound
+
 __all__ = [
     "NoFilter",
     "MinPValue",
@@ -116,8 +118,8 @@ class ProductThreshold:
         return f"prod-{self.delta:g}"
 
     def boundary(self, n: float) -> float:
-        """The bound ``c n^-delta`` on ``|gamma_hat beta_hat|``, from libm's pow: filtered below it."""
-        return self.c * math.pow(n, -self.delta)
+        """The bound ``c n^-delta`` on ``|gamma_hat beta_hat|``: filtered below it."""
+        return _product_bound(self.c, self.delta, n)
 
 
 FiltrationRule = Union[NoFilter, MinPValue, ChiSquarePValue, ProductThreshold]

@@ -36,8 +36,8 @@ class Assignment(Enum):
 class NormalMeanPrior:
     """A coordinate whose mean is itself drawn N(mean_at(n), variance_at(n)).
 
-    The draw happens once per hypothesis per replication, before the estimate
-    noise, so hierarchical rows re-randomize their means every replication.
+    It is drawn anew for each hypothesis in each replication, so the estimate is
+    N(mean_at(n), variance_at(n) + sigma^2/n): ``simulate`` draws it, ``exact`` integrates it.
     """
 
     mean: PowerSequence
@@ -214,11 +214,11 @@ def _deterministic_counts(proportions: Sequence[float], m: int) -> list[int]:
     return counts
 
 
-def _coordinate_params(coord: CoordinateModel, n: int) -> tuple[float, float]:
-    """(mean, prior sd) of one coordinate at sample size n; sd 0 for a fixed mean."""
+def _coordinate_params(coord: CoordinateModel, n: int, noise: float = 0.0) -> tuple[float, float]:
+    """(mean, sd) at n of a coordinate's normal estimate: sd ``hypot(prior_sd, noise)``, prior sd 0 for a fixed mean."""
     if isinstance(coord, NormalMeanPrior):
-        return coord.mean.at(n), math.sqrt(coord.variance.at(n))
-    return coord.at(n), 0.0
+        return coord.mean.at(n), math.hypot(math.sqrt(coord.variance.at(n)), noise)
+    return coord.at(n), noise
 
 
 def _row_is_null(row: MixtureRow, n: int) -> bool:

@@ -17,6 +17,11 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
+def _product_bound(c: float, delta: float, n: float) -> float:
+    """The product rule's bound ``c n^-delta`` on ``|gamma_hat beta_hat|``, from libm's pow."""
+    return c * math.pow(n, -delta)
+
+
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TERM_RE = re.compile(rf"^([+-]?(?:{_NUMBER})?)(n\^-({_NUMBER}(?:/{_NUMBER})?))?$")
 

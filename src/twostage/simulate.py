@@ -39,15 +39,16 @@ __all__ = [
 def _scenario_layout(scenario: ScenarioMixture):
     """The draw's constants, shared by all replications: ``(params, row_null, rows_of)``.
 
-    ``params`` is the (rows, 4) table of gamma mean, gamma prior sd, beta mean
-    and beta prior sd at n.  ``row_null`` marks each row where gamma*beta = 0:
-    some coordinate has mean 0 and prior sd 0 at n.  ``rows_of`` is the fixed
-    row of every hypothesis, or for multinomial scenarios the cumulative
-    proportions that ``u`` is searched in.
+    ``params`` is the (rows, 4) table of the estimates' gamma mean, gamma sd,
+    beta mean and beta sd at n, with noise sd ``sigma/sqrt(n)``.  ``row_null``
+    marks each row where gamma*beta = 0: some coordinate has mean 0 and prior
+    sd 0 at n.  ``rows_of`` is the fixed row of every hypothesis, or for
+    multinomial scenarios the cumulative proportions that ``u`` is searched in.
     """
     m, n, rows = scenario.m, scenario.n, scenario.rows
+    noise = scenario.sigma / math.sqrt(n)
     props = [row.proportion for row in rows]
-    params = np.array([[*_coordinate_params(r.gamma, n), *_coordinate_params(r.beta, n)] for r in rows])
+    params = np.array([[*_coordinate_params(r.gamma, n, noise), *_coordinate_params(r.beta, n, noise)] for r in rows])
     row_null = np.array([_row_is_null(r, n) for r in rows])
     if scenario.assignment is Assignment.MULTINOMIAL:
         # Searching only the first len(rows)-1 cumulative proportions maps u
@@ -61,35 +62,34 @@ def _draw_hypotheses(scenario: ScenarioMixture, reps: range, stream: RandomStrea
 
     Fixed draw order on each replication's generator: for multinomial
     scenarios only, ``u = random(m)`` gives hypothesis i the first row whose
-    cumulative proportion is >= ``u[i]``; then ``z = standard_normal((4, m))``
-    gives ``gamma_hat = gamma_mean + gamma_prior_sd*z[0] + sigma/sqrt(n)*z[2]``
-    and ``beta_hat`` likewise from ``z[1]`` and ``z[3]`` (prior sd 0 without
-    a hyperprior).  Each r fills one row of a ``(len(reps), 4, m)`` array,
-    where the estimates are then formed in place.  Returns ``(gamma_hat,
-    beta_hat, is_null)``, each ``(len(reps), m)``; ``layout`` is
-    ``_scenario_layout(scenario)``.
+    cumulative proportion is >= ``u[i]``; then ``z = standard_normal((2, m))``
+    gives ``gamma_hat = gamma_mean + gamma_sd*z[0]`` and ``beta_hat`` likewise
+    from ``z[1]``, each sd ``hypot(prior_sd, sigma/sqrt(n))``.  Each r fills
+    one row of a ``(len(reps), 2, m)`` array, where the estimates are then
+    formed in place.  Returns ``(gamma_hat, beta_hat, is_null)``, each
+    ``(len(reps), m)``; ``layout`` is ``_scenario_layout(scenario)``.
     """
     params, row_null, rows_of = layout
     shape, multinomial = (len(reps), scenario.m), scenario.assignment is Assignment.MULTINOMIAL
-    z = np.empty((shape[0], 4, shape[1]))
+    z = np.empty((shape[0], 2, shape[1]))
     u = np.empty(shape) if multinomial else None
     for i, gen in enumerate(stream.generators(reps)):
         if multinomial:
             gen.random(out=u[i])
         gen.standard_normal(out=z[i])
-    row_idx = np.searchsorted(rows_of, u, side="left") if multinomial else np.broadcast_to(rows_of, shape)
-    z[:, 2:] *= scenario.sigma / math.sqrt(scenario.n)
-    for coord in (0, 1):  # gamma, beta: mean + prior_sd*z_prior + noise, in that order
+    # Fixed rows are gathered once, (m,), and broadcast over the block.
+    row_idx = np.searchsorted(rows_of, u, side="left") if multinomial else rows_of
+    row_params = params[row_idx]
+    for coord in (0, 1):  # gamma, beta
         estimate = z[:, coord]
-        estimate *= params[row_idx, 2 * coord + 1]
-        estimate += params[row_idx, 2 * coord]
-        estimate += z[:, coord + 2]
-    return z[:, 0], z[:, 1], row_null[row_idx]
+        estimate *= row_params[..., 2 * coord + 1]
+        estimate += row_params[..., 2 * coord]
+    return z[:, 0], z[:, 1], np.broadcast_to(row_null[row_idx], shape)
 
 
 # Replications per kernel pass and per draw array.  At the CLI defaults, one
-# pass over all 500 replications raised peak RSS by about 6%; blocks of 64
-# leave it flat.  No output depends on the block size.
+# pass over all 500 replications raised simulate's peak RSS from 38 to 44 MB
+# (about 16%); blocks of 64 leave it flat.  No output depends on the block size.
 _BLOCK_REPS = 64
 
 

@@ -15,8 +15,9 @@ nothing, and hold on any numpy.  Rewrite them with::
 
 which takes no arguments.  It writes every case into a sibling directory
 first and swaps that in only when all of them have run, so a run that
-stops early leaves the fixtures as they were.  Name in CHANGES.md which
-cases moved and why.
+stops early leaves the fixtures as they were.  It then prints the cases
+whose bytes changed, and any it added or removed: name them in CHANGES.md,
+and say why they moved.
 """
 
 import contextlib
@@ -143,8 +144,26 @@ def test_golden_report(name, tmp_path):
         assert got[file_name] == want[file_name], f"{name}: {file_name} differs from the golden copy"
 
 
+def _tree(root: Path) -> dict:
+    """Every file under ``root``, as relative path -> bytes."""
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _moved(old: Path, new: Path) -> dict:
+    """The cases (and ``NUMPY_VERSION``) whose bytes differ between two fixture trees, by how they moved."""
+    before, after = {}, {}
+    for tree, root in ((before, old), (after, new)):
+        for path, data in _tree(root).items():
+            tree.setdefault(path.parts[0], {})[path] = data
+    return {
+        "changed": sorted(name for name in before.keys() & after.keys() if before[name] != after[name]),
+        "added": sorted(after.keys() - before.keys()),
+        "removed": sorted(before.keys() - after.keys()),
+    }
+
+
 def rewrite() -> None:
-    """Run every case into a sibling directory, then swap it in for the fixtures."""
+    """Run every case into a sibling directory, then swap it in for the fixtures and name what moved."""
     fresh, old = (GOLDEN.with_name(f"{GOLDEN.name}.{suffix}") for suffix in ("new", "old"))
     for path in (fresh, old):
         shutil.rmtree(path, ignore_errors=True)
@@ -156,10 +175,14 @@ def rewrite() -> None:
         (fresh / name).mkdir()
         for file_name, content in result.items():
             (fresh / name / file_name).write_bytes(content)
+    moved = _moved(GOLDEN, fresh)
     GOLDEN.rename(old)
     fresh.rename(GOLDEN)
     shutil.rmtree(old)
     print(f"wrote {len(CASES)} cases to {GOLDEN}")
+    for how, names in moved.items():
+        if names:
+            print(f"{how}: {', '.join(names)}")
 
 
 def main(argv: list[str]) -> int:
@@ -169,11 +192,6 @@ def main(argv: list[str]) -> int:
         return 2
     rewrite()
     return 0
-
-
-def _tree(root: Path) -> dict:
-    """Every file under ``root``, as relative path -> bytes."""
-    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def _golden_copy(tmp_path: Path, monkeypatch) -> Path:
@@ -193,16 +211,27 @@ def test_script_refuses_arguments(tmp_path, monkeypatch, capsys):
     assert [path.name for path in tmp_path.iterdir()] == ["golden"]
 
 
-def test_rewrite_swaps_in_the_new_fixtures(tmp_path, monkeypatch):
+def test_rewrite_swaps_in_the_new_fixtures(tmp_path, monkeypatch, capsys):
     kept = {name: CASES[name] for name in ("classify-benchmark", "error-exit-3-missing-config")}
     copy = _golden_copy(tmp_path, monkeypatch)
     want = {path: data for path, data in _tree(copy).items() if path.parts[0] in {*kept, "NUMPY_VERSION"}}
+    # A new case that reruns classify-benchmark under another name.
+    again = {Path("classify-again", p.name): data for p, data in want.items() if p.parts[0] == "classify-benchmark"}
+    want.update(again)
+    dropped = sorted(path.name for path in copy.iterdir() if path.name not in {*kept, "NUMPY_VERSION"})
     (copy / "stale-case").mkdir()
     (copy / "stale-case" / "stdout").write_bytes(b"stale\n")
-    monkeypatch.setattr(sys.modules[__name__], "CASES", kept)
+    (copy / "classify-benchmark" / "stdout").write_bytes(b"stale\n")
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {**kept, "classify-again": kept["classify-benchmark"]})
     assert main([]) == 0
     assert _tree(copy) == want
     assert [path.name for path in tmp_path.iterdir()] == ["golden"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote 3 cases to {copy}",
+        "changed: classify-benchmark",
+        "added: classify-again",
+        f"removed: {', '.join(sorted([*dropped, 'stale-case']))}",
+    ]
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from twostage import (
     run_experiment,
     standard_methods,
 )
+from twostage.exact import _coordinate
 from twostage.scenario import _deterministic_counts
 from twostage.simulate import _BLOCK_REPS, _draw_hypotheses, _scenario_layout, _tallies
 
@@ -219,22 +220,35 @@ class TestEngine:
                 else:
                     counts = _deterministic_counts([row.proportion for row in sc.rows], sc.m)
                     row_idx = np.repeat(np.arange(len(sc.rows)), counts)
-                z = gen.standard_normal((4, sc.m))
-                sd = sc.sigma / math.sqrt(n)
+                z = gen.standard_normal((2, sc.m))
+                noise = sc.sigma / math.sqrt(n)
                 gamma_hat, beta_hat = np.empty(sc.m), np.empty(sc.m)
                 for j, k in enumerate(row_idx):
                     row = sc.rows[k]
-                    means = []
-                    for coord, prior_z in ((row.gamma, z[0, j]), (row.beta, z[1, j])):
+                    estimates = []
+                    for coord, z_coord in ((row.gamma, z[0, j]), (row.beta, z[1, j])):
                         if isinstance(coord, NormalMeanPrior):
-                            means.append(coord.mean.at(n) + math.sqrt(coord.variance.at(n)) * prior_z)
+                            mean, prior_var = coord.mean.at(n), coord.variance.at(n)
                         else:
-                            means.append(coord.at(n))
-                    gamma_hat[j] = means[0] + sd * z[2, j]
-                    beta_hat[j] = means[1] + sd * z[3, j]
+                            mean, prior_var = coord.at(n), 0.0
+                        estimates.append(mean + math.hypot(math.sqrt(prior_var), noise) * z_coord)
+                    gamma_hat[j], beta_hat[j] = estimates
                 np.testing.assert_array_equal(got[0][i], gamma_hat)
                 np.testing.assert_array_equal(got[1][i], beta_hat)
                 np.testing.assert_array_equal(got[2][i], np.array(_BUILTIN_NULL[name])[row_idx])
+
+    # sigma/sqrt(n) stays a normal float here: exact floors a noise that
+    # underflows at _TINY, and the draw keeps it at 0.
+    @pytest.mark.parametrize("sigma", [1.0, 1e155])
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_layout_is_the_marginal_that_exact_integrates(self, name, sigma):
+        sc = builtin_scenario(name, sigma=sigma)
+        noise = sigma / math.sqrt(sc.n)
+        for row, (g_mean, g_sd, b_mean, b_sd) in zip(sc.rows, _scenario_layout(sc)[0].tolist()):
+            for coord, mean, sd in ((row.gamma, g_mean, g_sd), (row.beta, b_mean, b_sd)):
+                want = _coordinate(coord, sc.n, noise)
+                assert sd == want.sd
+                assert abs(mean) / sd == want.mean
 
     @pytest.mark.parametrize("reps", [1, _BLOCK_REPS - 1, 2 * _BLOCK_REPS + 2])
     @pytest.mark.parametrize("name", ["config2", "hierarchical"])
