@@ -16,7 +16,6 @@ from twostage import (
     exact_fwer_bound,
     fwer_bound_from_survivors,
     run_two_stage,
-    survival_prob_at_theta0,
 )
 
 rng = np.random.default_rng(7)
@@ -36,7 +35,7 @@ print(f"plain Bonferroni over survivors: F={out.F}, rejected={out.rejected_count
 
 # p0: how often the double null survives this filter. Both z-statistics are
 # standard normal there, so p0 = P(|Z1 Z2| >= c n^(1-delta)) exactly.
-p0 = survival_prob_at_theta0(rule, 1.0, 1.0, n)
+p0 = rule.p0(1.0, 1.0, n)
 print(f"double-null survival probability p0 = {p0:.4f}")
 
 aware = run_two_stage(estimates, rule, alpha=0.05, adjustment=FiltrationAware(p0))

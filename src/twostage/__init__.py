@@ -55,7 +55,6 @@ _EXPORTS = {
         "NoFilter",
         "ProductThreshold",
         "standard_methods",
-        "survival_prob_at_theta0",
     ),
     "scenario": (
         "BUILTIN_SCENARIOS",

@@ -325,7 +325,7 @@ _METHOD = (
 
 
 def _parse_methods(spec, where: str, scenario: ScenarioMixture) -> tuple[Method, ...]:
-    from .rules import Method, standard_methods, survival_prob_at_theta0
+    from .rules import Method, standard_methods
 
     if spec is None or spec == "all":
         return standard_methods()
@@ -342,7 +342,7 @@ def _parse_methods(spec, where: str, scenario: ScenarioMixture) -> tuple[Method,
         item = _object(item, _METHOD, at)
         rule, adjustment = item["rule"], item["adjustment"]
         if adjustment.get("p0", 1.0) is None:  # filtration_aware without a p0 takes the rule's exact p0
-            adjustment["p0"] = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)
+            adjustment["p0"] = rule.p0(scenario.sigma, scenario.sigma, scenario.n)
             if adjustment["p0"] == 0.0:
                 raise ConfigError(f"{at}.adjustment: the exact p0 of {rule.label} at n = {scenario.n} underflows to 0")
         adjustment = _make(_ADJUSTMENTS[adjustment.pop("kind")][0], f"{at}.adjustment", **adjustment)
@@ -585,12 +585,11 @@ def _cmd_fit(s: dict) -> int:
 
 def _cmd_fwer_bound(s: dict) -> int:
     from .exact import exact_fwer_bound
-    from .rules import survival_prob_at_theta0
 
     scenario = _parse_scenario(s["scenario"], s, "scenario")
     rule = _rule(s["rule"], "rule")
 
-    p0 = survival_prob_at_theta0(rule, scenario.sigma, scenario.sigma, scenario.n)
+    p0 = rule.p0(scenario.sigma, scenario.sigma, scenario.n)
     with _memory_for("m", scenario.m):
         exact = exact_fwer_bound(scenario, rule)
     payload = {

@@ -57,8 +57,8 @@ class EstimatePair:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        if not 1 <= self.n < math.inf:
+            raise ValueError(f"n must be finite and at least 1, got {self.n}")
 
 
 def product_stat(e: EstimatePair) -> float:

@@ -7,16 +7,11 @@ the computation needs two probabilities of one of its hypotheses:
 * ``r(k)``, that it survives and its joint ``|z|`` reaches
   ``_z_critical(alpha/k)``, so that it is rejected when F = k.
 
-Each coordinate estimate of a row is normal, with the row's mean and sd
-``hypot(prior_sd, sigma/sqrt(n))``.  In units of that sd it is ``Z + mean``
-for a standard normal Z, and a threshold on ``|estimate| / (sigma/sqrt(n))``
-becomes ``rho`` times itself, with ``rho = (sigma/sqrt(n)) / sd``.  So
-nothing is squared or exponentiated out of the float range.  ``nofilter``
-and ``minp`` give products of normal tails; ``chisq2`` and the product rule
-give one Gauss-Legendre integral of a normal density times a normal tail.
-When the rejection region lies inside the survival region (``zeta^2 >=
-c n^(1-delta)/sigma^2`` under the product rule), ``r(k)`` is the product of
-the two coordinates' tails.
+Both are the rule's ``reach`` (see :mod:`twostage.rules`), which knows the
+rule's region: ``r(k)`` at ``zeta = _z_critical(alpha/k)`` and ``s`` at
+``zeta = 0``.  Each coordinate estimate of a row is normal, with the row's
+mean and sd ``hypot(prior_sd, sigma/sqrt(n))``, and ``reach`` takes it in
+units of that sd (:class:`twostage.quadrature._Coordinate`).
 
 The hypotheses are independent, so F, the number of survivors, is a sum of
 independent Bernoulli(s) variables: Binomial(m, sum of pi_r s_r) when rows
@@ -37,17 +32,13 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .quadrature import _INV_SQRT_2PI, _SQRT_HALF, _mass, _panels
-from .rules import ChiSquarePValue, FiltrationRule, MinPValue, ProductThreshold, _z_critical
+from .quadrature import _Coordinate
+from .rules import FiltrationRule, _z_critical
 from .scenario import Assignment, ScenarioMixture, _coordinate_params, _deterministic_counts, _row_is_null
 
 __all__ = ["FwerBound", "exact_fwer_bound", "fwer_bound_from_survivors"]
 
 _TINY = 5e-324  # the smallest subnormal: a scale that underflows to 0 is taken as this
-# Past this many sd from its mean a normal tail is below 2e-33; the quadrature stops there.
-_REACH = 12.0
-# The offsets j where a tail crosses the other coordinate's bulk: panel cuts.
-_OFFSETS = (12.0, 8.0, 6.0, 4.0, 3.0, 2.0, 1.0, 0.0, -1.0, -2.0, -3.0, -4.0, -6.0, -8.0, -12.0)
 # A pmf keeps the counts whose probability is at least this fraction of its largest.
 _TRIM = 1e-20
 # F's pmf is held over at most this many counts.
@@ -87,15 +78,15 @@ class FwerBound(NamedTuple):
     mean_F: float
 
 
-# ---------------------------------------------------------------- normal pieces
+# ---------------------------------------------------------------- rows
 
 
-class _Coordinate(NamedTuple):
-    """A coordinate estimate ``sd (Z + mean)``: ``mean`` >= 0 in sd units, ``rho`` = (sigma/sqrt(n)) / sd."""
+class _Row(NamedTuple):
+    """One mixture row: its two standardized coordinates and its null status."""
 
-    mean: float
-    rho: float
-    sd: float
+    gamma: _Coordinate
+    beta: _Coordinate
+    null: bool
 
 
 def _coordinate(model, n: int, noise: float) -> _Coordinate:
@@ -103,127 +94,11 @@ def _coordinate(model, n: int, noise: float) -> _Coordinate:
     return _Coordinate(abs(mean) / sd, noise / sd or _TINY, sd)
 
 
-def _tail(mean: float, x: float) -> float:
-    """P(|Z + mean| >= x) for x >= 0; 0 at x = inf."""
-    if x == math.inf:
-        return 0.0
-    return min(1.0, 0.5 * (math.erfc((x - mean) * _SQRT_HALF) + math.erfc((x + mean) * _SQRT_HALF)))
-
-
-def _band(mean: float, lo: float, hi: float) -> float:
-    """P(lo <= |Z + mean| < hi) for 0 <= lo <= hi < inf."""
-    return _mass(lo - mean, hi - mean) + _mass(-hi - mean, -lo - mean)
-
-
-def _arc(g: _Coordinate, b: _Coordinate, radius: float, lo: float, hi: float) -> float:
-    """The part of P(u^2 + v^2 >= radius^2) over ``u = radius sin(t)``, t in [lo, hi], in z units.
-
-    The integral over t of ``phi(rho_g radius sin t - mean_g) rho_g radius
-    cos t P(|Z + mean_b| >= rho_b radius cos t)``.  Each panel spans at most
-    two sd of either coordinate along the arc.
-    """
-    steps = max(8, math.ceil((hi - lo) * radius * max(g.rho, b.rho) / 2.0))
-    grid = [lo + (hi - lo) * i / steps for i in range(1, steps)]
-    total = 0.0
-    for t, w in _panels(grid, lo, hi):
-        d, chord = g.rho * radius * math.sin(t) - g.mean, radius * math.cos(t)
-        total += w * math.exp(-0.5 * d * d) * chord * _tail(b.mean, b.rho * chord)
-    return total * _INV_SQRT_2PI * g.rho
-
-
-def _hyperbola(g: _Coordinate, b: _Coordinate, kappa: float, lo: float, hi: float) -> float:
-    """P(lo <= |Y| < hi and |X Y| >= kappa), with X = Z + mean_g and Y = Z' + mean_b.
-
-    The integral over y in [lo, hi] of ``(phi(y - mean_b) + phi(y + mean_b))
-    P(|X| >= kappa / y)``.  Panels are cut on a grid of 1.5 sd about
-    mean_b, and where ``kappa / y`` crosses ``mean_g + j`` for each offset
-    j, so each of the two factors moves by at most a few sd on a panel.
-    ``kappa / y`` is singular at y = 0, so the panels also halve towards it:
-    none spans more than its distance from 0.
-    """
-    if kappa == 0.0 or g.mean == math.inf:
-        return _band(b.mean, lo, hi) if hi < math.inf else _tail(b.mean, lo)
-    if b.mean == math.inf:
-        return 1.0 if hi == math.inf and kappa < math.inf else 0.0
-    lo = max(lo, b.mean - _REACH, kappa / (g.mean + _REACH))
-    hi = min(hi, b.mean + _REACH)
-    if not lo < hi:
-        return 0.0
-    grid = [b.mean + 1.5 * i for i in range(-8, 9)]
-    crossings = [kappa / (g.mean + j) for j in _OFFSETS if g.mean + j > 0.0]
-    halvings = [hi]
-    while halvings[-1] > max(2.0 * lo, 1e-30):
-        halvings.append(0.5 * halvings[-1])
-    total = 0.0
-    for y, w in _panels([*grid, *crossings, *halvings], lo, hi):
-        d, e = y - b.mean, y + b.mean
-        edge = kappa / y if y > 0.0 else math.inf
-        total += w * (math.exp(-0.5 * d * d) + math.exp(-0.5 * e * e)) * _tail(g.mean, edge)
-    return total * _INV_SQRT_2PI
-
-
-# ---------------------------------------------------------------- row probabilities
-
-
-class _Row(NamedTuple):
-    """One mixture row: its two coordinates, its null status, and the rule's bound in z units.
-
-    ``edge`` is the rule's ``boundary(n)``: the critical ``|z|`` of
-    ``minp`` or the radius of ``chisq2``, and for the product rule its bound
-    divided by ``sd_gamma sd_beta``, into the coordinates' sd units, which
-    differ from row to row.
-    """
-
-    gamma: _Coordinate
-    beta: _Coordinate
-    null: bool
-    edge: float
-
-
-def _rows(scenario: ScenarioMixture, rule: FiltrationRule) -> list[_Row]:
+def _rows(scenario: ScenarioMixture) -> list[_Row]:
     n = scenario.n
     noise = scenario.sigma / math.sqrt(n) or _TINY
-    edge = rule.boundary(n)
-    rows = []
-    for row in scenario.rows:
-        g, b = _coordinate(row.gamma, n, noise), _coordinate(row.beta, n, noise)
-        scaled = edge / g.sd / b.sd if isinstance(rule, ProductThreshold) else edge
-        rows.append(_Row(g, b, _row_is_null(row, n), scaled))
-    return rows
-
-
-def _survival(rule: FiltrationRule, row: _Row) -> float:
-    """s: the probability that a hypothesis of ``row`` survives stage 1."""
-    g, b, edge = row.gamma, row.beta, row.edge
-    if isinstance(rule, MinPValue):
-        inside = _mass(-g.rho * edge - g.mean, g.rho * edge - g.mean)
-        return _tail(g.mean, g.rho * edge) + inside * _tail(b.mean, b.rho * edge)
-    if isinstance(rule, ChiSquarePValue):
-        return min(1.0, _tail(g.mean, g.rho * edge) + _arc(g, b, edge, -0.5 * math.pi, 0.5 * math.pi))
-    if isinstance(rule, ProductThreshold):
-        return min(1.0, _hyperbola(g, b, edge, 0.0, math.inf))  # rounding can pass 1 when nothing is filtered
-    return 1.0
-
-
-def _rejection(rule: FiltrationRule, row: _Row, zeta: float) -> float:
-    """r: the probability that a hypothesis of ``row`` survives and both its ``|z|`` reach ``zeta``."""
-    g, b, edge = row.gamma, row.beta, row.edge
-    xg, xb = g.rho * zeta, b.rho * zeta
-    both = _tail(g.mean, xg) * _tail(b.mean, xb)
-    if isinstance(rule, MinPValue) and zeta <= edge:
-        # |u| > edge with |v| >= zeta, or zeta <= |u| <= edge with |v| > edge.
-        cg, cb = g.rho * edge, b.rho * edge
-        return _tail(g.mean, cg) * _tail(b.mean, xb) + _band(g.mean, xg, cg) * _tail(b.mean, cb)
-    if isinstance(rule, ChiSquarePValue) and 2.0 * zeta * zeta < edge * edge:
-        # |u| >= sqrt(edge^2 - zeta^2) with |v| >= zeta, or else (u, v) past the circle.
-        inner, outer = math.asin(zeta / edge), math.acos(zeta / edge)
-        corner = _tail(b.mean, xb) * _tail(g.mean, g.rho * math.sqrt(edge * edge - zeta * zeta))
-        return corner + _arc(g, b, edge, inner, outer) + _arc(g, b, edge, -outer, -inner)
-    if isinstance(rule, ProductThreshold) and xg * xb < edge:
-        # |v| >= edge / xg with |u| >= zeta, or else |u| >= edge / |v|.
-        far = edge / xg if xg > 0.0 else math.inf
-        return _tail(g.mean, xg) * _tail(b.mean, far) + _hyperbola(g, b, edge, xb, far)
-    return both  # the rejection region lies inside the survival region
+    return [_Row(_coordinate(row.gamma, n, noise), _coordinate(row.beta, n, noise), _row_is_null(row, n))
+            for row in scenario.rows]
 
 
 # ---------------------------------------------------------------- the distribution of F
@@ -360,15 +235,16 @@ def exact_fwer_bound(scenario: ScenarioMixture, rule: FiltrationRule) -> FwerBou
     FloatingPointError when a value is not a finite number.
     """
     alpha, m = scenario.alpha, scenario.m
-    rows = _rows(scenario, rule)
-    survival = [_survival(rule, row) for row in rows]
+    edge = rule.boundary(scenario.n)
+    rows = _rows(scenario)
+    survival = [rule.reach(row.gamma, row.beta, edge, 0.0) for row in rows]
     zetas: dict[int, float] = {}
 
     def rejection(row: _Row):
         def r(k: int) -> float:
             if k not in zetas:
                 zetas[k] = _z_critical(alpha / k)
-            return _rejection(rule, row, zetas[k])
+            return rule.reach(row.gamma, row.beta, edge, zetas[k])
         return r
 
     if scenario.assignment is Assignment.MULTINOMIAL:

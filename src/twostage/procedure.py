@@ -14,16 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import EstimatePair, _abs_z, coord_pvalue
-from .rules import (
-    Adjustment,
-    BonferroniOverUnfiltered,
-    FiltrationAware,
-    FiltrationRule,
-    MinPValue,
-    NoFilter,
-    ProductThreshold,
-    _z_critical,
-)
+from .rules import Adjustment, BonferroniOverUnfiltered, FiltrationRule, _z_critical
 
 __all__ = [
     "TwoStageOutcome",
@@ -37,18 +28,6 @@ def _each(f, x):
     return np.array([f(float(v)) for v in distinct])[inverse].reshape(np.shape(x))
 
 
-def _survivors(rule: FiltrationRule, z_gamma, z_beta, product, n):
-    """The stage-1 survivor mask of ``rule``, on the coordinates' ``|z|`` and ``|gamma_hat beta_hat|``."""
-    if isinstance(rule, NoFilter):
-        return np.ones(z_gamma.shape, dtype=bool)
-    if isinstance(rule, ProductThreshold):
-        return product >= _each(rule.boundary, n)  # the one bound that depends on n
-    edge = rule.boundary(n)
-    if isinstance(rule, MinPValue):
-        return np.maximum(z_gamma, z_beta) > edge
-    return z_gamma * z_gamma + z_beta * z_beta > edge * edge  # ChiSquarePValue
-
-
 def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n) -> list[tuple]:
     """The two-stage procedure for each ``(rule, adjustment)`` pair in ``methods``.
 
@@ -56,22 +35,21 @@ def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_bet
     axes index independent batches, such as replications); the scales and n
     broadcast against them.  Returns one ``(survivors, threshold, rejected)``
     triple per method: the stage-1 survivor mask, the common stage-2
-    threshold of each batch (``alpha/F``, or ``alpha*p0/F`` under
-    :class:`FiltrationAware`, and 0 where F = 0), and the rejection mask.
-    Stage 1 decides on each coordinate's ``|z|`` (the product rule on
-    ``|gamma_hat beta_hat|``), each formed once, against the rule's
-    ``boundary(n)``.  A survivor is rejected iff its joint p-value is <= the
+    threshold ``alpha * p0 / F`` of each batch (the adjustment's p0, 1 for
+    plain Bonferroni; 0 where F = 0), and the rejection mask.  Stage 1 is the
+    rule's ``survives`` on each coordinate's ``|z|`` and on ``|gamma_hat
+    beta_hat|``, each formed once, against its ``boundary(n)``, formed once
+    per distinct n.  A survivor is rejected iff its joint p-value is <= the
     threshold, decided as ``min |z| >= _z_critical(threshold)``.
     """
     with np.errstate(over="ignore"):  # a statistic beyond float range is inf, and survives
         z_gamma, z_beta = _abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n)
         joint_z = np.minimum(z_gamma, z_beta)
-        has_product = any(isinstance(rule, ProductThreshold) for rule, _ in methods)
-        product = np.abs(np.multiply(gamma_hat, beta_hat, dtype=float)) if has_product else None
+        product = np.abs(np.multiply(gamma_hat, beta_hat, dtype=float))
         outcomes = []
         for rule, adjustment in methods:
-            survivors = _survivors(rule, z_gamma, z_beta, product, n)
-            level = alpha * adjustment.p0 if isinstance(adjustment, FiltrationAware) else alpha
+            survivors = rule.survives(z_gamma, z_beta, product, _each(rule.boundary, n))
+            level = alpha * adjustment.p0
             f = survivors.sum(axis=-1).astype(float)
             threshold = np.divide(level, f, out=np.zeros_like(f), where=f > 0)
             z_crit = _each(_z_critical, threshold)

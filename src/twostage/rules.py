@@ -6,19 +6,30 @@ the joint-significance base test on the F survivors at a threshold adjusted
 for F, so heavy filtration buys a larger per-hypothesis threshold.
 
 A hypothesis is *filtered* when its filtration event holds; filtered
-hypotheses are retained as null and can never be rejected.  Each rule states
-the boundary of its filtration region once, in ``boundary(n)``: the kernel
-(``procedure``) decides on it, ``exact`` integrates up to it, and
-:func:`survival_prob_at_theta0` reads it.  This module decides nothing on
-data, so it needs only the standard library.
+hypotheses are retained as null and can never be rejected.  Each rule class
+is the one place that knows its region.  It states the boundary once, in
+``boundary(n)``, and reads it in three methods:
+
+* ``survives(z_gamma, z_beta, product, bound)``, the kernel's decision
+  (``procedure``) on the coordinates' ``|z|`` and ``|gamma_hat beta_hat|``;
+* ``reach(g, b, bound, zeta)``, the exact probability (``exact``) that a
+  hypothesis with the standardized coordinates ``g`` and ``b`` survives and
+  both its ``|z|`` reach ``zeta``: at ``zeta = 0``, that it survives;
+* ``p0(sigma_gamma, sigma_beta, n)``, the survival probability at the
+  double null, in closed form.
+
+``bound`` is ``boundary(n)``.  The decisions use only the arrays' operators,
+so this module needs only the standard library.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
 
+from .quadrature import _arc, _band, _hyperbola, _tail
 from .sequence import _product_bound
 
 __all__ = [
@@ -32,7 +43,6 @@ __all__ = [
     "Adjustment",
     "Method",
     "standard_methods",
-    "survival_prob_at_theta0",
 ]
 
 
@@ -45,6 +55,15 @@ class NoFilter:
     def boundary(self, n: float) -> float:
         """0: nothing is filtered."""
         return 0.0
+
+    def survives(self, z_gamma, z_beta, product, bound):
+        return z_gamma >= 0.0  # as every |z| is: nothing is filtered
+
+    def reach(self, g, b, bound: float, zeta: float) -> float:
+        return _tail(g.mean, g.rho * zeta) * _tail(b.mean, b.rho * zeta)
+
+    def p0(self, sigma_gamma: float, sigma_beta: float, n: float) -> float:
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -67,7 +86,26 @@ class MinPValue:
 
     def boundary(self, n: float) -> float:
         """The critical ``|z|``: filtered when both coordinates' ``|z|`` are at most it."""
+        return self._critical
+
+    @functools.cached_property
+    def _critical(self) -> float:  # formed once: the kernel asks for the bound at each distinct n
         return _z_critical(self.threshold)
+
+    def survives(self, z_gamma, z_beta, product, bound):
+        return (z_gamma > bound) | (z_beta > bound)
+
+    def reach(self, g, b, bound: float, zeta: float) -> float:
+        xg, xb = g.rho * zeta, b.rho * zeta
+        if zeta > bound:  # the rejection region lies inside the survival region
+            return _tail(g.mean, xg) * _tail(b.mean, xb)
+        # |u| > bound with |v| >= zeta, or zeta <= |u| <= bound with |v| > bound.
+        cg, cb = g.rho * bound, b.rho * bound
+        return min(1.0, _tail(g.mean, cg) * _tail(b.mean, xb) + _band(g.mean, xg, cg) * _tail(b.mean, cb))
+
+    def p0(self, sigma_gamma: float, sigma_beta: float, n: float) -> float:
+        """``1 - (1 - t)^2``, formed without cancellation."""
+        return self.threshold * (2.0 - self.threshold)
 
 
 @dataclass(frozen=True)
@@ -92,6 +130,22 @@ class ChiSquarePValue:
     def boundary(self, n: float) -> float:
         """The radius ``sqrt(-2 ln t)``: filtered when ``|z_gamma|^2 + |z_beta|^2`` is at most its square."""
         return math.sqrt(-2.0 * math.log(self.threshold))
+
+    def survives(self, z_gamma, z_beta, product, bound):
+        return z_gamma * z_gamma + z_beta * z_beta > bound * bound
+
+    def reach(self, g, b, bound: float, zeta: float) -> float:
+        xg, xb = g.rho * zeta, b.rho * zeta
+        if 2.0 * zeta * zeta >= bound * bound:  # the rejection region lies inside the survival region
+            return _tail(g.mean, xg) * _tail(b.mean, xb)
+        # |u| >= sqrt(bound^2 - zeta^2) with |v| >= zeta, or else (u, v) past the circle.
+        inner, outer = math.asin(zeta / bound), math.acos(zeta / bound)
+        corner = _tail(b.mean, xb) * _tail(g.mean, g.rho * math.sqrt(bound * bound - zeta * zeta))
+        return min(1.0, corner + _arc(g, b, bound, inner, outer) + _arc(g, b, bound, -outer, -inner))
+
+    def p0(self, sigma_gamma: float, sigma_beta: float, n: float) -> float:
+        """``t``: W is chi-square with 2 df at the double null."""
+        return self.threshold
 
 
 @dataclass(frozen=True)
@@ -121,6 +175,27 @@ class ProductThreshold:
         """The bound ``c n^-delta`` on ``|gamma_hat beta_hat|``: filtered below it."""
         return _product_bound(self.c, self.delta, n)
 
+    def survives(self, z_gamma, z_beta, product, bound):
+        return product >= bound
+
+    def reach(self, g, b, bound: float, zeta: float) -> float:
+        kappa = bound / g.sd / b.sd  # the bound in the coordinates' sd units, which differ from row to row
+        xg, xb = g.rho * zeta, b.rho * zeta
+        if xg * xb >= kappa:  # the rejection region lies inside the survival region
+            return _tail(g.mean, xg) * _tail(b.mean, xb)
+        # |v| >= kappa / xg with |u| >= zeta, or else |u| >= kappa / |v|.
+        far = kappa / xg if xg > 0.0 else math.inf
+        return min(1.0, _tail(g.mean, xg) * _tail(b.mean, far) + _hyperbola(g, b, kappa, xb, far))
+
+    def p0(self, sigma_gamma: float, sigma_beta: float, n: float) -> float:
+        """``P(|Z1 Z2| >= s)``, with the bound in z units ``s = boundary(n) n / (sigma_gamma sigma_beta)``."""
+        for name, value in (("sigma_gamma", sigma_gamma), ("sigma_beta", sigma_beta)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 1.0 <= n < math.inf:
+            raise ValueError(f"n must be finite and at least 1, got {n}")
+        return _product_tail(self.boundary(n) * n / sigma_gamma / sigma_beta)
+
 
 FiltrationRule = Union[NoFilter, MinPValue, ChiSquarePValue, ProductThreshold]
 
@@ -130,6 +205,7 @@ class BonferroniOverUnfiltered:
     """Reject survivors at threshold alpha / F (plain Bonferroni over survivors)."""
 
     label = "bonferroni"
+    p0 = 1.0  # the level is alpha * p0, as under FiltrationAware
 
 
 @dataclass(frozen=True)
@@ -209,23 +285,6 @@ def _z_critical(t: float) -> float:
     z = -NormalDist().inv_cdf(t)
     w = z * z + 2.0 * math.log(2.0)
     return math.sqrt(w - math.log(w / (z * z)))
-
-
-def survival_prob_at_theta0(rule: FiltrationRule, sigma_gamma: float, sigma_beta: float, n: float) -> float:
-    """The survival probability p0 of ``rule`` at the double null, exactly.
-
-    Both z-statistics are standard normal there, whatever the scales and n,
-    so p0 is 1 (NoFilter), ``1 - (1 - t)^2`` (MinPValue), ``t``
-    (ChiSquarePValue) or ``P(|Z1 Z2| >= s)``, with the product rule's
-    boundary in z units, ``s = boundary(n) n / (sigma_gamma sigma_beta)``.
-    """
-    if isinstance(rule, NoFilter):
-        return 1.0
-    if isinstance(rule, MinPValue):
-        return rule.threshold * (2.0 - rule.threshold)  # 1 - (1 - t)^2 without cancellation
-    if isinstance(rule, ChiSquarePValue):
-        return rule.threshold
-    return _product_tail(rule.boundary(n) * n / sigma_gamma / sigma_beta)
 
 
 def _product_tail(s: float) -> float:

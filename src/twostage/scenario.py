@@ -80,8 +80,8 @@ class ScenarioMixture:
             raise ValueError(f"row proportions must sum to 1, got {total}")
         if self.m < 1 or self.reps < 1 or self.n < 1:
             raise ValueError("m, reps and n must be positive")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         for i, row in enumerate(self.rows):

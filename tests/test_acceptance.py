@@ -24,7 +24,6 @@ from twostage import (
     standard_methods,
 )
 from twostage.cli import main as cli_main
-from twostage.procedure import _survivors
 
 from probes import ks_critical_value, ks_distance, mse_ratio_experiment, rate_exponent, sobel_samples
 
@@ -258,7 +257,11 @@ def test_criterion_09_distribution_kernel_oracles():
     for w in ws:
         cdf, _ = integrate.quad(lambda t: 0.5 * math.exp(-t / 2.0), 0.0, w, epsabs=1e-13, limit=200)
         survivor = 1.0 - cdf
-        decide = lambda threshold: not _survivors(ChiSquarePValue(threshold), math.sqrt(w), 0.0, None, 1)
+
+        def decide(threshold):
+            rule = ChiSquarePValue(threshold)
+            return not rule.survives(math.sqrt(w), 0.0, None, rule.boundary(1))
+
         wrong += not decide(survivor - tol_chi) or (survivor + tol_chi < 1.0 and decide(survivor + tol_chi))
 
     ok = worst_normal < 1e-8 and wrong == 0

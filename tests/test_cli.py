@@ -124,7 +124,7 @@ class TestSimulateCommand:
 
     def test_filtration_aware_without_p0_takes_the_exact_p0(self, tmp_path):
         rule = {"kind": "product", "c": 2.0, "delta": 0.9}
-        p0 = twostage.survival_prob_at_theta0(twostage.ProductThreshold(2.0, 0.9), 1.0, 1.0, 150)
+        p0 = twostage.ProductThreshold(2.0, 0.9).p0(1.0, 1.0, 150)
         adjustments = [{"kind": "filtration_aware"}, {"kind": "filtration_aware", "p0": p0}, None]
         reports = []
         for i, adjustment in enumerate(adjustments):

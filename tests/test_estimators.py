@@ -34,6 +34,12 @@ class TestEstimatePair:
         with pytest.raises(ValueError):
             EstimatePair(math.inf, 0.0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_rejects_non_finite_n(self, n):
+        # a nan n once came out filtered with a nan p-value, and an inf n rejected with p-value 0
+        with pytest.raises(ValueError, match=rf"^n must be finite and at least 1, got {n}$"):
+            EstimatePair(0.1, 0.2, n=n)
+
 
 class TestProduct:
     def test_arithmetic(self):

@@ -29,7 +29,6 @@ from twostage import (
     builtin_scenario,
     exact_fwer_bound,
     run_experiment,
-    survival_prob_at_theta0,
 )
 from twostage import exact, rules
 from twostage.procedure import two_stage
@@ -64,6 +63,11 @@ _ROWS = {
 
 def _scenario(gamma, beta, sigma=1.0, n=200):
     return ScenarioMixture("one-row", (MixtureRow(gamma, beta, 1.0),), n=n, sigma=sigma)
+
+
+def _reach(rule, scenario, row, zeta=0.0):
+    """The rule's exact probability for ``row`` of ``scenario``: s at zeta = 0, r at the joint threshold zeta."""
+    return rule.reach(row.gamma, row.beta, rule.boundary(scenario.n), zeta)
 
 
 def _oracle(rule, scenario, zeta=None):
@@ -127,12 +131,12 @@ def _oracle(rule, scenario, zeta=None):
 @pytest.mark.parametrize("row", sorted(_ROWS))
 def test_row_probabilities_match_scipy(rule, row):
     scenario = _scenario(*_ROWS[row])
-    [model] = exact._rows(scenario, rule)
-    s = exact._survival(rule, model)
+    [model] = exact._rows(scenario)
+    s = _reach(rule, scenario, model)
     assert s == pytest.approx(_oracle(rule, scenario), rel=1e-12, abs=1e-15)
     for k in (1, 5, 30, 200):
         zeta = _z_critical(scenario.alpha / k)
-        r = exact._rejection(rule, model, zeta)
+        r = _reach(rule, scenario, model, zeta)
         assert r == pytest.approx(_oracle(rule, scenario, zeta), rel=1e-11, abs=1e-15), k
         assert 0.0 <= r <= s
 
@@ -145,10 +149,10 @@ def test_row_probabilities_match_scipy(rule, row):
 @pytest.mark.parametrize("row", ["double-null", "gamma-3n^-0.5", "gamma-prior", "beta-prior"])
 def test_rejection_across_the_filter_boundary(rule, row):
     scenario = _scenario(*_ROWS[row], sigma=2.0, n=500)
-    [model] = exact._rows(scenario, rule)
+    [model] = exact._rows(scenario)
     for k in (1, 3, 20, 100):
         zeta = _z_critical(scenario.alpha / k)
-        r = exact._rejection(rule, model, zeta)
+        r = _reach(rule, scenario, model, zeta)
         assert r == pytest.approx(_oracle(rule, scenario, zeta), rel=1e-11, abs=1e-16), k
 
 
@@ -156,9 +160,9 @@ def test_rejection_across_the_filter_boundary(rule, row):
 @pytest.mark.parametrize("sigma", [1.0, 3.0])
 def test_double_null_survival_is_p0(rule, sigma):
     scenario = _scenario(*_ROWS["double-null"], sigma=sigma)
-    [model] = exact._rows(scenario, rule)
-    p0 = survival_prob_at_theta0(rule, sigma, sigma, scenario.n)
-    assert exact._survival(rule, model) == pytest.approx(p0, rel=1e-13)
+    [model] = exact._rows(scenario)
+    p0 = rule.p0(sigma, sigma, scenario.n)
+    assert _reach(rule, scenario, model) == pytest.approx(p0, rel=1e-13)
 
 
 def test_one_product_boundary_across_the_consumers():
@@ -172,19 +176,23 @@ def test_one_product_boundary_across_the_consumers():
     want = [True, False]  # survives on the bound, filtered below it
     [(survivors, _, _)] = two_stage([(rule, BonferroniOverUnfiltered())], 0.05, points, np.ones(2), sigma, sigma, n)
     assert survivors.tolist() == want
-    [row] = exact._rows(_scenario(_ps("0"), _ps("0"), sigma=sigma, n=n), rule)
+    scenario = _scenario(_ps("0"), _ps("0"), sigma=sigma, n=n)
+    [row] = exact._rows(scenario)
     assert (row.gamma.sd, row.beta.sd) == (1.0, 1.0)
-    assert (points >= row.edge).tolist() == want
+    with mock.patch.object(rules, "_hyperbola", wraps=rules._hyperbola) as hyperbola:
+        exact_fwer_bound(scenario, rule)
+    [kappa] = {call.args[2] for call in hyperbola.call_args_list}  # the bound in the rows' sd units
+    assert (points >= kappa).tolist() == want
     with mock.patch.object(rules, "_product_tail", wraps=rules._product_tail) as tail:
-        survival_prob_at_theta0(rule, sigma, sigma, n)
+        rule.p0(sigma, sigma, n)
     [s] = tail.call_args.args
     assert (points * n / sigma / sigma >= s).tolist() == want
 
 
 def _polynomial_fwer(scenario, rule):
     """P(V >= 1) for fixed row counts from the polynomials themselves, one factor per hypothesis."""
-    rows = exact._rows(scenario, rule)
-    survival = [exact._survival(rule, row) for row in rows]
+    rows = exact._rows(scenario)
+    survival = [_reach(rule, scenario, row) for row in rows]
     counts = _deterministic_counts([row.proportion for row in scenario.rows], scenario.m)
 
     def product(factors):
@@ -198,7 +206,7 @@ def _polynomial_fwer(scenario, rule):
     fwer = 0.0
     for k in range(1, scenario.m + 1):
         zeta = _z_critical(scenario.alpha / k)
-        level = [(1.0 - s, s - (exact._rejection(rule, row, zeta) if row.null else 0.0), c)
+        level = [(1.0 - s, s - (_reach(rule, scenario, row, zeta) if row.null else 0.0), c)
                  for s, c, row in zip(survival, counts, rows)]
         fwer += everyone[k] - product(level)[k]
     return fwer
@@ -216,11 +224,21 @@ def test_deterministic_fwer_matches_polynomial_products(name, m, rule):
 def test_nofilter_fwer_keeps_its_digits_at_large_m(m):
     # Every hypothesis survives, so F = m and P(V = 0) = prod over null rows of (1 - r(m))^count.
     scenario = builtin_scenario("config1", m=m)
-    rows = exact._rows(scenario, NoFilter())
+    rows = exact._rows(scenario)
     counts = _deterministic_counts([row.proportion for row in scenario.rows], m)
     zeta = _z_critical(scenario.alpha / m)
-    log_none = math.fsum(c * math.log1p(-exact._rejection(NoFilter(), row, zeta)) for c, row in zip(counts, rows) if row.null)
+    log_none = math.fsum(c * math.log1p(-_reach(NoFilter(), scenario, row, zeta)) for c, row in zip(counts, rows) if row.null)
     assert exact_fwer_bound(scenario, NoFilter()).fwer == pytest.approx(-math.expm1(log_none), rel=1e-7)
+
+
+@pytest.mark.parametrize("mean", ["0", "0.731", "0.777", "3"])
+def test_nofilter_survives_with_probability_exactly_one(mean):
+    # A tail at 0 is 1 exactly: its two erfc terms can sum to one ulp below 1
+    # (at a mean of 0.731 sd, for one), and then F = m would not be certain.
+    scenario = _scenario(_ps(mean), _ps("0"), n=1)
+    [row] = exact._rows(scenario)
+    assert _reach(NoFilter(), scenario, row) == 1.0
+    assert exact_fwer_bound(scenario, NoFilter()).mean_F == scenario.m
 
 
 _REPS = 4000
@@ -234,8 +252,8 @@ def test_simulation_agrees_within_3_se(name):
     report = run_experiment(scenario, methods, master_seed=30)
     for rule, res in zip(_RULES, report.methods):
         want = exact_fwer_bound(scenario, rule)
-        rows = exact._rows(scenario, rule)
-        survival = [exact._survival(rule, row) for row in rows]
+        rows = exact._rows(scenario)
+        survival = [_reach(rule, scenario, row) for row in rows]
         if name == "hierarchical":
             mean_s = math.fsum(row.proportion * s for row, s in zip(scenario.rows, survival))
             var_f = scenario.m * mean_s * (1.0 - mean_s)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -29,7 +31,6 @@ from twostage import (
     run_experiment,
     run_two_stage,
     standard_methods,
-    survival_prob_at_theta0,
 )
 from twostage import procedure
 from twostage.procedure import two_stage
@@ -195,7 +196,7 @@ def monte_carlo_survival_prob(rule, sigma_gamma, sigma_beta, n, reps, stream):
 class TestExactSurvivalProb:
     @pytest.mark.parametrize("sigma_gamma, sigma_beta, n", [(1.0, 1.0, 200), (0.3, 4.0, 17), (2.0, 2.0, 10**9)])
     def test_closed_forms(self, sigma_gamma, sigma_beta, n):
-        exact = lambda rule: survival_prob_at_theta0(rule, sigma_gamma, sigma_beta, n)
+        exact = lambda rule: rule.p0(sigma_gamma, sigma_beta, n)
         assert exact(NoFilter()) == 1.0
         assert exact(MinPValue(0.0004)) == 0.00079984
         assert exact(MinPValue(1e-20)) == 2e-20  # 1 - (1 - t)^2 would round to 0
@@ -214,16 +215,16 @@ class TestExactSurvivalProb:
             (ProductThreshold(s / 16.0, 0.5), 0.25, 1.0, 16),
             (ProductThreshold(s, 2.0), 1.0, 0.5, 2),
         ]:
-            assert survival_prob_at_theta0(rule, sigma_gamma, sigma_beta, n) == pytest.approx(want, rel=3e-15, abs=0.0)
+            assert rule.p0(sigma_gamma, sigma_beta, n) == pytest.approx(want, rel=3e-15, abs=0.0)
 
     def test_product_at_the_standard_rule(self):
         # prod-0.9 at n = 200: s = 2 * 200**0.1 = 3.397
-        assert survival_prob_at_theta0(ProductThreshold(2.0, 0.9), 1.0, 1.0, 200) == pytest.approx(
+        assert ProductThreshold(2.0, 0.9).p0(1.0, 1.0, 200) == pytest.approx(
             0.0125856470396, rel=1e-11
         )
 
     def test_product_non_increasing_in_s(self):
-        p0 = lambda rule, n=100: survival_prob_at_theta0(rule, 1.0, 1.0, n)
+        p0 = lambda rule, n=100: rule.p0(1.0, 1.0, n)
         values = [p0(ProductThreshold(s, 1.0)) for s in np.logspace(-12, np.log10(2000.0), 300)]
         assert all(0.0 <= b <= a <= 1.0 for a, b in zip(values, values[1:]))
         assert values[0] > 1.0 - 1e-10 and values[-1] == 0.0  # the tail underflows past s = 745
@@ -243,7 +244,24 @@ class TestExactSurvivalProb:
     )
     def test_monte_carlo_estimates_within_3_se(self, rule, sigma_gamma, sigma_beta, n, reps, seed):
         p0, se = monte_carlo_survival_prob(rule, sigma_gamma, sigma_beta, n, reps, RandomStream(seed, 0))
-        assert abs(p0 - survival_prob_at_theta0(rule, sigma_gamma, sigma_beta, n)) < 3.0 * se
+        assert abs(p0 - rule.p0(sigma_gamma, sigma_beta, n)) < 3.0 * se
+
+    @pytest.mark.parametrize(
+        "sigma_gamma, sigma_beta, n, name",
+        [
+            (math.nan, 1.0, 200, "sigma_gamma"),
+            (-1.0, 1.0, 200, "sigma_gamma"),
+            (1.0, math.inf, 200, "sigma_beta"),
+            (1.0, 0.0, 200, "sigma_beta"),
+            (1.0, 1.0, 0.5, "n"),
+            (1.0, 1.0, math.nan, "n"),
+            (1.0, 1.0, math.inf, "n"),
+        ],
+    )
+    def test_product_refuses_bad_scales_and_n(self, sigma_gamma, sigma_beta, n, name):
+        # nan once gave p0 = 1 and a negative scale a bare "math domain error"
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and "):
+            ProductThreshold(2.0, 0.9).p0(sigma_gamma, sigma_beta, n)
 
 
 class TestFiltrationProb:
@@ -311,7 +329,7 @@ class TestFwerGuarantees:
         # adjustment scaled by the survival probability at the double null
         scenario = _all_null_scenario()
         rule = ProductThreshold(2.0, 0.9)
-        p0 = survival_prob_at_theta0(rule, 1.0, 1.0, scenario.n)
+        p0 = rule.p0(1.0, 1.0, scenario.n)
         report = run_experiment(scenario, [Method(rule, FiltrationAware(p0))], master_seed=77)
         res = report.methods[0]
         assert res.empirical_fwer <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / scenario.reps)
@@ -446,3 +464,24 @@ def test_fwer_bound_monotone_in_q(q, r, rows):
     lo, hi = sorted((q, r))
     survival, counts = zip(*rows)
     assert 0.0 <= fwer_bound_from_survivors(lo, survival, counts) <= fwer_bound_from_survivors(hi, survival, counts) <= 1.0
+
+
+def test_only_rules_names_a_rule_class():
+    # Each rule's region lives in its own methods, so no other module of the
+    # package imports, isinstance-checks or otherwise names a rule class.
+    rule_classes = {"NoFilter", "MinPValue", "ChiSquarePValue", "ProductThreshold"}
+    naming = {}
+    for path in sorted(Path(procedure.__file__).parent.glob("*.py")):
+        if path.name == "rules.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if names & rule_classes:
+            naming[path.name] = sorted(names & rule_classes)
+    assert naming == {}

@@ -304,6 +304,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ScenarioMixture("bad", rows, alpha=1.5)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_sigma_must_be_finite(self, sigma):
+        # either once passed, and exact_fwer_bound then failed converting nan to an integer
+        with pytest.raises(ValueError, match=rf"^sigma must be finite and positive, got {sigma}$"):
+            builtin_scenario("config2", sigma=sigma)
+
     @pytest.mark.parametrize(
         "variance, n, shown",
         [
