@@ -19,7 +19,7 @@ exactly.
 
 The module also computes that MSE-ratio at finite n, at unit
 per-observation scales (general scales reduce to this case by rescaling),
-by one-dimensional quadrature of closed-form normal moments.
+by one-dimensional quadrature of closed-form normal moments (``quadrature._fold``).
 
 Everything here needs only the standard library: ``math`` and, for the
 exponents, ``fractions``.
@@ -32,7 +32,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .quadrature import _INV_SQRT_2PI, _SQRT_HALF, _mass, _panels
+from .quadrature import _INV_SQRT_2PI, _SQRT_HALF, _fold, _mass
 from .sequence import PowerSequence, _product_bound
 
 __all__ = [
@@ -137,7 +137,9 @@ def _efficiency(region: LRegion, k: float, k_is_zero: bool) -> EfficiencyClass:
 
 
 def _check_rule(c: float, delta: float) -> None:
-    """The filtration rule ``|T| < c * n**-delta`` needs a positive c and delta."""
+    """The rule ``|T| < c * n**-delta`` needs a finite, positive c and delta, as ``ProductThreshold`` does."""
+    if not (math.isfinite(c) and math.isfinite(delta)):
+        raise ValueError(f"c and delta must be finite, got c={c}, delta={delta}")
     if c <= 0.0 or delta <= 0.0:
         raise ValueError("c and delta must be positive")
 
@@ -264,10 +266,6 @@ class MseRatioPoint(NamedTuple):
 
 # A standard normal tail or density at |z| >= 40 is 0.0 in double precision.
 _EDGE = 40.0
-# The offsets j of the panel cuts where kappa / r = beta + j: there the band's
-# edges cross the bulk of Z + b/s, and the tails outside go from 0 to all of
-# its mass.
-_CROSSING = (20.0, 10.0, 6.0, 4.0, 2.0, 1.0, 0.0, -1.0, -2.0, -4.0, -6.0, -10.0, -20.0)
 
 
 def _tail_square(alpha: float, d: float, h: float) -> float:
@@ -299,39 +297,6 @@ def _given_x(alpha: float, d: float, lo: float, hi: float) -> tuple[float, float
     return min(1.0, max(0.0, _mass(lo, hi))), max(0.0, outside)
 
 
-def _nodes(g: float, s: float, kappa: float, beta: float, half_width: float, floor: float):
-    """The quadrature nodes ``(t, x, r, w)`` over ``|t| <= half_width``, with x = g + s t and r = |x| / s.
-
-    Panels are cut at a uniform t-grid, at x = 0, at each r where
-    ``kappa / r - beta`` crosses one of ``_CROSSING``, and at r falling by
-    factors of 4 down to where the band covers Z's whole range.  No cut
-    falls below ``floor``, where the panel at x = 0 is too narrow to matter.
-    Near x = 0 a node is placed by r, which keeps its precision there; when
-    x keeps one sign over the range, by t.
-    """
-    t0 = -g / s
-    steps = math.ceil(2.0 * half_width / 2.5)
-    grid = [half_width * (2.0 * i / steps - 1.0) for i in range(steps + 1)]
-    crossings = [kappa / (beta + j) for j in _CROSSING if beta + j > 0.0]
-    if abs(t0) >= 2.0 * half_width:
-        cuts = {*grid, *(t0 + side * r for side in (1.0, -1.0) for r in crossings)}
-        cuts = sorted(t for t in cuts if abs(t) <= half_width)
-        for t, w in _panels(cuts, cuts[0], cuts[-1]):
-            x = g + s * t
-            yield t, x, abs(x) / s, w
-        return
-    for side in (1.0, -1.0):
-        r_lo, r_hi = max(0.0, -half_width - side * t0), half_width - side * t0
-        cuts = {r_lo, r_hi, *(side * (t - t0) for t in grid), *crossings}
-        r, bottom = r_hi, max(kappa / (beta + _EDGE), floor, r_lo)
-        while r > bottom:
-            r /= 4.0
-            cuts.add(r)
-        cuts = sorted(r for r in cuts if r == r_lo or floor <= r <= r_hi)
-        for r, w in _panels(cuts, cuts[0], cuts[-1]):
-            yield t0 + side * r, side * s * r, r, w
-
-
 def _ratio_at(g: float, b: float, n: float, c: float, delta: float) -> tuple[float, float, float]:
     """``(MSE(shrunk) / MSE(plain), P(filtered), psi)`` at one n, by quadrature over gamma_hat.
 
@@ -348,8 +313,9 @@ def _ratio_at(g: float, b: float, n: float, c: float, delta: float) -> tuple[flo
     r = |x| / s, the band is ``|Z + b/s| < kappa / r``, where
     ``kappa = c n^-delta n`` is the product rule's bound times n.
 
-    Both results are divided by the rule's total normal mass, so the
-    probability is at most 1 in floating point too.
+    The integral runs over r on the nodes of :func:`quadrature._fold`, with
+    both signs of x at each r.  Both results are divided by the rule's total
+    normal mass, so the probability is at most 1 in floating point too.
     """
     s = 1.0 / math.sqrt(n)
     h = math.hypot(s, g, b)
@@ -360,16 +326,22 @@ def _ratio_at(g: float, b: float, n: float, c: float, delta: float) -> tuple[flo
     kappa = _product_bound(c, delta, n) * n
     # Past this |t| the normal tail, times the largest integrand, is below 1e-20.
     half_width = math.sqrt(92.0 + 4.0 * math.log(math.hypot(1.0, psi)))
+    floor = max(1e-300, 1e-20 / (1.0 + psi * psi))  # below this r the panel about x = 0 is too narrow to matter
+    near, side = abs(g) / s, math.copysign(1.0, g)
     mass = filtered = outside = 0.0
-    for t, x, r, w in _nodes(g, s, kappa, abs(bs), half_width, max(1e-300, 1e-20 / (1.0 + psi * psi))):
-        w *= math.exp(-0.5 * t * t)
+    for r, d, w in _fold(near, abs(bs), kappa, 0.0, math.inf, half_width, floor):
         u = kappa / r
         lo = min(_EDGE, max(-_EDGE, -u - bs))
         hi = min(_EDGE, max(-_EDGE, u - bs))
-        inside, sq = _given_x(x / h, b / h * t, lo, hi)
-        mass += w
-        filtered += w * inside
-        outside += w * sq
+        # x = side s r on gamma_hat's side of 0, and -side s r on the far side while that lies within reach.
+        alpha = side * s * r / h
+        far = [(-side * (r + near), -alpha)] if r + near < half_width else []
+        for t, a in [(side * d, alpha), *far]:
+            wt = w * math.exp(-0.5 * t * t)
+            inside, sq = _given_x(a, b / h * t, lo, hi)
+            mass += wt
+            filtered += wt * inside
+            outside += wt * sq
     freq = filtered / mass
     return outside / mass + psi * (psi * freq), freq, psi
 

@@ -75,8 +75,11 @@ def sobel_stat(e: EstimatePair) -> float:
     """
     if e.gamma_hat == 0.0 and e.beta_hat == 0.0:
         raise DegenerateInputError("sobel_stat is 0/0 at gamma_hat = beta_hat = 0")
-    denom = np.sqrt(e.sigma_beta**2 * np.square(e.gamma_hat) + e.sigma_gamma**2 * np.square(e.beta_hat))
-    return float(e.gamma_hat * e.beta_hat / denom)
+    if e.gamma_hat == 0.0 or e.beta_hat == 0.0:
+        return 0.0
+    # It is sign(gb) / hypot(sg/g, sb/b): no square is formed, and neither estimate multiplies the other.
+    size = 1.0 / math.hypot(e.sigma_gamma / e.gamma_hat, e.sigma_beta / e.beta_hat)
+    return size if (e.gamma_hat > 0.0) == (e.beta_hat > 0.0) else -size
 
 
 def _abs_z(estimate, sigma, n):

@@ -1,7 +1,8 @@
 """The normal numerics and the Gauss-Legendre rule that the exact computations share, on ``math`` alone.
 
 The rules' ``reach`` probabilities are built from the tails and bands of one
-standardized coordinate, and from integrals along a circle or a hyperbola.
+standardized coordinate, and from integrals along a circle or a hyperbola;
+``_fold`` places the nodes across the product rule's hyperbola for its ``reach`` and the MSE-ratio alike.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ def _gauss_legendre(order: int = 16) -> tuple[tuple[float, float], ...]:
 
 
 def _panels(cuts, lo: float, hi: float):
-    """Gauss-Legendre (node, weight) pairs over [lo, hi], cut at each of ``cuts`` inside it."""
+    """Gauss-Legendre (node, weight) pairs over [lo, hi], cut at each of ``cuts`` inside it; none when hi <= lo."""
+    if not lo < hi:
+        return
     edges = sorted({lo, hi, *(x for x in cuts if lo < x < hi)})
     for a, z in zip(edges, edges[1:]):
         mid, half = 0.5 * (a + z), 0.5 * (z - a)
@@ -100,32 +103,50 @@ def _arc(g: _Coordinate, b: _Coordinate, radius: float, lo: float, hi: float) ->
     return total * _INV_SQRT_2PI * g.rho
 
 
+def _fold(mean: float, other: float, kappa: float, lo: float, hi: float, reach: float, floor: float):
+    """Gauss-Legendre nodes ``(r, d, w)`` over r in [lo, hi], for ``r = |Z + mean|``, mean >= 0, and ``d = r - mean``.
+
+    The fold's sides are ``Z = d`` and ``Z = -(d + 2 mean)``.  The range ends
+    ``reach`` sd from the mean.  Panels are cut on a grid of d at most
+    2.5 apart, where ``kappa / r`` crosses ``other + j`` for each of
+    ``_OFFSETS``, and at r falling by 4 down to where the band
+    ``|Z' + other| < kappa / r`` holds all its mass; none below ``floor``.
+    Nodes are placed by r while the range comes within ``reach`` of 0, so r
+    keeps its digits near the singular r = 0, and by d beyond, so d keeps
+    its digits at a mean whose ulp is a sizeable part of an sd.
+    """
+    steps = math.ceil(2.0 * reach / 2.5)
+    grid = [reach * (2.0 * i / steps - 1.0) for i in range(steps + 1)]
+    cuts = [kappa / (other + j) for j in _OFFSETS if other + j > 0.0]
+    if mean >= 2.0 * reach:
+        lo, hi = max(lo - mean, -reach), min(hi - mean, reach)
+        for d, w in _panels([*grid, *(r - mean for r in cuts)], lo, hi):
+            yield mean + d, d, w
+        return
+    lo, hi = max(lo, mean - reach), min(hi, mean + reach)
+    r, bottom = hi, max(lo, floor, kappa / (other + _REACH))
+    while r > bottom:
+        r /= 4.0
+        cuts.append(r)
+    cuts += (mean + d for d in grid)
+    for r, w in _panels([r for r in cuts if r >= floor], lo, hi):
+        yield r, r - mean, w
+
+
 def _hyperbola(g: _Coordinate, b: _Coordinate, kappa: float, lo: float, hi: float) -> float:
     """P(lo <= |Y| < hi and |X Y| >= kappa), with X = Z + mean_g and Y = Z' + mean_b.
 
-    The integral over y in [lo, hi] of ``(phi(y - mean_b) + phi(y + mean_b))
-    P(|X| >= kappa / y)``.  Panels are cut on a grid of 1.5 sd about
-    mean_b, and where ``kappa / y`` crosses ``mean_g + j`` for each offset
-    j, so each of the two factors moves by at most a few sd on a panel.
-    ``kappa / y`` is singular at y = 0, so the panels also halve towards it:
-    none spans more than its distance from 0.
+    The integral over r = |Y| in [lo, hi] of ``(phi(d) + phi(d + 2 mean_b))
+    P(|X| >= kappa / r)``, with d = r - mean_b, on the nodes of :func:`_fold`.
+    Below ``kappa / (mean_g + _REACH)`` the tail is 0, and no panel is cut
+    below 1e-30.
     """
     if kappa == 0.0 or g.mean == math.inf:
         return _band(b.mean, lo, hi) if hi < math.inf else _tail(b.mean, lo)
     if b.mean == math.inf:
         return 1.0 if hi == math.inf and kappa < math.inf else 0.0
-    lo = max(lo, b.mean - _REACH, kappa / (g.mean + _REACH))
-    hi = min(hi, b.mean + _REACH)
-    if not lo < hi:
-        return 0.0
-    grid = [b.mean + 1.5 * i for i in range(-8, 9)]
-    crossings = [kappa / (g.mean + j) for j in _OFFSETS if g.mean + j > 0.0]
-    halvings = [hi]
-    while halvings[-1] > max(2.0 * lo, 1e-30):
-        halvings.append(0.5 * halvings[-1])
     total = 0.0
-    for y, w in _panels([*grid, *crossings, *halvings], lo, hi):
-        d, e = y - b.mean, y + b.mean
-        edge = kappa / y if y > 0.0 else math.inf
-        total += w * (math.exp(-0.5 * d * d) + math.exp(-0.5 * e * e)) * _tail(g.mean, edge)
+    for r, d, w in _fold(b.mean, g.mean, kappa, max(lo, kappa / (g.mean + _REACH)), hi, _REACH, 1e-30):
+        e = d + 2.0 * b.mean
+        total += w * (math.exp(-0.5 * d * d) + math.exp(-0.5 * e * e)) * _tail(g.mean, kappa / r)
     return total * _INV_SQRT_2PI

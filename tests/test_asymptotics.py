@@ -435,6 +435,32 @@ class TestMseRatioExact:
         last = mse_ratio_exact(seq("0", "0"), 4.0, 0.7, [10**4, 10**5, 10**6])[-1]
         assert last.ratio < 1e-4 and last.filter_freq > 0.9999 and last.k_at_n == 0.0
 
+    # A coordinate's sign flips only the sign of the shrunk error, so the ratio
+    # and the filtration frequency stay.  Every preset has gamma, beta >= 0.
+    @pytest.mark.parametrize("name", ["k-inf", "k-one", "partial-small", "vanishing-filter", "superefficient"])
+    def test_unchanged_when_a_coordinate_changes_sign(self, name):
+        preset = MSE_RATIO_PRESETS[name]
+        grid = [10**2, 10**3, 10**5]
+
+        def points(gamma_sign, beta_sign):
+            gamma, beta = (PowerSequence(sign * ps.offset, tuple((sign * coef, exp) for coef, exp in ps.terms))
+                           for sign, ps in ((gamma_sign, preset.gamma), (beta_sign, preset.beta)))
+            return mse_ratio_exact(ParamSequence(gamma, beta), preset.c, preset.delta, grid)
+
+        want = points(1.0, 1.0)
+        for signs in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+            for point, base in zip(points(*signs), want):
+                assert point.ratio == pytest.approx(base.ratio, rel=1e-13), (signs, point.n)
+                assert point.filter_freq == pytest.approx(base.filter_freq, rel=1e-13), (signs, point.n)
+
+    # The library refuses a non-finite c or delta as ProductThreshold does, not only the CLI's flags.
+    @pytest.mark.parametrize("c, delta", [(math.nan, 0.7), (math.inf, 0.7), (4.0, math.nan), (4.0, math.inf)])
+    def test_non_finite_rule_is_refused(self, c, delta):
+        with pytest.raises(ValueError, match="^c and delta must be finite"):
+            mse_ratio_exact(seq("2n^-0.5", "2n^-0.5"), c, delta, [100, 1000, 10_000])
+        with pytest.raises(ValueError, match="^c and delta must be finite"):
+            classify_product_regime(seq("2n^-0.5", "2n^-0.5"), c, delta)
+
     def test_huge_offset_is_never_filtered(self):
         # The plain MSE is about 1e158 at n = 100: in range, and never squared.
         points = mse_ratio_exact(seq("1e80", "0"), 1.0, 0.5, [100, 1000, 10_000])

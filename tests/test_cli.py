@@ -427,6 +427,14 @@ class TestFwerBoundCommand:
         assert 0.0 < payload["fwer"] <= payload["survivor_bound"]
         assert (round(payload["fwer"], 4), round(payload["survivor_bound"], 4)) == (0.0463, 0.0758)
 
+    def test_row_far_from_zero_keeps_its_digits(self, capsys):
+        # At n = 1e24, beta_hat lies 1e12 sd from 0, where its ulp is 1e-4 sd.
+        # 200 (1 - P(|gamma_hat beta_hat| < 2 n^-0.9)) by a 30-digit mpmath integral: 199.99999991983218.
+        row = '{"rows": [{"gamma": "0", "beta": "1", "proportion": 1}]}'
+        assert run_cli("fwer-bound", "--scenario", row, "--rule", "prod-0.9", "--n", str(10**24)) == 0
+        mean_f = json.loads(capsys.readouterr().out)["mean_F"]
+        assert mean_f == pytest.approx(199.99999991983218, rel=1e-14)
+
     def test_seed_and_reps_are_ignored(self, tmp_path, capsys):
         runs = []
         for extra in (["--seed", "1"], ["--seed", "7", "--reps", "3"], ["--reps", "100000000000000", "--p0-reps", "5"]):

@@ -67,6 +67,15 @@ class TestSobel:
         # direct evaluation: 12 / sqrt(2^2*3^2 + 1^2*4^2) = 12 / sqrt(52)
         assert sobel_stat(pair(3.0, 4.0, sg=1.0, sb=2.0)) == pytest.approx(12.0 / math.sqrt(52.0))
 
+    # The squares under the root underflow at 1e-200 and overflow at 1e200,
+    # where the statistic itself is finite: 1e-200 / sqrt(2) and 1e200 / sqrt(2),
+    # or 1 / sqrt(2) when the scales match the estimates.  numpy's warnings there fail the test.
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_finite_at_extreme_estimates(self, scale):
+        assert sobel_stat(pair(scale, scale)) == pytest.approx(scale / math.sqrt(2.0), rel=1e-15)
+        assert sobel_stat(pair(-scale, scale)) == pytest.approx(-scale / math.sqrt(2.0), rel=1e-15)
+        assert sobel_stat(pair(scale, -scale, scale, scale)) == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
+
     def test_degenerate_origin(self):
         with pytest.raises(DegenerateInputError):
             sobel_stat(pair(0.0, 0.0))

@@ -7,9 +7,12 @@ arc (chi-square rule).  The distribution of F is checked against direct
 polynomial products, and every printed value against ``run_experiment``.
 """
 
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -239,6 +242,42 @@ def test_nofilter_survives_with_probability_exactly_one(mean):
     [row] = exact._rows(scenario)
     assert _reach(NoFilter(), scenario, row) == 1.0
     assert exact_fwer_bound(scenario, NoFilter()).mean_F == scenario.m
+
+
+@pytest.mark.parametrize("n", [10**20, 10**24], ids=["beta-1e10-sd", "beta-1e12-sd"])
+@pytest.mark.parametrize("gamma", ["0", "2n^-0.5"])
+def test_product_reach_keeps_its_digits_at_large_means(gamma, n):
+    # beta_hat lies 1e10 or 1e12 sd from 0, and the bound filters
+    # |gamma_hat| < about 0.5 sd, so the filtered mass is 0.38 or 0.061.  The
+    # quadrature must place its nodes about beta's mean, not at |beta_hat|,
+    # whose ulp there is 2e-6 or 1e-4 sd.
+    rule = ProductThreshold(0.5, 0.5)
+    scenario = _scenario(_ps(gamma), _ps("1"), n=n)
+    [row] = exact._rows(scenario)
+    with mpmath.workdps(30):
+        g, b = mpmath.mpf(row.gamma.mean), mpmath.mpf(row.beta.mean)
+        kappa = mpmath.mpf(rule.boundary(n) / row.gamma.sd / row.beta.sd)
+
+        def filtered(d):  # P(|gamma_hat| sd < kappa / |beta_hat|) at beta_hat = b + d sd
+            edge = kappa / (b + d)
+            return mpmath.npdf(d) * (mpmath.ncdf(edge - g) - mpmath.ncdf(-edge - g))
+
+        want = float(mpmath.quad(filtered, [-40, -10, -3, 0, 3, 10, 40]))
+    assert 1.0 - _reach(rule, scenario, row) == pytest.approx(want, rel=1e-12)
+
+
+def test_only_quadrature_names_panels():
+    # One node generator, quadrature._fold, places the panels across the
+    # hyperbola for every consumer, so no other module cuts panels itself.
+    naming = []
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        if "_panels" in names and path.name != "quadrature.py":
+            naming.append(path.name)
+    assert naming == []
 
 
 _REPS = 4000
