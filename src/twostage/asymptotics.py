@@ -19,7 +19,8 @@ exactly.
 
 The module also computes that MSE-ratio at finite n, at unit
 per-observation scales (general scales reduce to this case by rescaling),
-by one-dimensional quadrature of closed-form normal moments (``quadrature._fold``).
+by one-dimensional quadrature of closed-form normal moments on the nodes of
+``quadrature._fold``, which chooses the range; this module knows no cutoff of its own.
 
 Everything here needs only the standard library: ``math`` and, for the
 exponents, ``fractions``.
@@ -32,7 +33,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .quadrature import _INV_SQRT_2PI, _SQRT_HALF, _fold, _mass
+from .quadrature import _EDGE, _INV_SQRT_2PI, _SQRT_HALF, _fold, _mass
 from .sequence import PowerSequence, _product_bound
 
 __all__ = [
@@ -264,10 +265,6 @@ class MseRatioPoint(NamedTuple):
     filter_freq: float
 
 
-# A standard normal tail or density at |z| >= 40 is 0.0 in double precision.
-_EDGE = 40.0
-
-
 def _tail_square(alpha: float, d: float, h: float) -> float:
     """``E[(alpha Z + d)^2 1{Z >= h}]`` for a standard normal Z and h >= 0.
 
@@ -324,25 +321,23 @@ def _ratio_at(g: float, b: float, n: float, c: float, delta: float) -> tuple[flo
     if not math.isfinite(psi):
         return math.inf, math.nan, psi
     kappa = _product_bound(c, delta, n) * n
-    # Past this |t| the normal tail, times the largest integrand, is below 1e-20.
-    half_width = math.sqrt(92.0 + 4.0 * math.log(math.hypot(1.0, psi)))
-    floor = max(1e-300, 1e-20 / (1.0 + psi * psi))  # below this r the panel about x = 0 is too narrow to matter
     near, side = abs(g) / s, math.copysign(1.0, g)
-    mass = filtered = outside = 0.0
-    for r, d, w in _fold(near, abs(bs), kappa, 0.0, math.inf, half_width, floor):
+    mass = filtered = kept = outside = 0.0
+    for r, d, w in _fold(near, abs(bs), kappa, 0.0, math.inf):
         u = kappa / r
         lo = min(_EDGE, max(-_EDGE, -u - bs))
         hi = min(_EDGE, max(-_EDGE, u - bs))
-        # x = side s r on gamma_hat's side of 0, and -side s r on the far side while that lies within reach.
+        # x = side s r on gamma_hat's side of 0, and -side s r on the far side.
         alpha = side * s * r / h
-        far = [(-side * (r + near), -alpha)] if r + near < half_width else []
-        for t, a in [(side * d, alpha), *far]:
+        for t, a in ((side * d, alpha), (-side * (r + near), -alpha)):
             wt = w * math.exp(-0.5 * t * t)
             inside, sq = _given_x(a, b / h * t, lo, hi)
             mass += wt
             filtered += wt * inside
+            kept += wt * (1.0 - inside)
             outside += wt * sq
-    freq = filtered / mass
+    # Near 1, the frequency is 1 less the summed complement, so the bulk's rounding does not reach its last digit.
+    freq = filtered / mass if filtered < kept else 1.0 - kept / mass
     return outside / mass + psi * (psi * freq), freq, psi
 
 

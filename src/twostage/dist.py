@@ -1,8 +1,4 @@
-"""Probability kernel: the normal tail function and seedable, splittable
-random streams.
-
-``_erfc`` applies the standard library's ``math.erfc`` elementwise, so the
-package needs numpy and nothing else; the arrays on that path are small.
+"""Seedable, splittable random streams.
 
 Randomness goes through :class:`RandomStream`, a thin wrapper over numpy's
 counter-based Philox generator: every ``(master_seed, stream_index)`` pair
@@ -15,7 +11,6 @@ and never shares generator state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -86,8 +81,3 @@ class RandomStream:
             fresh["state"]["key"] = self.offset(k)._key
             bits.state = fresh
             yield gen
-
-
-# math.erfc over an array; stays accurate in the far tail, where 1 - erf(x) cancels.
-_erfc = np.vectorize(math.erfc, otypes=[float])
-

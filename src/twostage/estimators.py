@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _erfc
 from .exceptions import DegenerateInputError
 
 __all__ = [
@@ -28,6 +27,10 @@ __all__ = [
     "coord_pvalue",
     "joint_pvalue",
 ]
+
+# math.erfc over an array: the package needs numpy and nothing else, and it stays accurate in the
+# far tail, where 1 - erf(x) cancels.  The arrays on this path are small.
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,24 @@
 """The normal numerics and the Gauss-Legendre rule that the exact computations share, on ``math`` alone.
 
 The rules' ``reach`` probabilities are built from the tails and bands of one
-standardized coordinate, and from integrals along a circle or a hyperbola;
-``_fold`` places the nodes across the product rule's hyperbola for its ``reach`` and the MSE-ratio alike.
+standardized coordinate, and from integrals along a circle or a hyperbola.
+``_fold`` places the nodes across the product rule's hyperbola for its ``reach`` and the MSE-ratio alike;
+it alone finds where the mass lies, and its callers pass only their own limits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 _SQRT_HALF = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Past this many sd from its mean a normal tail is below 2e-33; the quadrature stops there.
+# Past this many sd from where its mass lies a normal tail is below 2e-33; the quadrature stops there.
 _REACH = 12.0
+# A standard normal tail or density at |z| >= 40 is 0.0 in double precision.
+_EDGE = 40.0
 # The offsets j where a tail crosses the other coordinate's bulk: panel cuts.
 _OFFSETS = (12.0, 8.0, 6.0, 4.0, 3.0, 2.0, 1.0, 0.0, -1.0, -2.0, -3.0, -4.0, -6.0, -8.0, -12.0)
 
@@ -103,33 +107,48 @@ def _arc(g: _Coordinate, b: _Coordinate, radius: float, lo: float, hi: float) ->
     return total * _INV_SQRT_2PI * g.rho
 
 
-def _fold(mean: float, other: float, kappa: float, lo: float, hi: float, reach: float, floor: float):
+def _fold(mean: float, other: float, kappa: float, lo: float, hi: float):
     """Gauss-Legendre nodes ``(r, d, w)`` over r in [lo, hi], for ``r = |Z + mean|``, mean >= 0, and ``d = r - mean``.
 
-    The fold's sides are ``Z = d`` and ``Z = -(d + 2 mean)``.  The range ends
-    ``reach`` sd from the mean.  Panels are cut on a grid of d at most
-    2.5 apart, where ``kappa / r`` crosses ``other + j`` for each of
-    ``_OFFSETS``, and at r falling by 4 down to where the band
-    ``|Z' + other| < kappa / r`` holds all its mass; none below ``floor``.
-    Nodes are placed by r while the range comes within ``reach`` of 0, so r
+    The fold's sides are ``Z = d`` and ``Z = -(d + 2 mean)``.  The band
+    ``|Z' + other| < kappa / r`` holds the other mean while d < ``cross``.
+    On the side of the band that holds the lesser mass the integrand's log
+    is about ``-h/2``, with ``h(d) = d^2 + e(d)^2`` and e the distance from
+    the other mean to the band's edge (``gap`` at d = 0).  Beyond the band
+    (cross > 0) h is convex with curvature at least 2 and least in [0,
+    min(cross, gap, sqrt(kappa))]; within it (cross < 0) h >= d^2, with
+    equality below cross.  Either way h exceeds its least value by
+    ``_REACH^2`` once d is ``_REACH`` sd past ``span``, and exceeds 1600,
+    where the integrand is 0, once |d| passes ``_EDGE``.  So the range runs
+    ``_REACH`` sd past both the mean (the bulk) and ``span`` (the lesser
+    mass), and each side of the band is integrated to relative accuracy.
+    Panels are cut on a grid of d at most 2.5 apart, where ``kappa / r``
+    crosses ``other + j`` for each of ``_OFFSETS``, and at r falling by 4
+    down to where the band holds all the other coordinate's mass, or to the
+    smallest normal float, so that no node is 0.
+    Nodes are placed by r while the range comes within ``_REACH`` of 0, so r
     keeps its digits near the singular r = 0, and by d beyond, so d keeps
     its digits at a mean whose ulp is a sizeable part of an sd.
     """
-    steps = math.ceil(2.0 * reach / 2.5)
-    grid = [reach * (2.0 * i / steps - 1.0) for i in range(steps + 1)]
+    cross = kappa / other - mean if other > 0.0 else math.inf
+    gap = abs(kappa / mean - other) if mean > 0.0 else math.inf
+    span = min(cross, gap, math.sqrt(kappa), _EDGE) if cross > 0.0 else -min(-cross, gap, _EDGE)
+    bottom, top = min(span, 0.0) - _REACH, max(span, 0.0) + _REACH
+    steps = math.ceil((top - bottom) / 2.5)
+    grid = [bottom + (top - bottom) * i / steps for i in range(steps + 1)]
     cuts = [kappa / (other + j) for j in _OFFSETS if other + j > 0.0]
-    if mean >= 2.0 * reach:
-        lo, hi = max(lo - mean, -reach), min(hi - mean, reach)
+    if mean + bottom >= _REACH:
+        lo, hi = max(lo - mean, bottom), min(hi - mean, top)
         for d, w in _panels([*grid, *(r - mean for r in cuts)], lo, hi):
             yield mean + d, d, w
         return
-    lo, hi = max(lo, mean - reach), min(hi, mean + reach)
-    r, bottom = hi, max(lo, floor, kappa / (other + _REACH))
-    while r > bottom:
+    lo, hi = max(lo, mean + bottom), min(hi, mean + top)
+    r, least = hi, max(lo, kappa / (other + _REACH), sys.float_info.min)
+    while r > least:
         r /= 4.0
         cuts.append(r)
     cuts += (mean + d for d in grid)
-    for r, w in _panels([r for r in cuts if r >= floor], lo, hi):
+    for r, w in _panels(cuts, lo, hi):
         yield r, r - mean, w
 
 
@@ -138,15 +157,13 @@ def _hyperbola(g: _Coordinate, b: _Coordinate, kappa: float, lo: float, hi: floa
 
     The integral over r = |Y| in [lo, hi] of ``(phi(d) + phi(d + 2 mean_b))
     P(|X| >= kappa / r)``, with d = r - mean_b, on the nodes of :func:`_fold`.
-    Below ``kappa / (mean_g + _REACH)`` the tail is 0, and no panel is cut
-    below 1e-30.
     """
     if kappa == 0.0 or g.mean == math.inf:
         return _band(b.mean, lo, hi) if hi < math.inf else _tail(b.mean, lo)
     if b.mean == math.inf:
         return 1.0 if hi == math.inf and kappa < math.inf else 0.0
     total = 0.0
-    for r, d, w in _fold(b.mean, g.mean, kappa, max(lo, kappa / (g.mean + _REACH)), hi, _REACH, 1e-30):
+    for r, d, w in _fold(b.mean, g.mean, kappa, lo, hi):
         e = d + 2.0 * b.mean
         total += w * (math.exp(-0.5 * d * d) + math.exp(-0.5 * e * e)) * _tail(g.mean, kappa / r)
     return total * _INV_SQRT_2PI

@@ -307,9 +307,18 @@ def _mp_ratio(g: float, b: float, n: float, c: float, delta: float) -> tuple[flo
     The inner integral, over beta_hat given gamma_hat = x, is the truncated
     raw moments of N(b, 1/n) outside ``|y| < tau / |x|``; the outer one is
     ``mpmath.quad`` over x, split at 0, at the band's edge and at multiples
-    of ``tau sqrt(n)``, the width of the dip around 0.
+    of ``tau sqrt(n)``, the width of the dip around 0.  It spans 14 sd about
+    g, and ``s (sqrt(kappa) + 14)`` about 0, with ``kappa = tau n``: at a
+    wide band the unfiltered mass lies near ``|x| = s sqrt(kappa)``.  When
+    the band's edge crosses b, at ``|x| = tau / |b|``, nearer 0 than g, the
+    range also spans 14 sd past that crossing, where the filtered mass lies.
+    Each integrand is divided by its largest value at the cuts, since
+    ``mpmath.quad``'s tolerance is absolute.  The outside moment's terms
+    cancel to one part in ``psi^2`` of each, with psi the finite-n K ratio,
+    so the working precision grows by two digits per decade of psi.
     """
-    with mpmath.workdps(25):
+    k_ratio = abs(g * b) * n / math.sqrt(1 + n * (g * g + b * b))
+    with mpmath.workdps(25 + 2 * max(0, math.ceil(math.log10(max(k_ratio, 1.0))))):
         g, b, n, c, delta = (mpmath.mpf(v) for v in (g, b, n, c, delta))
         s, tau, psi = 1 / mpmath.sqrt(n), c * n**-delta, g * b
         k, root2 = 1 / mpmath.sqrt(2 * mpmath.pi), mpmath.sqrt(2)
@@ -323,17 +332,30 @@ def _mp_ratio(g: float, b: float, n: float, c: float, delta: float) -> tuple[flo
                 m0 = (mpmath.erfc(-lo / root2) + mpmath.erfc(hi / root2)) / 2
                 m1, m2 = pdf_hi - pdf_lo, m0 + hi * pdf_hi - lo * pdf_lo
                 y1, y2 = b * m0 + s * m1, b * b * m0 + 2 * b * s * m1 + s * s * m2
+                # The band's mass, formed on the side of 0 that holds less of it, not as 1 - m0.
+                inside = mpmath.ncdf(hi) - mpmath.ncdf(lo) if b > 0 else mpmath.ncdf(-lo) - mpmath.ncdf(-hi)
                 density = k / s * mpmath.exp(-(((x - g) / s) ** 2) / 2)
-                cache[x] = ((x * x * y2 - 2 * x * psi * y1 + psi * psi * m0) * density, (1 - m0) * density)
+                cache[x] = ((x * x * y2 - 2 * x * psi * y1 + psi * psi * m0) * density, inside * density)
             return cache[x]
 
-        edge = tau / s
-        cuts = {g - 14 * s, g + 14 * s, *(m * edge for m in (0, 0.01, 0.1, 1, 10, 100, -0.01, -0.1, -1, -10, -100))}
+        edge, peak = tau / s, mpmath.sqrt(tau)
+        lo, hi = min(g - 14 * s, -peak - 14 * s), max(g + 14 * s, peak + 14 * s)
+        cuts = {g, peak, -peak, *(m * edge for m in (0, 0.01, 0.1, 1, 10, 100, -0.01, -0.1, -1, -10, -100))}
         if b:
-            cuts.update((tau / abs(b), -tau / abs(b)))
-        cuts = sorted(x for x in cuts if g - 14 * s <= x <= g + 14 * s)
-        outside = mpmath.quad(lambda x: parts(x)[0], cuts)
-        freq = mpmath.quad(lambda x: parts(x)[1], cuts)
+            cross = tau / abs(b)
+            cuts.update((cross, -cross))
+            if cross < abs(g):
+                cross = mpmath.sign(g) * cross
+                lo, hi = min(lo, cross - 14 * s), max(hi, cross + 14 * s)
+                cuts.update((cross - 14 * s, cross + 14 * s))
+        cuts.update((lo, hi))
+        cuts = sorted(x for x in cuts if lo <= x <= hi)
+
+        def quad(i):
+            scale = max(abs(parts(x)[i]) for x in cuts if x) or 1
+            return mpmath.quad(lambda x: parts(x)[i] / scale, cuts) * scale
+
+        outside, freq = quad(0), quad(1)
         return float((outside + psi * psi * freq) / (s * s * (s * s + g * g + b * b))), float(freq)
 
 
@@ -348,6 +370,36 @@ class TestMseRatioExact:
             assert (point.n, point.mc_se) == (n, 0.0)
             assert abs(point.ratio - ratio) <= 1e-12 * ratio, n
             assert abs(point.filter_freq - freq) <= 1e-12, n
+
+    def test_wide_band_keeps_its_relative_digits(self):
+        # At the double null, c = 100 and delta = 0.9 make kappa 158 to 398,
+        # so the unfiltered mass lies 12.6 to 20 sd from 0, and the ratio is
+        # 2.4e-66 to 8.1e-170.
+        grid = [10**2, 10**4, 10**6]
+        for point, n in zip(mse_ratio_exact(seq("0", "0"), 100.0, 0.9, grid), grid):
+            ratio, _ = _mp_ratio(0.0, 0.0, n, 100.0, 0.9)
+            assert point.ratio == pytest.approx(ratio, rel=1e-12, abs=0), n
+
+    def test_filtered_mass_far_below_the_mean(self):
+        # Both coordinates 30 sd from 0 and kappa = 100: the filtered mass
+        # lies in two equal halves, near |gamma_hat| = 30 and 3.3 sd, the
+        # second 26.7 sd below gamma_hat's mean.
+        grid = [10**2, 10**3, 10**4]
+        for point, n in zip(mse_ratio_exact(seq("30n^-0.5", "30n^-0.5"), 100.0, 1.0, grid), grid):
+            ratio, freq = _mp_ratio(30.0 / math.sqrt(n), 30.0 / math.sqrt(n), n, 100.0, 1.0)
+            assert point.filter_freq == pytest.approx(freq, rel=1e-12, abs=0), n
+            assert point.ratio == pytest.approx(ratio, rel=1e-12, abs=0), n
+
+    def test_filtered_mass_weighs_psi_squared(self):
+        # At n = 1, gamma 4e12 and beta 1e17, the band's edge crosses beta
+        # 12.6 sd below gamma's mean, so P(filtered) is about 1e-36, but it
+        # enters the ratio times psi^2 = 1.6e25 and adds 1.7e-11 to it.
+        gamma, beta = 4e12, 1e17
+        c = beta * (gamma - 12.6)
+        point = mse_ratio_exact(seq("4e12", "1e17"), c, 1.0, [1, 2, 3])[0]
+        ratio, _ = _mp_ratio(gamma, beta, 1.0, c, 1.0)
+        assert ratio - 1.0 > 1e-11
+        assert point.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
 
     def test_oracle_inner_integral_is_the_moments(self):
         # The closed-form inner integral against mpmath.quad over beta_hat, at

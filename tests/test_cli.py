@@ -435,6 +435,15 @@ class TestFwerBoundCommand:
         mean_f = json.loads(capsys.readouterr().out)["mean_F"]
         assert mean_f == pytest.approx(199.99999991983218, rel=1e-14)
 
+    @pytest.mark.parametrize("c", [60, 100])
+    def test_double_null_mean_f_is_m_p0_at_wide_bands(self, capsys, c):
+        # Every hypothesis is at the double null, so F has mean m p0, with p0 = 4.3e-46 or 1.0e-75.
+        row = '{"rows": [{"gamma": "0", "beta": "0", "proportion": 1}]}'
+        rule = json.dumps({"kind": "product", "c": c, "delta": 0.9})
+        assert run_cli("fwer-bound", "--scenario", row, "--rule", rule, "--m", "200") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mean_F"] == pytest.approx(200 * payload["p0"], rel=1e-13, abs=0)
+
     def test_seed_and_reps_are_ignored(self, tmp_path, capsys):
         runs = []
         for extra in (["--seed", "1"], ["--seed", "7", "--reps", "3"], ["--reps", "100000000000000", "--p0-reps", "5"]):
@@ -664,7 +673,7 @@ _HEAVY = ["numpy", "dataclasses", "inspect"]
         ([["--help"]], 0, ["numpy"]),
         ([["classify", "--help"]], 0, ["numpy"]),
         ([["simulate", "--scenario", "config1", "--reps", "0"]], 2, ["numpy"]),
-        ([["fit", "fit.csv"]], 0, ["simulate", "procedure", "asymptotics", "report", "svgplot", "numpy.random"]),
+        ([["fit", "fit.csv"]], 0, ["simulate", "procedure", "asymptotics", "report", "svgplot", "dist", "numpy.random"]),
         ([_CLASSIFY], 0, ["simulate", "procedure", "ingest", "report", "svgplot", "dist", "estimators", *_HEAVY]),
         ([_MSE_RATIO], 0, ["simulate", "procedure", "ingest", "svgplot", "dist", *_HEAVY]),
         ([[*_MSE_RATIO, "--svg", "r.svg"]], 0, ["simulate", "procedure", "ingest", "dist", *_HEAVY]),

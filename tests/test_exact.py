@@ -35,6 +35,7 @@ from twostage import (
 )
 from twostage import exact, rules
 from twostage.procedure import two_stage
+from twostage.quadrature import _Coordinate
 from twostage.rules import _z_critical
 from twostage.scenario import _coordinate_params, _deterministic_counts
 
@@ -159,13 +160,19 @@ def test_rejection_across_the_filter_boundary(rule, row):
         assert r == pytest.approx(_oracle(rule, scenario, zeta), rel=1e-11, abs=1e-16), k
 
 
-@pytest.mark.parametrize("rule", _RULES + [ProductThreshold(40.0, 0.9)], ids=_IDS + ["prod-c40"])
+# At n = 200 a product band c n^-0.9 is c 200^0.1 / sigma^2 in z units: about
+# 68, 170 and 594 for c = 40, 100 and 350 at sigma 1, where the surviving mass
+# lies near |z| = sqrt(band), far out in both tails.
+_BANDS = [ProductThreshold(40.0, 0.9), ProductThreshold(100.0, 0.9), ProductThreshold(350.0, 0.9)]
+
+
+@pytest.mark.parametrize("rule", _RULES + _BANDS, ids=_IDS + ["prod-c40", "prod-c100", "prod-c350"])
 @pytest.mark.parametrize("sigma", [1.0, 3.0])
 def test_double_null_survival_is_p0(rule, sigma):
     scenario = _scenario(*_ROWS["double-null"], sigma=sigma)
     [model] = exact._rows(scenario)
     p0 = rule.p0(sigma, sigma, scenario.n)
-    assert _reach(rule, scenario, model) == pytest.approx(p0, rel=1e-13)
+    assert _reach(rule, scenario, model) == pytest.approx(p0, rel=1e-13, abs=0)
 
 
 def test_one_product_boundary_across_the_consumers():
@@ -264,6 +271,26 @@ def test_product_reach_keeps_its_digits_at_large_means(gamma, n):
 
         want = float(mpmath.quad(filtered, [-40, -10, -3, 0, 3, 10, 40]))
     assert 1.0 - _reach(rule, scenario, row) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("g, b, kappa", [(5.0, 0.0, 200.0), (10.0, 0.0, 400.0), (0.0, 10.0, 400.0), (4.0, 4.0, 300.0)])
+def test_product_reach_keeps_its_digits_at_wide_bands(g, b, kappa):
+    # P(|X Y| >= kappa) for X, Y normal with unit sds and means g, b: the
+    # surviving mass lies on the hyperbola, up to sqrt(kappa) sd beyond both
+    # means, and is 1e-62 to 1e-104 here.
+    s = ProductThreshold(1.0, 1.0).reach(_Coordinate(g, 1.0, 1.0), _Coordinate(b, 1.0, 1.0), kappa, 0.0)
+    with mpmath.workdps(30):
+
+        def survives(y):  # the density of |Y| at y, times P(|X| >= kappa / y)
+            edge = kappa / y
+            return (mpmath.npdf(y - b) + mpmath.npdf(y + b)) * (mpmath.ncdf(g - edge) + mpmath.ncdf(-g - edge))
+
+        top = b + math.sqrt(kappa) + 20
+        cuts = mpmath.linspace(0, top, int(top) + 1)
+        # mpmath.quad's tolerance is absolute, so the integrand is scaled to its peak.
+        scale = max(survives(y) for y in cuts[1:])
+        want = float(mpmath.quad(lambda y: survives(y) / scale, cuts) * scale)
+    assert s == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_only_quadrature_names_panels():
