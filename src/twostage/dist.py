@@ -11,7 +11,6 @@ and never shares generator state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = ["RandomStream"]
 _UINT64 = 2**64
 
 
-@dataclass
 class RandomStream:
     """One independent, reproducible stream of randomness.
 
@@ -34,17 +32,13 @@ class RandomStream:
     different indices never overlap.
     """
 
-    master_seed: int
-    stream_index: int = 0
-    _gen: Generator | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, master_seed: int, stream_index: int = 0):
         # Philox takes each as one 64-bit key word, so a value outside
         # [0, 2**64) would replay the stream of the value it wraps to.
-        for name in ("master_seed", "stream_index"):
-            value = getattr(self, name)
+        for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
             if not isinstance(value, (int, np.integer)) or not 0 <= value < _UINT64:
                 raise ValueError(f"{name} must be an integer in [0, 2**64 - 1], got {value!r}")
+        self.master_seed, self.stream_index, self._gen = master_seed, stream_index, None
 
     @property
     def generator(self) -> Generator:

@@ -14,7 +14,7 @@ The statistics below differ in how they behave across the three null cases
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,15 @@ __all__ = [
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-@dataclass(frozen=True)
-class EstimatePair:
+class _Pair(NamedTuple):
+    gamma_hat: float
+    beta_hat: float
+    sigma_gamma: float = 1.0
+    sigma_beta: float = 1.0
+    n: int = 1
+
+
+class EstimatePair(_Pair):
     """Coordinate estimates for one hypothesis.
 
     Attributes:
@@ -46,13 +53,10 @@ class EstimatePair:
         n: sample size behind the estimates.
     """
 
-    gamma_hat: float
-    beta_hat: float
-    sigma_gamma: float = 1.0
-    sigma_beta: float = 1.0
-    n: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("gamma_hat", "beta_hat"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -62,6 +66,7 @@ class EstimatePair:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not 1 <= self.n < math.inf:
             raise ValueError(f"n must be finite and at least 1, got {self.n}")
+        return self
 
 
 def product_stat(e: EstimatePair) -> float:

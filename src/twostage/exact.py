@@ -238,14 +238,9 @@ def exact_fwer_bound(scenario: ScenarioMixture, rule: FiltrationRule) -> FwerBou
     edge = rule.boundary(scenario.n)
     rows = _rows(scenario)
     survival = [rule.reach(row.gamma, row.beta, edge, 0.0) for row in rows]
-    zetas: dict[int, float] = {}
 
     def rejection(row: _Row):
-        def r(k: int) -> float:
-            if k not in zetas:
-                zetas[k] = _z_critical(alpha / k)
-            return rule.reach(row.gamma, row.beta, edge, zetas[k])
-        return r
+        return lambda k: rule.reach(row.gamma, row.beta, edge, _z_critical(alpha / k))
 
     if scenario.assignment is Assignment.MULTINOMIAL:
         weights = [row.proportion for row in scenario.rows]

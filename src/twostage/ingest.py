@@ -10,7 +10,7 @@ the scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,22 +22,23 @@ __all__ = ["ObservationTable", "read_observations", "ols_mediation_fit"]
 _RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ObservationTable:
-    """Observations with covariates x (n, d), exposure a, mediator m, outcome y."""
-
+class _Columns(NamedTuple):
     x: np.ndarray
     a: np.ndarray
     m: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
+
+class ObservationTable(_Columns):
+    """Observations with covariates x (n, d), exposure a, mediator m, outcome y."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, a, m, y):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.size == 0:
-            x = x.reshape(len(self.a), 0)
-        object.__setattr__(self, "x", x)
-        for name in ("a", "m", "y"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            x = x.reshape(len(a), 0)
+        self = super().__new__(cls, x, *(np.asarray(v, dtype=float) for v in (a, m, y)))
         rows = len(self.a)
         if not (len(self.m) == len(self.y) == self.x.shape[0] == rows):
             raise ValueError("columns must have equal length")
@@ -45,6 +46,7 @@ class ObservationTable:
             raise ValueError(
                 f"need at least d + 3 = {self.x.shape[1] + 3} rows to identify the model, got {rows}"
             )
+        return self
 
     @property
     def n(self) -> int:

@@ -8,8 +8,7 @@ as null and can never be rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +56,7 @@ def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_bet
     return outcomes
 
 
-@dataclass(frozen=True, eq=False)
-class TwoStageOutcome:
+class TwoStageOutcome(NamedTuple):
     """Result of one two-stage run over a list of hypotheses.
 
     ``filtered``, ``base_pvalue`` (the joint p-value) and ``rejected`` hold one

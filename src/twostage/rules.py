@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .quadrature import _arc, _band, _hyperbola, _tail
 from .sequence import _product_bound
@@ -50,7 +49,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class NoFilter:
     """Stage 1 disabled: every hypothesis proceeds to the base test."""
 
@@ -70,19 +68,30 @@ class NoFilter:
         return 1.0
 
 
-@dataclass(frozen=True)
-class MinPValue:
+class _Threshold(NamedTuple):
+    threshold: float
+
+
+class _ThresholdRule(_Threshold):
+    """A rule on one p-value threshold in (0, 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not (0.0 < self.threshold < 1.0):
+            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+        return self
+
+
+class MinPValue(_ThresholdRule):
     """Filter when min(p_gamma, p_beta) >= threshold.
 
     A hypothesis survives only if at least one coordinate is individually
     significant at the (very strict) threshold.
     """
 
-    threshold: float
-
-    def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -90,10 +99,6 @@ class MinPValue:
 
     def boundary(self, n: float) -> float:
         """The critical ``|z|``: filtered when both coordinates' ``|z|`` are at most it."""
-        return self._critical
-
-    @functools.cached_property
-    def _critical(self) -> float:  # formed once: the kernel asks for the bound at each distinct n
         return _z_critical(self.threshold)
 
     def survives(self, z_gamma, z_beta, product, bound):
@@ -112,8 +117,7 @@ class MinPValue:
         return self.threshold * (2.0 - self.threshold)
 
 
-@dataclass(frozen=True)
-class ChiSquarePValue:
+class ChiSquarePValue(_ThresholdRule):
     """Filter when the chi-square(2df) p-value of W is >= threshold.
 
     W standardizes both coordinates, ``W = n * (g^2/sg^2 + b^2/sb^2)``, so it
@@ -121,11 +125,7 @@ class ChiSquarePValue:
     a bona fide level test of that point.
     """
 
-    threshold: float
-
-    def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -152,8 +152,12 @@ class ChiSquarePValue:
         return self.threshold
 
 
-@dataclass(frozen=True)
-class ProductThreshold:
+class _Product(NamedTuple):
+    c: float
+    delta: float
+
+
+class ProductThreshold(_Product):
     """Filter when |gamma_hat * beta_hat| < c * n**-delta.
 
     The absolute value makes the rule two-sided; a one-sided reading would
@@ -162,14 +166,15 @@ class ProductThreshold:
     underflows at tiny sigma.
     """
 
-    c: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"c must be positive, got {self.c}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta}")
+        return self
 
     @property
     def label(self) -> str:
@@ -204,7 +209,6 @@ class ProductThreshold:
 FiltrationRule = Union[NoFilter, MinPValue, ChiSquarePValue, ProductThreshold]
 
 
-@dataclass(frozen=True)
 class BonferroniOverUnfiltered:
     """Reject survivors at threshold alpha / F (plain Bonferroni over survivors)."""
 
@@ -212,8 +216,11 @@ class BonferroniOverUnfiltered:
     p0 = 1.0  # the level is alpha * p0, as under FiltrationAware
 
 
-@dataclass(frozen=True)
-class FiltrationAware:
+class _Level(NamedTuple):
+    p0: float
+
+
+class FiltrationAware(_Level):
     """Reject survivors at threshold alpha * p0 / F.
 
     ``p0`` is the survival probability of the filtration rule at the
@@ -221,20 +228,20 @@ class FiltrationAware:
     Scaling by p0 restores the finite-sample FWER guarantee at level alpha.
     """
 
-    p0: float
+    __slots__ = ()
+    label = "filtration-aware"
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.p0 <= 1.0):
             raise ValueError(f"p0 must lie in (0, 1], got {self.p0}")
-
-    label = "filtration-aware"
+        return self
 
 
 Adjustment = Union[BonferroniOverUnfiltered, FiltrationAware]
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """A filtration rule paired with a multiplicity adjustment."""
 
     rule: FiltrationRule
@@ -266,6 +273,7 @@ def standard_methods() -> tuple[Method, ...]:
     )
 
 
+@functools.cache
 def _z_critical(t: float) -> float:
     """The ``|z|`` at which a two-sided normal p-value equals ``t``.
 

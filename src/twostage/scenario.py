@@ -11,9 +11,8 @@ description needs only the standard library: ``simulate`` draws from it, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .sequence import PowerSequence
 
@@ -32,8 +31,7 @@ class Assignment(Enum):
     MULTINOMIAL = "multinomial"
 
 
-@dataclass(frozen=True)
-class NormalMeanPrior:
+class NormalMeanPrior(NamedTuple):
     """A coordinate whose mean is itself drawn N(mean_at(n), variance_at(n)).
 
     It is drawn anew for each hypothesis in each replication, so the estimate is
@@ -47,21 +45,23 @@ class NormalMeanPrior:
 CoordinateModel = Union[PowerSequence, NormalMeanPrior]
 
 
-@dataclass(frozen=True)
-class MixtureRow:
+class _RowFields(NamedTuple):
     gamma: CoordinateModel
     beta: CoordinateModel
     proportion: float
 
-    def __post_init__(self):
+
+class MixtureRow(_RowFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 <= self.proportion <= 1.0):
             raise ValueError(f"proportion must lie in [0, 1], got {self.proportion}")
+        return self
 
 
-@dataclass(frozen=True)
-class ScenarioMixture:
-    """A mixture of parameter rows plus the experiment dimensions."""
-
+class _ScenarioFields(NamedTuple):
     name: str
     rows: tuple[MixtureRow, ...]
     m: int = 200
@@ -72,7 +72,14 @@ class ScenarioMixture:
     assignment: Assignment = Assignment.DETERMINISTIC
     renormalized: bool = False
 
-    def __post_init__(self):
+
+class ScenarioMixture(_ScenarioFields):
+    """A mixture of parameter rows plus the experiment dimensions."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.rows:
             raise ValueError("scenario needs at least one row")
         total = sum(r.proportion for r in self.rows)
@@ -90,6 +97,7 @@ class ScenarioMixture:
                 if not 0.0 <= variance < math.inf:
                     raise ValueError(f"rows[{i}].{name}.normal.variance is {variance!r} at n = {self.n}; "
                                      "a variance must be finite and >= 0")
+        return self
 
 
 def _const(x: float) -> PowerSequence:

@@ -663,8 +663,8 @@ def _run_python(code, **kwargs):
 # code each must give, then the modules that must still be absent.  Both
 # stages decide on |z| against critical values, so no command needs scipy;
 # importing the CLI, help, usage errors, classify, mse-ratio and fwer-bound
-# need no numpy, and classify and mse-ratio build their records as
-# NamedTuples, with no dataclasses (which imports inspect).
+# need no numpy.  The package's records are NamedTuples, so no command loads
+# dataclasses, and those that skip numpy skip inspect too.
 _HEAVY = ["numpy", "dataclasses", "inspect"]
 @pytest.mark.parametrize(
     "calls, code, forbidden",
@@ -673,20 +673,20 @@ _HEAVY = ["numpy", "dataclasses", "inspect"]
         ([["--help"]], 0, ["numpy"]),
         ([["classify", "--help"]], 0, ["numpy"]),
         ([["simulate", "--scenario", "config1", "--reps", "0"]], 2, ["numpy"]),
-        ([["fit", "fit.csv"]], 0, ["simulate", "procedure", "asymptotics", "report", "svgplot", "dist", "numpy.random"]),
+        ([["fit", "fit.csv"]], 0, ["simulate", "procedure", "asymptotics", "report", "svgplot", "dist", "numpy.random", "dataclasses"]),
         ([_CLASSIFY], 0, ["simulate", "procedure", "ingest", "report", "svgplot", "dist", "estimators", *_HEAVY]),
         ([_MSE_RATIO], 0, ["simulate", "procedure", "ingest", "svgplot", "dist", *_HEAVY]),
         ([[*_MSE_RATIO, "--svg", "r.svg"]], 0, ["simulate", "procedure", "ingest", "dist", *_HEAVY]),
-        ([_SIMULATE], 0, ["ingest", "svgplot", "asymptotics"]),
-        ([[*_SIMULATE, "--svg", "r.svg"]], 0, ["ingest", "asymptotics"]),
-        ([["simulate", "--scenario", json.dumps(_SEQUENCE_ROWS), *_SIZE]], 0, ["ingest", "svgplot", "asymptotics"]),
+        ([_SIMULATE], 0, ["ingest", "svgplot", "asymptotics", "dataclasses"]),
+        ([[*_SIMULATE, "--svg", "r.svg"]], 0, ["ingest", "asymptotics", "dataclasses"]),
+        ([["simulate", "--scenario", json.dumps(_SEQUENCE_ROWS), *_SIZE]], 0, ["ingest", "svgplot", "asymptotics", "dataclasses"]),
         (
             [
                 ["fwer-bound", "--scenario", "hierarchical", "--rule", rule, *_SIZE, "--out", "b.json"]
                 for rule in ("nofilter", "minp", "chisq2", "prod-0.9")
             ],
             0,
-            ["ingest", "svgplot", "asymptotics", "dist", "simulate", "procedure", "estimators", "numpy"],
+            ["ingest", "svgplot", "asymptotics", "dist", "simulate", "procedure", "estimators", *_HEAVY],
         ),
     ],
     ids=[

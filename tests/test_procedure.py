@@ -12,6 +12,7 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from twostage import (
+    Assignment,
     BonferroniOverUnfiltered,
     ChiSquarePValue,
     EstimatePair,
@@ -23,6 +24,8 @@ from twostage import (
     RandomStream,
     ScenarioMixture,
     MixtureRow,
+    NormalMeanPrior,
+    ObservationTable,
     PowerSequence,
     exact_fwer_bound,
     fwer_bound_from_survivors,
@@ -59,6 +62,74 @@ class TestRuleValidation:
             ProductThreshold(-1.0, 0.8)
         with pytest.raises(ValueError):
             ProductThreshold(2.0, 0.0)
+
+
+_ZERO = PowerSequence(0.0)
+
+
+class TestRecords:
+    # Each record is a NamedTuple: it refuses a bad value by keyword as by position,
+    # builds by keyword with its defaults, and has no instance __dict__ to write to.
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: MinPValue(1.0), r"threshold must lie in \(0, 1\), got 1.0"),
+            (lambda: ChiSquarePValue(threshold=0.0), r"threshold must lie in \(0, 1\), got 0.0"),
+            (lambda: ProductThreshold(0.0, 1.0), "c must be positive, got 0.0"),
+            (lambda: ProductThreshold(delta=-1.0, c=2.0), "delta must be positive, got -1.0"),
+            (lambda: FiltrationAware(0.0), r"p0 must lie in \(0, 1\], got 0.0"),
+            (lambda: MixtureRow(_ZERO, _ZERO, 1.5), r"proportion must lie in \[0, 1\], got 1.5"),
+            (lambda: ScenarioMixture("bad", (MixtureRow(_ZERO, _ZERO, 0.9),)), "row proportions must sum to 1, got 0.9"),
+            (lambda: EstimatePair(0, 0, sigma_gamma=0), "sigma_gamma must be positive, got 0"),
+            (lambda: RandomStream(-1), r"master_seed must be an integer in \[0, 2\*\*64 - 1\], got -1"),
+            (lambda: ObservationTable(x=[], a=[0.0] * 3, m=[0.0] * 4, y=[0.0] * 3), "columns must have equal length"),
+        ],
+    )
+    def test_refuses_a_bad_value(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_builds_by_keyword_with_defaults(self):
+        assert MinPValue(threshold=0.01).threshold == ChiSquarePValue(threshold=0.01).threshold == 0.01
+        assert ProductThreshold(delta=0.9, c=2.0)._asdict() == {"c": 2.0, "delta": 0.9}
+        assert FiltrationAware(p0=0.5).p0 == 0.5
+        method = Method(rule=NoFilter())
+        assert isinstance(method.adjustment, BonferroniOverUnfiltered) and method.id is None
+        assert method.method_id == "nofilter"
+        prior = NormalMeanPrior(variance=_ZERO, mean=PowerSequence(1.0))
+        row = MixtureRow(proportion=1.0, gamma=prior, beta=_ZERO)
+        scenario = ScenarioMixture(rows=(row,), name="s")
+        assert scenario._asdict() == {
+            "name": "s", "rows": (row,), "m": 200, "reps": 500, "n": 200, "sigma": 1.0, "alpha": 0.05,
+            "assignment": Assignment.DETERMINISTIC, "renormalized": False,
+        }
+        assert EstimatePair(beta_hat=0.2, gamma_hat=0.1)._asdict() == {
+            "gamma_hat": 0.1, "beta_hat": 0.2, "sigma_gamma": 1.0, "sigma_beta": 1.0, "n": 1,
+        }
+        stream = RandomStream(master_seed=3)
+        assert (stream.master_seed, stream.stream_index) == (3, 0)
+        table = ObservationTable(y=[1, 2, 3], m=[4, 5, 6], a=[7, 8, 9], x=[])
+        assert table.x.shape == (3, 0) and table.a.dtype == float and table.m.tolist() == [4.0, 5.0, 6.0]
+
+    def test_fields_are_read_only(self):
+        rows = (MixtureRow(_ZERO, _ZERO, 1.0),)
+        records = [
+            (MinPValue(0.01), "threshold"),
+            (ChiSquarePValue(0.01), "threshold"),
+            (ProductThreshold(2.0, 0.9), "c"),
+            (FiltrationAware(0.5), "p0"),
+            (Method(NoFilter()), "rule"),
+            (NormalMeanPrior(_ZERO, _ZERO), "mean"),
+            (rows[0], "proportion"),
+            (ScenarioMixture("s", rows), "m"),
+            (EstimatePair(0.1, 0.2), "n"),
+            (ObservationTable(x=[], a=[0.0] * 3, m=[0.0] * 3, y=[0.0] * 3), "a"),
+            (run_two_stage([EstimatePair(0.1, 0.2)], NoFilter()), "F"),
+        ]
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 class TestFilterMask:
@@ -485,3 +556,19 @@ def test_only_rules_names_a_rule_class():
         if names & rule_classes:
             naming[path.name] = sorted(names & rule_classes)
     assert naming == {}
+
+
+def test_no_module_imports_dataclasses():
+    # The package's records are NamedTuples, and the rest are plain classes.
+    importing = []
+    for path in sorted(Path(procedure.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                importing.append(path.name)
+    assert importing == []
