@@ -11,6 +11,7 @@ import numpy as np
 from twostage import (
     EstimatePair,
     FiltrationAware,
+    Method,
     ProductThreshold,
     builtin_scenario,
     exact_fwer_bound,
@@ -52,9 +53,12 @@ survived = out.F / m
 for q in (0.001, 0.01, 0.05):
     print(f"survivor-count FWER bound at q={q}: {fwer_bound_from_survivors(q, [survived], [m]):.4f}")
 
-# fwer-bound computes the same quantities exactly for a scenario: the FWER of
-# the rule with threshold alpha/F, q_max over the scenario's null rows, and
-# the bound at q_max.
-exact = exact_fwer_bound(builtin_scenario("config2", n=n), rule)
-print(f"config2 at n={n}: exact FWER {exact.fwer:.4f}, q_max {exact.q_max:.6f}, "
-      f"survivor bound {exact.survivor_bound:.4f}, mean F {exact.mean_F:.1f}")
+# exact_fwer_bound computes the same quantities exactly for a scenario and a
+# method: the FWER with threshold alpha*p0/F (p0 = 1 for plain Bonferroni),
+# q_max over the scenario's null rows, and the bound at q_max. fwer-bound
+# prints the plain method's values.
+scenario = builtin_scenario("config2", n=n)
+for method in (Method(rule), Method(rule, FiltrationAware(p0))):
+    exact = exact_fwer_bound(scenario, method)
+    print(f"config2 at n={n}, {method.method_id}: exact FWER {exact.fwer:.4f}, q_max {exact.q_max:.6f}, "
+          f"survivor bound {exact.survivor_bound:.4f}, mean F {exact.mean_F:.1f}")

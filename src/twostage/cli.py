@@ -556,6 +556,7 @@ def _cmd_classify(s: dict) -> int:
 def _cmd_fit(s: dict) -> int:
     from .estimators import joint_pvalue, product_stat, sobel_stat
     from .ingest import ols_mediation_fit, read_observations
+    from .jsonsafe import strict
 
     table = read_observations(s["data"], delimiter=s["delimiter"])
     pair = ols_mediation_fit(table)
@@ -576,7 +577,7 @@ def _cmd_fit(s: dict) -> int:
         "sobel_z": None if sobel is None else math.sqrt(pair.n) * sobel,
         "joint_pvalue": joint_pvalue(pair),
     }
-    print(json.dumps(payload))
+    print(json.dumps(strict(payload)))
     return EXIT_OK
 
 
@@ -585,13 +586,14 @@ def _cmd_fit(s: dict) -> int:
 
 def _cmd_fwer_bound(s: dict) -> int:
     from .exact import exact_fwer_bound
+    from .rules import Method
 
     scenario = _parse_scenario(s["scenario"], s, "scenario")
     rule = _rule(s["rule"], "rule")
 
     p0 = rule.p0(scenario.sigma, scenario.sigma, scenario.n)
     with _memory_for("m", scenario.m):
-        exact = exact_fwer_bound(scenario, rule)
+        exact = exact_fwer_bound(scenario, Method(rule))
     payload = {
         "rule": rule.label,
         "scenario": scenario.name,

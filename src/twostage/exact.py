@@ -1,14 +1,14 @@
-"""Exact operating characteristics of one filtration rule on a scenario, on the standard library.
+"""Exact operating characteristics of one method on a scenario, on the standard library.
 
-Stage 2 rejects a survivor at the threshold alpha/F.  For each mixture row
-the computation needs two probabilities of one of its hypotheses:
+Stage 2 rejects a survivor at the threshold alpha*p0/F (``Method.level``;
+p0 = 1 for plain Bonferroni).  Each mixture row needs two probabilities:
 
 * ``s``, that it survives stage 1;
 * ``r(k)``, that it survives and its joint ``|z|`` reaches
-  ``_z_critical(alpha/k)``, so that it is rejected when F = k.
+  ``_z_critical(alpha*p0/k)``, so that it is rejected when F = k.
 
 Both are the rule's ``reach`` (see :mod:`twostage.rules`), which knows the
-rule's region: ``r(k)`` at ``zeta = _z_critical(alpha/k)`` and ``s`` at
+rule's region: ``r(k)`` at ``zeta = _z_critical(alpha*p0/k)`` and ``s`` at
 ``zeta = 0``.  Each coordinate estimate of a row is normal, with the row's
 mean and sd ``hypot(prior_sd, sigma/sqrt(n))``, and ``reach`` takes it in
 units of that sd (:class:`twostage.quadrature._Coordinate`).
@@ -29,11 +29,12 @@ mass gives it, with an aliasing error below the mass outside the window.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple, Sequence
 
 from .quadrature import _Coordinate
-from .rules import FiltrationRule, _z_critical
+from .rules import Method, _z_critical
 from .scenario import Assignment, ScenarioMixture, _coordinate_params, _deterministic_counts, _row_is_null
 
 __all__ = ["FwerBound", "exact_fwer_bound", "fwer_bound_from_survivors"]
@@ -223,37 +224,37 @@ def _deterministic_fwer(pmf: tuple[int, list[float]], alternatives, nulls) -> fl
     return math.fsum(terms)
 
 
-def exact_fwer_bound(scenario: ScenarioMixture, rule: FiltrationRule) -> FwerBound:
-    """The exact FWER, ``q_max``, survivor bound and mean F of ``rule`` with threshold alpha/F.
+def exact_fwer_bound(scenario: ScenarioMixture, method: Method) -> FwerBound:
+    """The exact FWER, ``q_max``, survivor bound and mean F of ``method``, at threshold alpha*p0/F.
 
     ``q_max`` is the largest, over the scenario's null rows that hold
     hypotheses that can survive, of the probability that a survivor of the
     row is rejected: ``sum_k P(F_-i = k - 1) r(k) / s``, where ``F_-i``
-    counts the survivors among the other m - 1 hypotheses.  The survivor
-    bound is :func:`fwer_bound_from_survivors` at ``q_max``.  Raises
-    MemoryError when F's distribution is too wide to hold, and
-    FloatingPointError when a value is not a finite number.
+    counts the survivors among the other m - 1 hypotheses.  Both it and the
+    FWER read each row's r(k), integrated once.  The survivor bound is
+    :func:`fwer_bound_from_survivors` at ``q_max``.  Raises MemoryError when
+    F's distribution is too wide to hold, and FloatingPointError when a
+    value is not a finite number.
     """
-    alpha, m = scenario.alpha, scenario.m
+    m, rule, level = scenario.m, method.rule, method.level(scenario.alpha)
     edge = rule.boundary(scenario.n)
     rows = _rows(scenario)
     survival = [rule.reach(row.gamma, row.beta, edge, 0.0) for row in rows]
 
     def rejection(row: _Row):
-        return lambda k: rule.reach(row.gamma, row.beta, edge, _z_critical(alpha / k))
+        return functools.cache(lambda k: rule.reach(row.gamma, row.beta, edge, _z_critical(level / k)))
 
     if scenario.assignment is Assignment.MULTINOMIAL:
         weights = [row.proportion for row in scenario.rows]
         mean_s = min(1.0, math.fsum(p * s for p, s in zip(weights, survival)))
-        nulls = [(p, rejection(row)) for p, row in zip(weights, rows) if row.null and p > 0.0]
+        others = _binomial(m - 1, mean_s)
+        removed = {i: (others, rejection(row)) for i, (p, row) in enumerate(zip(weights, rows)) if p > 0.0 and row.null}
         lo, values = _binomial(m, mean_s)
         terms = []
         for k, prob in enumerate(values, lo):
-            ratio = min(1.0, math.fsum(p * r(k) for p, r in nulls) / mean_s) if k else 0.0
+            ratio = min(1.0, math.fsum(weights[i] * r(k) for i, (_, r) in removed.items()) / mean_s) if k else 0.0
             terms.append(prob if ratio == 1.0 else -prob * math.expm1(k * math.log1p(-ratio)))
         fwer = math.fsum(terms)
-        others = _binomial(m - 1, mean_s)
-        removed = {i: others for i, (p, row) in enumerate(zip(weights, rows)) if p > 0.0 and row.null}
         bound_survival, bound_counts = [mean_s], [m]
     else:
         counts = _deterministic_counts([row.proportion for row in scenario.rows], m)
@@ -262,21 +263,19 @@ def exact_fwer_bound(scenario: ScenarioMixture, rule: FiltrationRule) -> FwerBou
             if c:
                 pmf = _convolve(pmf, _binomial(c, s))
         alternatives = [(s, c) for c, s, row in zip(counts, survival, rows) if c and not row.null]
-        nulls = [(s, c, rejection(row)) for c, s, row in zip(counts, survival, rows) if c and row.null]
-        fwer = _deterministic_fwer(pmf, alternatives, nulls)
-        removed = {i: _without_one(pmf, s) for i, (c, s, row) in enumerate(zip(counts, survival, rows)) if c and row.null}
+        removed = {i: (_without_one(pmf, s), rejection(row))
+                   for i, (c, s, row) in enumerate(zip(counts, survival, rows)) if c and row.null}
+        fwer = _deterministic_fwer(pmf, alternatives, [(survival[i], counts[i], r) for i, (_, r) in removed.items()])
         bound_survival, bound_counts = survival, counts
 
     q_max = 0.0
-    for i, (lo, values) in removed.items():
-        row, s = rows[i], survival[i]
-        if s > 0.0:
-            r = rejection(row)
+    for i, ((lo, values), r) in removed.items():
+        if survival[i] > 0.0:
             hit = math.fsum(p * r(j + 1) for j, p in enumerate(values, lo) if j >= 0)
-            q_max = max(q_max, min(1.0, hit / s))
+            q_max = max(q_max, min(1.0, hit / survival[i]))
     bound = fwer_bound_from_survivors(q_max, bound_survival, bound_counts)
     mean_f = math.fsum(c * s for c, s in zip(bound_counts, bound_survival))
     result = FwerBound(q_max, bound, min(1.0, max(0.0, fwer)), mean_f)
     if not all(map(math.isfinite, result)):
-        raise FloatingPointError(f"the exact values of {rule.label} on {scenario.name} are not all finite numbers")
+        raise FloatingPointError(f"the exact values of {method.method_id} on {scenario.name} are not all finite numbers")
     return result

@@ -175,13 +175,21 @@ def _ols(design: np.ndarray, response: np.ndarray):
     coef = _back_substitute(r, q.T @ response)
     resid = response - design @ coef
     # fsum, not a BLAS dot product, whose split across threads would move the
-    # last digits with the thread count.  Squaring in place adds no array.
-    resid *= resid
-    rss = math.fsum(resid)
+    # last digits with the thread count.  When the squares pass float range,
+    # the residuals are scaled by the largest of them and summed again, and
+    # the scale comes back on the standard errors.
+    with np.errstate(over="ignore"):
+        rss = math.fsum(resid * resid)
+    top = max(float(resid.max()), -float(resid.min()))
+    scale = top if math.isinf(rss) and top < math.inf else 1.0  # an infinite residual cannot be scaled
+    if scale != 1.0:
+        resid /= scale
+        resid *= resid
+        rss = math.fsum(resid)
     df = n - p
     s2 = rss / df if df > 0 else 0.0
     r_inv = _back_substitute(r, np.eye(p))
-    se = np.sqrt(np.maximum(s2 * np.sum(r_inv**2, axis=1), 0.0))
+    se = scale * np.sqrt(np.maximum(s2 * np.sum(r_inv**2, axis=1), 0.0))
     se = np.maximum(se, np.finfo(float).tiny)
     return coef, se
 

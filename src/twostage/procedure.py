@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .estimators import EstimatePair, _abs_z, coord_pvalue
-from .rules import Adjustment, BonferroniOverUnfiltered, FiltrationRule, _z_critical
+from .rules import Adjustment, BonferroniOverUnfiltered, FiltrationRule, Method, _z_critical
 
 __all__ = [
     "TwoStageOutcome",
@@ -28,29 +28,28 @@ def _each(f, x):
 
 
 def two_stage(methods, alpha: float, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n) -> list[tuple]:
-    """The two-stage procedure for each ``(rule, adjustment)`` pair in ``methods``.
+    """The two-stage procedure for each :class:`~twostage.rules.Method` in ``methods``.
 
     The hypotheses lie along the last axis of the estimate arrays (leading
     axes index independent batches, such as replications); the scales and n
     broadcast against them.  Returns one ``(survivors, threshold, rejected)``
     triple per method: the stage-1 survivor mask, the common stage-2
-    threshold ``alpha * p0 / F`` of each batch (the adjustment's p0, 1 for
-    plain Bonferroni; 0 where F = 0), and the rejection mask.  Stage 1 is the
-    rule's ``survives`` on each coordinate's ``|z|`` and on ``|gamma_hat
-    beta_hat|``, each formed once, against its ``boundary(n)``, formed once
-    per distinct n.  A survivor is rejected iff its joint p-value is <= the
-    threshold, decided as ``min |z| >= _z_critical(threshold)``.
+    threshold ``method.level(alpha) / F`` of each batch (0 where F = 0), and
+    the rejection mask.  Stage 1 is the rule's ``survives`` on each
+    coordinate's ``|z|`` and on ``|gamma_hat beta_hat|``, each formed once,
+    against its ``boundary(n)``, formed once per distinct n.  A survivor is
+    rejected iff its joint p-value is <= the threshold, decided as ``min |z|
+    >= _z_critical(threshold)``.
     """
     with np.errstate(over="ignore"):  # a statistic beyond float range is inf, and survives
         z_gamma, z_beta = _abs_z(gamma_hat, sigma_gamma, n), _abs_z(beta_hat, sigma_beta, n)
         joint_z = np.minimum(z_gamma, z_beta)
         product = np.abs(np.multiply(gamma_hat, beta_hat, dtype=float))
         outcomes = []
-        for rule, adjustment in methods:
-            survivors = rule.survives(z_gamma, z_beta, product, _each(rule.boundary, n))
-            level = alpha * adjustment.p0
+        for method in methods:
+            survivors = method.rule.survives(z_gamma, z_beta, product, _each(method.rule.boundary, n))
             f = survivors.sum(axis=-1).astype(float)
-            threshold = np.divide(level, f, out=np.zeros_like(f), where=f > 0)
+            threshold = np.divide(method.level(alpha), f, out=np.zeros_like(f), where=f > 0)
             z_crit = _each(_z_critical, threshold)
             outcomes.append((survivors, threshold, survivors & (joint_z >= z_crit[..., None])))
     return outcomes
@@ -93,7 +92,7 @@ def run_two_stage(
     sig_g = np.array([e.sigma_gamma for e in estimates])
     sig_b = np.array([e.sigma_beta for e in estimates])
     ns = np.array([e.n for e in estimates])
-    [(survivors, threshold, rejected)] = two_stage([(rule, adjustment)], alpha, gamma, beta, sig_g, sig_b, ns)
+    [(survivors, threshold, rejected)] = two_stage([Method(rule, adjustment)], alpha, gamma, beta, sig_g, sig_b, ns)
     return TwoStageOutcome(
         filtered=~survivors,
         base_pvalue=np.maximum(coord_pvalue(gamma, sig_g, ns), coord_pvalue(beta, sig_b, ns)),

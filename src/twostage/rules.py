@@ -242,7 +242,7 @@ Adjustment = Union[BonferroniOverUnfiltered, FiltrationAware]
 
 
 class Method(NamedTuple):
-    """A filtration rule paired with a multiplicity adjustment."""
+    """A filtration rule and an adjustment: stage 2 rejects a survivor at ``level(alpha) / F``."""
 
     rule: FiltrationRule
     adjustment: Adjustment = BonferroniOverUnfiltered()
@@ -254,6 +254,9 @@ class Method(NamedTuple):
             return self.id
         suffix = "-aware" if isinstance(self.adjustment, FiltrationAware) else ""
         return self.rule.label + suffix
+
+    def level(self, alpha: float) -> float:
+        return alpha * self.adjustment.p0
 
 
 def standard_methods() -> tuple[Method, ...]:

@@ -100,13 +100,11 @@ def _replication_blocks(scenario, methods, stream, reps: range):
     replications: a ``(block, m)`` array, and one ``(survivors, rejected)``
     pair of ``(block, m)`` masks per method.
     """
-    sigma, n = scenario.sigma, scenario.n
-    pairs = [(method.rule, method.adjustment) for method in methods]
     layout = _scenario_layout(scenario)
     for start in range(reps.start, reps.stop, _BLOCK_REPS):
         block = range(start, min(start + _BLOCK_REPS, reps.stop))
         gamma_hat, beta_hat, is_null = _draw_hypotheses(scenario, block, stream, layout)
-        outcomes = two_stage(pairs, scenario.alpha, gamma_hat, beta_hat, sigma, sigma, n)
+        outcomes = two_stage(methods, scenario.alpha, gamma_hat, beta_hat, scenario.sigma, scenario.sigma, scenario.n)
         yield is_null, [(survivors, rejected) for survivors, _, rejected in outcomes]
 
 

@@ -19,8 +19,9 @@ from scipy import integrate
 from scipy.stats import norm
 
 from twostage import (
-    BonferroniOverUnfiltered,
+    BUILTIN_SCENARIOS,
     ChiSquarePValue,
+    FiltrationAware,
     Method,
     MinPValue,
     MixtureRow,
@@ -32,6 +33,7 @@ from twostage import (
     builtin_scenario,
     exact_fwer_bound,
     run_experiment,
+    standard_methods,
 )
 from twostage import exact, rules
 from twostage.procedure import two_stage
@@ -184,13 +186,13 @@ def test_one_product_boundary_across_the_consumers():
     assert rule.boundary(n) == bound
     points = np.array([bound, math.nextafter(bound, 0.0)])  # on the bound, and one ulp inside it
     want = [True, False]  # survives on the bound, filtered below it
-    [(survivors, _, _)] = two_stage([(rule, BonferroniOverUnfiltered())], 0.05, points, np.ones(2), sigma, sigma, n)
+    [(survivors, _, _)] = two_stage([Method(rule)], 0.05, points, np.ones(2), sigma, sigma, n)
     assert survivors.tolist() == want
     scenario = _scenario(_ps("0"), _ps("0"), sigma=sigma, n=n)
     [row] = exact._rows(scenario)
     assert (row.gamma.sd, row.beta.sd) == (1.0, 1.0)
     with mock.patch.object(rules, "_hyperbola", wraps=rules._hyperbola) as hyperbola:
-        exact_fwer_bound(scenario, rule)
+        exact_fwer_bound(scenario, Method(rule))
     [kappa] = {call.args[2] for call in hyperbola.call_args_list}  # the bound in the rows' sd units
     assert (points >= kappa).tolist() == want
     with mock.patch.object(rules, "_product_tail", wraps=rules._product_tail) as tail:
@@ -227,7 +229,7 @@ def _polynomial_fwer(scenario, rule):
 @pytest.mark.parametrize("name", ["config1", "config2"])
 def test_deterministic_fwer_matches_polynomial_products(name, m, rule):
     scenario = builtin_scenario(name, m=m)
-    assert exact_fwer_bound(scenario, rule).fwer == pytest.approx(_polynomial_fwer(scenario, rule), abs=2e-15)
+    assert exact_fwer_bound(scenario, Method(rule)).fwer == pytest.approx(_polynomial_fwer(scenario, rule), abs=2e-15)
 
 
 @pytest.mark.parametrize("m", [10**6, 10**14])
@@ -238,7 +240,7 @@ def test_nofilter_fwer_keeps_its_digits_at_large_m(m):
     counts = _deterministic_counts([row.proportion for row in scenario.rows], m)
     zeta = _z_critical(scenario.alpha / m)
     log_none = math.fsum(c * math.log1p(-_reach(NoFilter(), scenario, row, zeta)) for c, row in zip(counts, rows) if row.null)
-    assert exact_fwer_bound(scenario, NoFilter()).fwer == pytest.approx(-math.expm1(log_none), rel=1e-7)
+    assert exact_fwer_bound(scenario, Method(NoFilter())).fwer == pytest.approx(-math.expm1(log_none), rel=1e-7)
 
 
 @pytest.mark.parametrize("mean", ["0", "0.731", "0.777", "3"])
@@ -248,7 +250,7 @@ def test_nofilter_survives_with_probability_exactly_one(mean):
     scenario = _scenario(_ps(mean), _ps("0"), n=1)
     [row] = exact._rows(scenario)
     assert _reach(NoFilter(), scenario, row) == 1.0
-    assert exact_fwer_bound(scenario, NoFilter()).mean_F == scenario.m
+    assert exact_fwer_bound(scenario, Method(NoFilter())).mean_F == scenario.m
 
 
 @pytest.mark.parametrize("n", [10**20, 10**24], ids=["beta-1e10-sd", "beta-1e12-sd"])
@@ -317,7 +319,7 @@ def test_simulation_agrees_within_3_se(name):
     methods = [Method(rule, id=label) for rule, label in zip(_RULES, _IDS)]
     report = run_experiment(scenario, methods, master_seed=30)
     for rule, res in zip(_RULES, report.methods):
-        want = exact_fwer_bound(scenario, rule)
+        want = exact_fwer_bound(scenario, Method(rule))
         rows = exact._rows(scenario)
         survival = [_reach(rule, scenario, row) for row in rows]
         if name == "hierarchical":
@@ -334,19 +336,56 @@ def test_simulation_agrees_within_3_se(name):
 def test_hierarchical_defaults_match_an_earlier_computation():
     # q_max, survivor_bound, fwer and mean_F of prod-0.9, as an earlier
     # implementation gave them, to 6 significant digits.
-    got = exact_fwer_bound(builtin_scenario("hierarchical"), ProductThreshold(2.0, 0.9))
+    got = exact_fwer_bound(builtin_scenario("hierarchical"), Method(ProductThreshold(2.0, 0.9)))
     assert [float(f"{value:.6g}") for value in got] == [0.00103567, 0.0599196, 0.0490983, 59.6524]
+
+
+@pytest.mark.parametrize("name", ["config2", "hierarchical"])
+def test_each_rejection_probability_is_integrated_once(name):
+    # The FWER and q_max read one memoized r(k) per null row, so no
+    # (row, threshold) pair reaches the rule's quadrature twice.
+    with mock.patch.object(ProductThreshold, "reach", autospec=True, side_effect=ProductThreshold.reach) as reach:
+        exact_fwer_bound(builtin_scenario(name), Method(ProductThreshold(2.0, 0.9)))
+    calls = [call.args for call in reach.call_args_list]
+    assert len(calls) == len(set(calls)) > 100
+
+
+_FILTERS = [method.rule for method in standard_methods() if not isinstance(method.rule, NoFilter)]
+
+
+@pytest.mark.parametrize("rule", _FILTERS, ids=[rule.label for rule in _FILTERS])
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_aware_method_is_the_plain_method_at_level_alpha_p0(name, rule):
+    # The engine reads only the level alpha * p0 from the adjustment, and
+    # with the rule's own p0 that level keeps the exact FWER at most alpha.
+    scenario = builtin_scenario(name)
+    p0 = rule.p0(scenario.sigma, scenario.sigma, scenario.n)
+    aware = exact_fwer_bound(scenario, Method(rule, FiltrationAware(p0)))
+    plain = exact_fwer_bound(builtin_scenario(name, alpha=scenario.alpha * p0), Method(rule))
+    assert [value.hex() for value in aware] == [value.hex() for value in plain]
+    assert 0.0 < aware.fwer <= scenario.alpha
+
+
+@pytest.mark.parametrize("name, want", [("config1", 0.0219), ("hierarchical", 0.0248)])
+def test_simulated_aware_fwer_agrees_within_3_se(name, want):
+    # A filtration-aware method with a p0 above the rule's own, so that its FWER is large enough to see.
+    scenario = builtin_scenario(name, reps=2000)
+    method = Method(ProductThreshold(2.0, 0.9), FiltrationAware(0.5))
+    exact_fwer = exact_fwer_bound(scenario, method).fwer
+    assert exact_fwer == pytest.approx(want, abs=5e-5)
+    [res] = run_experiment(scenario, [method], master_seed=36).methods
+    assert abs(res.empirical_fwer - exact_fwer) <= 3.0 * math.sqrt(exact_fwer * (1.0 - exact_fwer) / scenario.reps)
 
 
 @pytest.mark.parametrize("rule", _RULES, ids=_IDS)
 @pytest.mark.parametrize("sigma", [1e155, 1e-320, 5e-324])
 @pytest.mark.parametrize("name", ["config2", "hierarchical"])
 def test_extreme_scales_give_probabilities(name, sigma, rule):
-    got = exact_fwer_bound(builtin_scenario(name, sigma=sigma), rule)
+    got = exact_fwer_bound(builtin_scenario(name, sigma=sigma), Method(rule))
     assert 0.0 <= got.q_max <= 1.0 and 0.0 <= got.fwer <= 1.0 and 0.0 <= got.survivor_bound <= 1.0
     assert 0.0 <= got.mean_F <= 200.0
 
 
 def test_support_beyond_the_limit_is_a_memory_error():
     with pytest.raises(MemoryError):
-        exact_fwer_bound(builtin_scenario("hierarchical", m=10**14), MinPValue(0.0004))
+        exact_fwer_bound(builtin_scenario("hierarchical", m=10**14), Method(MinPValue(0.0004)))

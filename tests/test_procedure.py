@@ -47,8 +47,7 @@ def pair(g, b, sg=1.0, sb=1.0, n=100):
 def kernel_filters(rule, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n):
     """The kernel's stage-1 decision on the estimates: True where ``rule`` filters the hypothesis."""
     gamma_hat, beta_hat = np.atleast_1d(gamma_hat), np.atleast_1d(beta_hat)
-    [(survivors, _, _)] = two_stage([(rule, BonferroniOverUnfiltered())], 0.05, gamma_hat, beta_hat,
-                                    sigma_gamma, sigma_beta, n)
+    [(survivors, _, _)] = two_stage([Method(rule)], 0.05, gamma_hat, beta_hat, sigma_gamma, sigma_beta, n)
     return ~survivors
 
 
@@ -409,7 +408,7 @@ class TestFwerGuarantees:
         # the exact FWER, and the empirical one within 3 se, stay below the exact bound
         scenario = _all_null_scenario()
         rule = ProductThreshold(2.0, 0.9)
-        exact = exact_fwer_bound(scenario, rule)
+        exact = exact_fwer_bound(scenario, Method(rule))
         [res] = run_experiment(scenario, [Method(rule)], master_seed=78).methods
         assert 0.0 < exact.fwer <= exact.survivor_bound
         assert res.empirical_fwer <= exact.survivor_bound + 3.0 * max(res.fwer_se, 1e-12)
@@ -469,7 +468,7 @@ class TestZDomainDecisions:
         g, b = np.concatenate([d[0] for d in draws]), np.concatenate([d[1] for d in draws])
         sigma, n = sc.sigma, sc.n
         pjoint = np.maximum(coord_pvalue(g, sigma, n), coord_pvalue(b, sigma, n))
-        kernel = two_stage([(mth.rule, mth.adjustment) for mth in methods], sc.alpha, g, b, sigma, sigma, n)
+        kernel = two_stage(methods, sc.alpha, g, b, sigma, sigma, n)
         for j, method in enumerate(methods):
             survivors = ~_pvalue_filter_reference(method.rule, g, b, sigma, sigma, n)
             level = sc.alpha * getattr(method.adjustment, "p0", 1.0)
@@ -482,7 +481,7 @@ class TestZDomainDecisions:
 
     def test_kernel_forms_each_coordinate_z_once(self):
         g, b = np.random.default_rng(8).normal(scale=0.3, size=(2, 3, 40))
-        methods = [(mth.rule, mth.adjustment) for mth in standard_methods()]
+        methods = standard_methods()
         with mock.patch.object(procedure, "_abs_z", wraps=procedure._abs_z) as abs_z:
             two_stage(methods, 0.05, g, b, 1.0, 1.0, 100)
         assert abs_z.call_count == 2
